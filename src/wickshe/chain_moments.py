@@ -40,6 +40,7 @@ import numpy as np
 from scipy.stats import qmc
 
 __all__ = [
+    "CHAIN_ORDERS",
     "field_order_masses",
     "space_increment_masses",
     "time_increment_masses",
@@ -47,6 +48,16 @@ __all__ = [
 
 _TENSOR_AXIS_NODES = {1: 60, 2: 30}
 _QMC_LOG2 = {3: 16, 4: 16}  # Sobol points at orders 3 and 4
+CHAIN_ORDERS = (1, 2, 3, 4)  # the orders with a time-simplex rule above
+
+
+def _check_orders(orders: Iterable[int]) -> list[int]:
+    orders = list(orders)
+    for n in orders:
+        if n not in CHAIN_ORDERS:
+            raise ValueError(f"chain order {n} is not supported; the chain-pairing "
+                             f"engine handles orders {CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
+    return orders
 
 
 def _clip_unit(U: np.ndarray) -> np.ndarray:
@@ -216,7 +227,7 @@ def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
                        rng_seed: int = 10103) -> Dict[int, float]:
     """sum_{|alpha| = n} F_alpha(t, x)^2 per order (x-independent here)."""
     out: Dict[int, float] = {}
-    for n in orders:
+    for n in _check_orders(orders):
         _, mass = _accumulate_space(n, t, np.asarray([1.0]), deriv, rng_seed)
         out[n] = mass
     return out
@@ -230,7 +241,7 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
     lags = np.asarray(lags, dtype=float)
     inc: Dict[int, np.ndarray] = {}
     mass: Dict[int, float] = {}
-    for n in orders:
+    for n in _check_orders(orders):
         inc[n], mass[n] = _accumulate_space(n, t, lags, deriv, rng_seed)
     return inc, mass
 
@@ -256,7 +267,7 @@ def _time_region_nodes(n: int, t: float, h: float, rng_seed: int,
             wparts.append(jv * wi * bw[k] * h)
         return np.concatenate(parts, axis=0), np.concatenate(wparts), False
     sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
-    U = _clip_unit(sob.random_base2(m=_QMC_LOG2.get(n, 15)))
+    U = _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
     out = []
     wts = np.ones(U.shape[0])
     for half in (U[:, :n], U[:, n:]):
@@ -279,19 +290,25 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
     so for t > 0 the increment is the chain integral restricted to v_n in
     [t, t+h]; the pairing is integrated over that box times two inner
     simplices.  The box rule is uniform: exact to rounding while the box
-    stays clear of the singular chain endpoint (t >= h/4), less accurate as
-    t/h -> 0.  At t = 0 every coefficient of order >= 1 vanishes, so the
-    increment is the field mass at time h, from the graded double-simplex
-    rule.
+    stays clear of the singular chain endpoint (t >= h/4) and inaccurate
+    nearer to it, so 0 < t < max(lags)/4 is refused.  At t = 0 every
+    coefficient of order >= 1 vanishes, so the increment is the field mass
+    at time h, from the graded double-simplex rule.  By Brownian scaling
+    that mass is the mass at time 1 times h^{3n/2} (u) or h^{3n/2 - 1}
+    (dx u), and the rule is scale-equivariant, so one table per order
+    serves the whole lag ladder.
     """
     lags = np.asarray(lags, dtype=float)
-    orders = list(orders)
+    orders = _check_orders(orders)
     top = int(np.argmax(lags))
+    if 0.0 < t < lags[top] / 4.0:
+        raise ValueError(f"time increments from t = {t} with lags up to {lags[top]} are "
+                         "inaccurate; the accurate range is t = 0 or t >= h/4")
     out: Dict[int, np.ndarray] = {}
     if t == 0.0:
+        unit = field_order_masses(1.0, orders, deriv, rng_seed)
         for n in orders:
-            out[n] = np.asarray([field_order_masses(float(h), [n], deriv, rng_seed)[n]
-                                 for h in lags])
+            out[n] = unit[n] * lags ** (1.5 * n - (1.0 if deriv else 0.0))
         return out, {n: float(m[top]) for n, m in out.items()}
     for n in orders:
         masses = np.zeros(lags.size)

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import MultiIndex, TruncationSpec, hermite_function, hermite_function_dx
+from .chain_moments import CHAIN_ORDERS
 from .chaos import s_transform_chaos, s_transform_tail_estimate, second_moment
 from .coefficients import CoefficientQuadrature, dx_level_coefficients
 from .config import ConfigError, RunConfig, config_items, parse_config
@@ -350,6 +351,10 @@ def run_regularity(cfg: RunConfig, out: Path, report: RunReport):
     if cfg.ic_tag != "constant":
         raise ConfigError("regularity subcommand uses the exact chain engine and "
                           "requires initial_condition.tag = constant")
+    if cfg.truncation_order not in CHAIN_ORDERS:
+        raise ConfigError(f"truncation.N = {cfg.truncation_order}: the regularity "
+                          f"subcommand's chain engine handles orders "
+                          f"{CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
     t = 1.0
     # the time exponents are attained at the initial time; over lags far
     # below t = 1 both fields are smooth in time (slope ~2)

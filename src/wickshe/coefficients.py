@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, _distinct_permutations,
                     enumerate_multiindices, hermite_function_table)
-from .kernels import (InitialCondition, SimplexSpec, build_line_grid, simplex_map,
+from .kernels import (HeatOperator, InitialCondition, SimplexSpec, simplex_map,
                       apply_heat_semigroup, apply_heat_semigroup_dx)
 
 __all__ = [
@@ -46,73 +46,35 @@ QUADRATURE_ORDER_CAP = 3  # cost is (time nodes)^n (m^2) per level sweep
 
 
 class CoefficientQuadrature:
-    """Shared spatial grid, panel differentiation, and transfer operators."""
+    """Shared spatial grid, heat transfer operator and time-simplex settings."""
 
     def __init__(self, half_width: float = 12.0, panels: int = 48,
                  nodes_per_panel: int = 16, time_points: int = 12,
                  grading: float = 2.0):
-        self.grid = build_line_grid(half_width, panels, nodes_per_panel)
+        self.heat = HeatOperator(half_width, panels, nodes_per_panel)
+        self.grid = self.heat.grid
         self.panels = panels
         self.npp = nodes_per_panel
         self.time_points = time_points
         self.grading = grading
-        width = 2.0 * half_width / panels
-        self.tau_res = (width / 5.0) ** 2
-        self._D1 = self._panel_diff_matrix()
-        self._D2 = self._D1 @ self._D1
+        self.tau_res = self.heat.tau_res
 
-    # -- panel-spectral differentiation on the composite Gauss grid ---------
-
-    def _panel_diff_matrix(self) -> np.ndarray:
-        m = self.grid.nodes.size
-        D = np.zeros((m, m))
-        for p in range(self.panels):
-            sl = slice(p * self.npp, (p + 1) * self.npp)
-            xs = self.grid.nodes[sl]
-            D[sl, sl] = _lagrange_diff(xs)
-        return D
-
-    def _interp_weights(self, x: float) -> tuple[slice, np.ndarray]:
-        """Barycentric interpolation weights within the panel containing x."""
-        nodes = self.grid.nodes
-        width = 2.0 * self.grid.half_width / self.panels
-        p = int(np.clip((x + self.grid.half_width) // width, 0, self.panels - 1))
-        sl = slice(p * self.npp, (p + 1) * self.npp)
-        xs = nodes[sl]
-        if np.any(np.abs(xs - x) < 1e-14):
-            w = np.zeros(self.npp)
-            w[int(np.argmin(np.abs(xs - x)))] = 1.0
-            return sl, w
-        bw = _bary_weights(xs)
-        w = bw / (x - xs)
-        return sl, w / w.sum()
-
-    def point_eval(self, v: np.ndarray, x: float, deriv: int = 0) -> float:
-        """v(x), v'(x) or v''(x) from grid values by panel interpolation."""
-        sl, w = self._interp_weights(x)
-        if deriv == 0:
-            return float(w @ v[sl])
-        D = self._D1[sl, sl]
-        block = v[sl]
-        for _ in range(deriv):
-            block = D @ block
-        return float(w @ block)
+    def point_eval(self, v: np.ndarray, x: float, deriv: int = 0):
+        """v(x) or its derivative of order ``deriv`` from grid values by panel
+        interpolation; the rows of a 2-D v are evaluated together."""
+        return self.heat.point_eval(v, x, deriv)
 
     # -- transfer operators --------------------------------------------------
 
-    def kernel_matrix(self, tau: float) -> np.ndarray:
-        """Matrix of P(tau) from grid functions to grid values (includes the
-        quadrature weights); Taylor fallback below the resolvable width."""
-        nodes, w = self.grid.nodes, self.grid.weights
-        if tau >= self.tau_res:
-            diff = nodes[:, None] - nodes[None, :]
-            return np.exp(-diff * diff / (2.0 * tau)) / math.sqrt(2 * math.pi * tau) * w[None, :]
-        m = nodes.size
-        return np.eye(m) + (tau / 2.0) * self._D2 + (tau * tau / 8.0) * (self._D2 @ self._D2)
+    def kernel_matrix(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """P(tau) from grid functions to grid values (quadrature weights
+        included) as block-Toeplitz panel blocks; Taylor fallback below the
+        resolvable width."""
+        return self.heat.blocks(tau)
 
     def apply_P(self, tau: float, V: np.ndarray) -> np.ndarray:
         """P(tau) applied to rows-last arrays of grid functions."""
-        return V @ self.kernel_matrix(tau).T
+        return self.heat.apply(self.kernel_matrix(tau), V)
 
     def leading_row(self, tau: float, x: float, V: np.ndarray, deriv: bool) -> np.ndarray:
         """[P(tau) v](x) (or its x-derivative) for each grid function in the
@@ -124,52 +86,13 @@ class CoefficientQuadrature:
             if deriv:
                 row = row * (-(d / tau))
             return V @ row
-        V2 = np.atleast_2d(V)
-        if not deriv:
-            out = np.array([self.point_eval(v, x) + (tau / 2.0) * self.point_eval(v, x, 2)
-                            for v in V2])
-        else:
-            out = np.array([self.point_eval(v, x, 1) + (tau / 2.0) * self.point_eval(v, x, 3)
-                            for v in V2])
-        return out if V.ndim > 1 else out[0]
+        k = 1 if deriv else 0
+        return self.point_eval(V, x, k) + (tau / 2.0) * self.point_eval(V, x, k + 2)
 
     def u0_on_grid(self, u0: InitialCondition, s: float) -> np.ndarray:
         """u_bar(s, .) on the grid (s = 0 allowed)."""
         base = u0(self.grid.nodes)
-        if s <= 0.0:
-            return base
-        if s < self.tau_res:
-            return base + (s / 2.0) * (self._D2 @ base) \
-                + (s * s / 8.0) * (self._D2 @ (self._D2 @ base))
-        return self.apply_P(s, base)
-
-    def u0_at_point(self, u0: InitialCondition, s: float, x: float) -> float:
-        if s <= 0.0:
-            return float(u0(np.asarray([x]))[0])
-        if s < self.tau_res:
-            g = self.u0_on_grid(u0, s)
-            return self.point_eval(g, x)
-        return float(apply_heat_semigroup(u0, s, x, self.grid))
-
-
-def _bary_weights(xs: np.ndarray) -> np.ndarray:
-    w = np.ones_like(xs)
-    for i in range(xs.size):
-        w[i] = 1.0 / np.prod(xs[i] - np.delete(xs, i))
-    return w
-
-
-def _lagrange_diff(xs: np.ndarray) -> np.ndarray:
-    """Spectral differentiation matrix on arbitrary distinct nodes."""
-    n = xs.size
-    bw = _bary_weights(xs)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = bw[j] / bw[i] / (xs[i] - xs[j])
-        D[i, i] = -np.sum(D[i])
-    return D
+        return base if s <= 0.0 else self.apply_P(s, base)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +120,6 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
     pts, wts = simplex_map(spec)
     E = hermite_function_table(J, quad.grid.nodes)      # (J, m)
     out = np.zeros((J,) * n)
-    # group nodes by shared inner times to reuse kernel matrices: iterate raw
     for idx in range(pts.shape[0]):
         s = pts[idx]
         w = wts[idx]

@@ -22,6 +22,7 @@ __all__ = [
     "dxp_cross_inner",
     "QuadratureGrid",
     "build_line_grid",
+    "HeatOperator",
     "SimplexSpec",
     "simplex_quadrature",
     "simplex_map",
@@ -110,6 +111,107 @@ def build_line_grid(half_width: float, panels: int = 48, nodes_per_panel: int = 
     weights = np.concatenate([0.5 * (hi - lo) * gw
                               for lo, hi in zip(edges[:-1], edges[1:])])
     return QuadratureGrid(half_width=half_width, nodes=nodes, weights=weights)
+
+
+def _bary_weights(xs: np.ndarray) -> np.ndarray:
+    w = np.ones_like(xs)
+    for i in range(xs.size):
+        w[i] = 1.0 / np.prod(xs[i] - np.delete(xs, i))
+    return w
+
+
+def _lagrange_diff(xs: np.ndarray) -> np.ndarray:
+    """Spectral differentiation matrix on arbitrary distinct nodes."""
+    n = xs.size
+    bw = _bary_weights(xs)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = bw[j] / bw[i] / (xs[i] - xs[j])
+        D[i, i] = -np.sum(D[i])
+    return D
+
+
+class HeatOperator:
+    """Transfer operator P(tau) between grid functions on the uniform
+    composite Gauss-Legendre grid of ``build_line_grid``.
+
+    Every panel is a translate of one local q-node rule (nodes g, weights
+    w), so P(tau) is block-Toeplitz in the panel offset d = p_out - p_in:
+
+        K_d[a, b] = p(tau, d * width + g_a - g_b) w_b,
+
+    2P - 1 distinct q x q blocks, of which only those with a non-zero entry
+    are kept.  Below the resolvable width tau_res the grid cannot represent
+    the near-delta kernel and P(tau) is the panel-spectral Taylor
+    I + (tau/2) D2 + (tau^2/8) D2^2, block-diagonal with one shared block.
+    No m x m array is ever formed.
+    """
+
+    def __init__(self, half_width: float, panels: int, nodes_per_panel: int):
+        self.grid = build_line_grid(half_width, panels, nodes_per_panel)
+        self.panels = panels
+        self.q = nodes_per_panel
+        self.width = 2.0 * half_width / panels
+        self.tau_res = (self.width / 5.0) ** 2
+        gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+        self.local_nodes = 0.5 * self.width * gx     # about the panel centre
+        self.local_weights = 0.5 * self.width * gw
+        self.bary = _bary_weights(self.local_nodes)
+        self.D1 = _lagrange_diff(self.local_nodes)
+        self.D2 = self.D1 @ self.D1
+        self.D2sq = self.D2 @ self.D2
+
+    def blocks(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """P(tau) as (panel offsets d, blocks K_d of shape (len(d), q, q))."""
+        if tau < self.tau_res:
+            block = np.eye(self.q) + (tau / 2.0) * self.D2 + (tau * tau / 8.0) * self.D2sq
+            return np.zeros(1, dtype=int), block[None]
+        P = self.panels
+        d = np.arange(-(P - 1), P)
+        g = self.local_nodes
+        diff = (d * self.width)[:, None, None] + (g[:, None] - g[None, :])
+        K = np.exp(-diff * diff / (2.0 * tau)) / math.sqrt(2 * math.pi * tau)
+        K *= self.local_weights
+        keep = np.any(K != 0.0, axis=(1, 2))
+        return d[keep], K[keep]
+
+    def apply(self, band: tuple[np.ndarray, np.ndarray], V: np.ndarray) -> np.ndarray:
+        """The operator ``band`` (from ``blocks``) applied to rows-last grid
+        functions V, panel by panel."""
+        P, q = self.panels, self.q
+        V = np.asarray(V, dtype=float)
+        X = np.ascontiguousarray(V.reshape(-1, P, q).transpose(1, 0, 2))   # (P, rows, q)
+        rows = X.shape[1]
+        out = np.zeros_like(X)
+        offsets, blocks = band
+        for d, K in zip(offsets.tolist(), blocks):
+            # output panels lo..lo+k-1 collect K_d applied to input panel p - d
+            lo, k = max(d, 0), P - abs(d)
+            src = X[lo - d:lo - d + k].reshape(-1, q)
+            out[lo:lo + k] += (src @ K.T).reshape(k, rows, q)
+        return out.transpose(1, 0, 2).reshape(V.shape)
+
+    def point_eval(self, V: np.ndarray, x: float, deriv: int = 0):
+        """v(x) or its derivative of order ``deriv`` from the grid values of
+        each grid function in the rows of V, by interpolation on the panel
+        containing x."""
+        P, q = self.panels, self.q
+        p = int(np.clip((x + self.grid.half_width) // self.width, 0, P - 1))
+        sl = slice(p * q, (p + 1) * q)
+        xs = self.grid.nodes[sl]
+        if np.any(np.abs(xs - x) < 1e-14):
+            w = np.zeros(q)
+            w[int(np.argmin(np.abs(xs - x)))] = 1.0
+        else:
+            w = self.bary / (x - xs)
+            w = w / w.sum()
+        block = np.asarray(V)[..., sl]
+        for _ in range(deriv):
+            block = block @ self.D1.T
+        out = block @ w
+        return float(out) if out.ndim == 0 else out
 
 
 def default_half_width(max_abs_x: float, horizon: float) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .chain_moments import space_increment_masses, time_increment_masses
+from .chain_moments import CHAIN_ORDERS, space_increment_masses, time_increment_masses
 from .chaos import ChaosCoefficients, order_norm, second_moment
 from .feynman_kac import _block_ranges, _ensemble_positions, _profiles_from_positions, _run_blocks, _time_grid
 from .streams import substream
@@ -141,6 +141,9 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
     """
     if t < 0:
         raise ValueError(f"base time must be non-negative, got {t}")
+    if max_order not in CHAIN_ORDERS:
+        raise ValueError(f"max_order {max_order} is not supported; the chain-pairing "
+                         f"engine handles orders {CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
     lags = np.asarray(sorted(float(h) for h in lags))
     orders = range(1, max_order + 1)
     if direction == "space":

@@ -70,6 +70,22 @@ class TestRunner:
         assert code == 2
         assert "mc.n_paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_regularity_rejects_unsupported_order(self, order, tmp_path, capsys,
+                                                  monkeypatch):
+        # the parser accepts truncation.N in [0, 40]; the chain engine only
+        # handles 1..4, so the run must stop before any engine work
+        def no_engine(*args, **kwargs):
+            raise AssertionError("engine ran")
+
+        monkeypatch.setattr("wickshe.cli.exact_increment_curve", no_engine)
+        cfg = write_cfg(tmp_path, f"seed = 1\ntruncation.N = {order}\n"
+                                  f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["regularity", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "truncation.N" in err and "1..4" in err
+        assert not (tmp_path / "out").exists()
+
     def test_equivalence_run_and_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "seed = 11\nprobes = 1.0,0.0\n"
                                   f"output_dir = {tmp_path/'out'}\n")

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
 from wickshe.basis import MultiIndex, TruncationSpec, hermite_function
-from wickshe.coefficients import (cs_coefficient, cs_level_coefficients, dx_coefficient,
-                                  dx_level_coefficients)
+from wickshe.coefficients import (CoefficientQuadrature, cs_coefficient,
+                                  cs_level_coefficients, dx_coefficient, dx_level_coefficients)
 from wickshe.kernels import constant_ic, heat_kernel, sine_ic
 
 ZERO = MultiIndex(())
@@ -102,3 +103,114 @@ class TestLevelSweeps:
         assert abs(lvl[MultiIndex((0, 1))]) > 1e-3
         assert abs(lvl[MultiIndex((0, 0, 1))]) < 1e-10
         assert abs(lvl[MultiIndex((0, 0, 0, 1))]) > 1e-4
+
+
+def _dense_panel_diff(quad: CoefficientQuadrature) -> np.ndarray:
+    """Block-diagonal Lagrange differentiation on each panel's own nodes."""
+    nodes, q = quad.grid.nodes, quad.npp
+    D = np.zeros((nodes.size, nodes.size))
+    for p in range(quad.panels):
+        xs = nodes[p * q:(p + 1) * q]
+        gap = xs[:, None] - xs[None, :]
+        np.fill_diagonal(gap, 1.0)
+        bw = 1.0 / gap.prod(axis=1)
+        block = bw[None, :] / bw[:, None] / gap
+        np.fill_diagonal(block, 0.0)
+        np.fill_diagonal(block, -block.sum(axis=1))
+        D[p * q:(p + 1) * q, p * q:(p + 1) * q] = block
+    return D
+
+
+def _dense_P(quad: CoefficientQuadrature, tau: float) -> np.ndarray:
+    x, w = quad.grid.nodes, quad.grid.weights
+    if tau >= quad.tau_res:
+        diff = x[:, None] - x[None, :]
+        return np.exp(-diff * diff / (2.0 * tau)) / math.sqrt(2 * math.pi * tau) * w[None, :]
+    D2 = np.linalg.matrix_power(_dense_panel_diff(quad), 2)
+    return np.eye(x.size) + (tau / 2.0) * D2 + (tau * tau / 8.0) * (D2 @ D2)
+
+
+@pytest.fixture(scope="module")
+def small_quad():
+    return CoefficientQuadrature(half_width=8.0, panels=8)
+
+
+class TestHeatOperator:
+    @pytest.mark.parametrize("which", ["default", "small"])
+    @pytest.mark.parametrize("tau", [0.005, 0.02, 0.5, 1.0])
+    def test_apply_matches_dense(self, which, tau, coeff_quad, small_quad):
+        quad = coeff_quad if which == "default" else small_quad
+        x = quad.grid.nodes
+        rng = np.random.default_rng(7)
+        V = rng.standard_normal((2, 3, x.size)) * np.exp(-x * x / 8.0)
+        ref = V @ _dense_P(quad, tau).T
+        got = quad.apply_P(tau, V)
+        assert got.shape == V.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        single = quad.apply_P(tau, V[0, 0])
+        assert np.abs(single - ref[0, 0]).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_both_branches_exercised(self, coeff_quad, small_quad):
+        # tau in {0.005, 0.02} is Taylor on both grids, tau = 0.02 Gaussian on
+        # the default one; the small grid's panels are wide (tau_res = 0.16)
+        assert 0.005 < coeff_quad.tau_res < 0.02
+        assert 0.02 < small_quad.tau_res < 0.5
+
+    def test_only_zero_blocks_dropped(self, coeff_quad):
+        offsets, blocks = coeff_quad.kernel_matrix(0.02)
+        assert 0 < offsets.size < 2 * coeff_quad.panels - 1
+        dense = _dense_P(coeff_quad, 0.02)
+        q, P = coeff_quad.npp, coeff_quad.panels
+        for d in range(-(P - 1), P):
+            if d not in offsets:
+                assert not np.any(dense[max(d, 0) * q:(max(d, 0) + 1) * q,
+                                        max(-d, 0) * q:(max(-d, 0) + 1) * q])
+
+    @pytest.mark.parametrize("deriv", [1, 2, 3])
+    @pytest.mark.parametrize("x", [0.0, 0.37, -4.91])
+    def test_point_eval_matches_dense_lagrange(self, deriv, x, coeff_quad):
+        nodes = coeff_quad.grid.nodes
+        v = np.sin(1.3 * nodes) * np.exp(-nodes * nodes / 20.0)
+        dv = np.linalg.matrix_power(_dense_panel_diff(coeff_quad), deriv) @ v
+        # barycentric Lagrange interpolation on the panel containing x
+        p = int((x + coeff_quad.grid.half_width) // (2 * coeff_quad.grid.half_width
+                                                      / coeff_quad.panels))
+        sl = slice(p * coeff_quad.npp, (p + 1) * coeff_quad.npp)
+        xs = nodes[sl]
+        gap = xs[:, None] - xs[None, :]
+        np.fill_diagonal(gap, 1.0)
+        bw = 1.0 / gap.prod(axis=1)
+        lw = bw / (x - xs)
+        ref = float(lw @ dv[sl] / lw.sum())
+        got = coeff_quad.point_eval(v, x, deriv)
+        # rounding of a deriv-fold differentiation grows as |D|^deriv
+        norm_D = np.abs(coeff_quad.heat.D1).sum(axis=1).max()
+        tol = 1e-15 * norm_D ** deriv * np.abs(v[sl]).max()
+        assert got == pytest.approx(ref, abs=tol)
+        rows = coeff_quad.point_eval(np.stack([v, 2.0 * v]), x, deriv)
+        np.testing.assert_allclose(rows, [ref, 2.0 * ref], rtol=0.0, atol=2.0 * tol)
+
+    def test_holds_no_dense_matrix(self, coeff_quad):
+        m = coeff_quad.grid.nodes.size
+        for obj in (coeff_quad, coeff_quad.heat):
+            for value in vars(obj).values():
+                if isinstance(value, np.ndarray):
+                    assert value.size < m * m
+
+    def test_fine_grid_in_bounded_memory(self):
+        # one dense 8192 x 8192 array alone would take 537 MB
+        tracemalloc.start()
+        try:
+            quad = CoefficientQuadrature(panels=512)
+            x = quad.grid.nodes
+            V = np.stack([np.exp(-x * x), np.sin(x) * np.exp(-x * x / 4.0)])
+            for tau in (0.5 * quad.tau_res, 0.5):
+                out = quad.apply_P(tau, V)
+                assert np.all(np.isfinite(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.size == 8192
+        assert peak < 64 * 2 ** 20
+        # P(tau) exp(-x^2) = (1 + 2 tau)^{-1/2} exp(-x^2 / (1 + 2 tau))
+        assert out[0] == pytest.approx(np.exp(-x * x / 2.0) / math.sqrt(2.0), abs=1e-12)

@@ -161,6 +161,34 @@ class TestExactCurves:
         # gate masses are taken at the latest probed time
         assert mass == {n: inc[n][LAGS6.index(max(LAGS6))] for n in (1, 2)}
 
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_time_increment_from_zero_scales_one_table(self, deriv):
+        # Brownian scaling: one mass table per order, scaled to each lag,
+        # reproduces the per-lag tables
+        lags = [2.0 ** -3, 2.0 ** -8]
+        inc, _ = time_increment_masses(0.0, lags, [1, 3], deriv)
+        for i, h in enumerate(lags):
+            ref = field_order_masses(h, [1, 3], deriv)
+            for n in (1, 3):
+                assert inc[n][i] == pytest.approx(ref[n], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_time_increment_refuses_base_near_endpoint(self, deriv):
+        # the uniform box rule is inaccurate for 0 < t < h/4 (order 1 of dx u
+        # is off by -5e-3 at t = 1e-3, h = 1/8)
+        with pytest.raises(ValueError, match=r"t = 0 or t >= h/4"):
+            time_increment_masses(1e-3, LAGS6, [1], deriv)
+
+    @pytest.mark.parametrize("order", [0, 5])
+    def test_unsupported_orders_are_named(self, order):
+        with pytest.raises(ValueError, match=r"1\.\.4"):
+            exact_increment_curve(1.0, "space", LAGS6, deriv=True, max_order=order)
+        if order:
+            with pytest.raises(ValueError, match=r"1\.\.4"):
+                time_increment_masses(0.0, LAGS6, [order], deriv=True)
+            with pytest.raises(ValueError, match=r"1\.\.4"):
+                field_order_masses(1.0, [order], deriv=False)
+
     def test_time_curve_from_zero_is_finite_and_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
