@@ -5,7 +5,9 @@ Subcommands drive the correspondingly named module operations and emit CSV
 artifacts (UTF-8, LF endings, header row, 17-significant-digit floats) plus a
 report.csv embedding the resolved config, a sha256 of every emitted CSV, and
 one row per executed check.  Exit code 0 when all checks pass, 1 when any
-fails, 2 for configuration errors.  WICKSHE_THREADS overrides --threads.
+fails, 2 for configuration errors (a config whose path ensemble would exceed
+the per-array memory budget included), 3 for an engine error, reported as one
+``engine error:`` line on stderr.  WICKSHE_THREADS overrides --threads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .chain_moments import CHAIN_ORDERS
 from .chaos import s_transform_chaos, s_transform_tail_estimate, second_moment
 from .coefficients import CoefficientQuadrature, dx_level_coefficients
 from .config import ConfigError, RunConfig, config_items, parse_config
-from .feynman_kac import (build_level_grid, fk_conditional_estimate,
+from .feynman_kac import (EnsembleMemoryError, build_level_grid, fk_conditional_estimate,
                           local_time_ensemble_stats, psi_law_stats, sample_noise,
                           s_transform_dx_mc, s_transform_mc)
 from .kernels import apply_heat_semigroup, build_line_grid, constant_ic, sine_ic
@@ -150,6 +152,12 @@ def run_derivative(cfg: RunConfig, out: Path, report: RunReport):
 
 
 def run_fk(cfg: RunConfig, out: Path, report: RunReport):
+    # law of the exponent: conditional Gaussian moments and unit mean; run
+    # first so that a noise count over the memory budget is refused at once
+    t0, x0 = cfg.probes[0]
+    pl = psi_law_stats(t0, cfg.mc_dt, cfg.delta_a, min(cfg.mc_n_paths, 50_000),
+                       max(cfg.mc_n_noise * 100, 20_000), cfg.seed, x=x0,
+                       threads=cfg.threads)
     u0 = cfg.initial_condition()
     grid = build_line_grid(cfg.quadrature_half_width + 8.0, cfg.quadrature_panels)
     rows = []
@@ -180,11 +188,6 @@ def run_fk(cfg: RunConfig, out: Path, report: RunReport):
     if cfg.mc_dump_ensembles:
         _dump_ensembles(cfg, out, report)
 
-    # law of the exponent: conditional Gaussian moments and unit mean
-    t0, x0 = cfg.probes[0]
-    pl = psi_law_stats(t0, cfg.mc_dt, cfg.delta_a, min(cfg.mc_n_paths, 50_000),
-                       max(cfg.mc_n_noise * 100, 20_000), cfg.seed, x=x0,
-                       threads=cfg.threads)
     psi_rows = [(k, v) for k, v in sorted(pl.items())]
     report.artifacts.append(write_csv(out / "psi_law.csv", ("quantity", "value"), psi_rows))
     zc = abs(pl["conditional_mean"] - pl["conditional_mean_target"]) / pl["conditional_se"]
@@ -429,6 +432,8 @@ def run(subcommand: str, cfg: RunConfig) -> RunReport:
         RUNNERS[subcommand](cfg, out, report)
     except ConfigError:
         raise
+    except EnsembleMemoryError as exc:
+        raise ConfigError(str(exc)) from exc
     except Exception as exc:
         raise RuntimeError(f"{subcommand}: {exc}") from exc
     report.wall_time = time.perf_counter() - start
@@ -484,6 +489,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print("engine error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 3
     for name, passed, detail in report.checks:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     print(f"wall time: {report.wall_time:.2f} s; artifacts in {cfg.output_dir}/")

@@ -13,9 +13,12 @@ Estimator bias: the histogram carries O(da) binning bias and the skeleton
 O(sqrt(dt)) time-discretization bias; ensemble checks quote a stated budget
 of these orders next to the Monte Carlo error instead of hiding them.
 
-All ensemble routines stream paths in fixed-size blocks; each block draws
-from its own counter-based substream and blocks are reduced in index order,
-so estimates are bit-identical no matter how many worker threads ran them.
+Every ensemble routine is a reducer on ``path_ensemble``, the one blocked
+loop: it streams paths in blocks of ``DEFAULT_BLOCK``, each block draws from
+its own counter-based substream, and the per-block results come back in
+block order, so estimates are bit-identical no matter how many worker
+threads ran them.  A block whose position or profile array would exceed
+``ARRAY_BUDGET_BYTES`` is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -47,9 +50,17 @@ __all__ = [
     "sample_noise",
     "local_time_ensemble_stats",
     "psi_law_stats",
+    "path_ensemble",
+    "occupation_profiles",
+    "EnsembleMemoryError",
 ]
 
 DEFAULT_BLOCK = 2000
+ARRAY_BUDGET_BYTES = 1 << 30  # largest float64 array one ensemble step may allocate
+
+
+class EnsembleMemoryError(ValueError):
+    """Raised before allocation when an ensemble array would exceed the budget."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +136,7 @@ def simulate_path(t: float, dt: float, x: float, stream: np.random.Generator) ->
     if dt <= 0:
         raise ValueError("dt must be positive")
     t_grid = _time_grid(t, dt)
-    steps = np.diff(t_grid)
-    inc = stream.standard_normal(steps.size) * np.sqrt(steps)
-    positions = np.concatenate([[x], x + np.cumsum(inc)])
+    positions = np.concatenate([[x], _positions(1, np.diff(t_grid), x, stream)[0]])
     return BrownianPath(t_grid=t_grid, positions=positions, start=x)
 
 
@@ -160,16 +169,8 @@ def local_time(path: BrownianPath, levels: np.ndarray) -> LocalTimeProfile:
     Each step contributes its dt to the bin of its right endpoint, so the
     identity da * sum L = t holds exactly (counting identity).
     """
-    da = float(levels[1] - levels[0])
-    lo = float(levels[0] - 0.5 * da)
-    pos = path.positions[1:]
-    if pos.min() < lo or pos.max() > levels[-1] + 0.5 * da:
-        raise ValueError("level grid does not cover the path range")
-    steps = np.diff(path.t_grid)
-    idx = np.floor((pos - lo) / da).astype(np.int64)
-    vals = np.bincount(idx, weights=steps, minlength=levels.size) / da
-    return LocalTimeProfile(level_grid=levels, values=vals[:levels.size],
-                            elapsed=float(path.t_grid[-1]))
+    vals = occupation_profiles(path.positions[None, 1:], np.diff(path.t_grid), levels)[0]
+    return LocalTimeProfile(level_grid=levels, values=vals, elapsed=float(path.t_grid[-1]))
 
 
 def occupation_functional(path: BrownianPath, phi: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -211,28 +212,28 @@ def psi_sample(profile: LocalTimeProfile, noise: NoiseRealization) -> PsiSample:
 # blocked ensembles
 
 
-def _block_ranges(n_paths: int, block: int) -> list[tuple[int, int]]:
-    return [(b, min(b + block, n_paths)) for b in range(0, n_paths, block)]
+def _check_budget(n_values: int, what: str):
+    nbytes = 8 * n_values
+    if nbytes > ARRAY_BUDGET_BYTES:
+        raise EnsembleMemoryError(f"{what} needs {nbytes / 2**30:.3g} GiB, over the "
+                                  f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB per-array budget")
 
 
-def _run_blocks(fn, n_blocks: int, threads: int) -> list:
-    """Run fn(block_index) for all blocks, results in block order."""
-    if threads <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_blocks)))
+def _positions(nb: int, steps: np.ndarray, x: float,
+               stream: np.random.Generator) -> np.ndarray:
+    """(nb, steps) positions at t_1..t_M, summed in place in the increments'
+    array so that no second block-sized array outlives this call."""
+    pos = stream.standard_normal((nb, steps.size))
+    pos *= np.sqrt(steps)[None, :]
+    np.cumsum(pos, axis=1, out=pos)
+    pos += x
+    return pos
 
 
-def _ensemble_positions(nb: int, t_grid: np.ndarray, x: float,
-                        stream: np.random.Generator) -> np.ndarray:
-    steps = np.diff(t_grid)
-    inc = stream.standard_normal((nb, steps.size)) * np.sqrt(steps)[None, :]
-    return x + np.cumsum(inc, axis=1)  # positions at t_1..t_M
-
-
-def _profiles_from_positions(pos: np.ndarray, steps: np.ndarray,
-                             levels: np.ndarray) -> np.ndarray:
-    """(n_paths, n_bins) histogram profiles; raises if a path escapes."""
+def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
+                        levels: np.ndarray) -> np.ndarray:
+    """(n_paths, n_bins) occupation histograms; each step adds its dt to the bin
+    of its right endpoint.  Raises if a path escapes the level grid."""
     da = float(levels[1] - levels[0])
     lo = float(levels[0] - 0.5 * da)
     K = levels.size
@@ -246,6 +247,37 @@ def _profiles_from_positions(pos: np.ndarray, steps: np.ndarray,
     return counts.reshape(nb, K) / da
 
 
+def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
+                  stream_label: str, threads: int,
+                  reduce: Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], object],
+                  levels: Optional[np.ndarray] = None) -> list:
+    """Map ``reduce(b, steps, pos, prof)`` over blocks of ``DEFAULT_BLOCK`` paths
+    started at x; the last block may be short.
+
+    Block b draws from ``substream(stream_seed, stream_label, b)``.  ``steps``
+    are the time steps, ``pos`` the (paths, steps) positions at t_1..t_M and
+    ``prof`` the occupation profiles on ``levels`` (None without levels).
+    Results come back in block order for any thread count.
+    """
+    n_steps = math.ceil(t / dt - 1e-12)
+    n_levels = 0 if levels is None else levels.size
+    width, unit = (n_steps, "steps") if n_steps >= n_levels else (n_levels, "levels")
+    _check_budget(DEFAULT_BLOCK * width, f"a block of {DEFAULT_BLOCK} paths x {width} {unit}")
+    steps = np.diff(_time_grid(t, dt))
+
+    def one_block(b: int):
+        nb = min(DEFAULT_BLOCK, n_paths - b * DEFAULT_BLOCK)
+        pos = _positions(nb, steps, x, substream(stream_seed, stream_label, b))
+        prof = None if levels is None else occupation_profiles(pos, steps, levels)
+        return reduce(b, steps, pos, prof)
+
+    n_blocks = -(-n_paths // DEFAULT_BLOCK)
+    if threads <= 1:
+        return [one_block(b) for b in range(n_blocks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one_block, range(n_blocks)))
+
+
 def _jackknife_se(values: np.ndarray) -> float:
     n = values.size
     if n < 2:
@@ -257,8 +289,7 @@ def _jackknife_se(values: np.ndarray) -> float:
 
 def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
                             noise: NoiseRealization, n_paths: int,
-                            stream_seed: int, dt: float = 1e-3,
-                            block: int = DEFAULT_BLOCK, threads: int = 1,
+                            stream_seed: int, dt: float = 1e-3, threads: int = 1,
                             stream_label: str = "fk-paths") -> tuple[float, float]:
     """Path average of u0(B_t^x) exp(Psi) at a fixed noise realization.
 
@@ -268,76 +299,63 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    t_grid = _time_grid(t, dt)
-    steps = np.diff(t_grid)
     levels = noise.level_grid
     da = float(levels[1] - levels[0])
-    ranges = _block_ranges(n_paths, block)
 
-    def one_block(b: int) -> np.ndarray:
-        lo_, hi_ = ranges[b]
-        gen = substream(stream_seed, stream_label, b)
-        pos = _ensemble_positions(hi_ - lo_, t_grid, x, gen)
-        prof = _profiles_from_positions(pos, steps, levels)
+    def reduce(b, steps, pos, prof) -> np.ndarray:
         psi = prof @ noise.grid_increments - 0.5 * da * np.einsum("ij,ij->i", prof, prof)
         return u0(pos[:, -1]) * np.exp(psi)
 
-    vals = np.concatenate(_run_blocks(one_block, len(ranges), threads))
+    vals = np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
+                                        threads, reduce, levels))
     if n_paths > 1 and float(vals.std()) == 0.0:
         raise RuntimeError("degenerate path ensemble: all samples identical")
     return float(vals.mean()), _jackknife_se(vals)
 
 
 def _s_transform_core(t: float, x: float, n_paths: int, stream_seed: int,
-                      dt: float, block: int, threads: int, stream_label: str,
-                      payload: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                      dt: float, threads: int, stream_label: str,
+                      phi_sup: Optional[float],
+                      payload: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
                       ) -> tuple[float, float]:
-    t_grid = _time_grid(t, dt)
-    steps = np.diff(t_grid)
-    ranges = _block_ranges(n_paths, block)
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
+    if phi_sup is not None and phi_sup * t > 50.0:
+        raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
 
-    def one_block(b: int) -> np.ndarray:
-        lo_, hi_ = ranges[b]
-        gen = substream(stream_seed, stream_label, b)
-        pos = _ensemble_positions(hi_ - lo_, t_grid, x, gen)
+    def reduce(b, steps, pos, prof) -> np.ndarray:
         # left endpoints: start point x plus all but the last position
         left = np.concatenate([np.full((pos.shape[0], 1), x), pos[:, :-1]], axis=1)
-        return payload(left, pos)
+        return payload(left, pos, steps)
 
-    vals = np.concatenate(_run_blocks(one_block, len(ranges), threads))
+    vals = np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
+                                        threads, reduce))
     return float(vals.mean()), _jackknife_se(vals)
 
 
 def s_transform_mc(t: float, x: float, u0: InitialCondition,
                    phi: Callable[[np.ndarray], np.ndarray], n_paths: int,
-                   stream_seed: int, dt: float = 1e-3, block: int = DEFAULT_BLOCK,
-                   threads: int = 1, phi_sup: Optional[float] = None,
+                   stream_seed: int, dt: float = 1e-3, threads: int = 1,
+                   phi_sup: Optional[float] = None,
                    stream_label: str = "stransform") -> tuple[float, float]:
     """Monte Carlo S-transform value E[u0(B_t^x) exp(int_0^t phi(B_s^x) ds)].
 
     ``phi_sup`` (when known) guards the exponent: sup|phi| * t > 50 would
     overflow far before Monte Carlo error matters.
     """
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    if phi_sup is not None and phi_sup * t > 50.0:
-        raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
-
-    def payload(left: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        steps = np.diff(_time_grid(t, dt))
+    def payload(left: np.ndarray, pos: np.ndarray, steps: np.ndarray) -> np.ndarray:
         occ = np.asarray(phi(left), dtype=float) @ steps
         return u0(pos[:, -1]) * np.exp(occ)
 
-    return _s_transform_core(t, x, n_paths, stream_seed, dt, block, threads,
-                             stream_label, payload)
+    return _s_transform_core(t, x, n_paths, stream_seed, dt, threads, stream_label,
+                             phi_sup, payload)
 
 
 def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
                       phi: Callable[[np.ndarray], np.ndarray],
                       phi_prime: Callable[[np.ndarray], np.ndarray],
                       n_paths: int, stream_seed: int, dt: float = 1e-3,
-                      block: int = DEFAULT_BLOCK, threads: int = 1,
-                      phi_sup: Optional[float] = None,
+                      threads: int = 1, phi_sup: Optional[float] = None,
                       stream_label: str = "stransform-dx") -> tuple[float, float]:
     """Monte Carlo S-transform of the spatial-derivative field,
 
@@ -345,20 +363,15 @@ def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
     """
     if not u0.has_derivative:
         raise ValueError("s_transform_dx_mc needs an initial condition with a derivative")
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    if phi_sup is not None and phi_sup * t > 50.0:
-        raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
 
-    def payload(left: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        steps = np.diff(_time_grid(t, dt))
+    def payload(left: np.ndarray, pos: np.ndarray, steps: np.ndarray) -> np.ndarray:
         grow = np.exp(np.asarray(phi(left), dtype=float) @ steps)
         occ_prime = np.asarray(phi_prime(left), dtype=float) @ steps
         end = pos[:, -1]
         return u0.derivative(end) * grow + u0(end) * grow * occ_prime
 
-    return _s_transform_core(t, x, n_paths, stream_seed, dt, block, threads,
-                             stream_label, payload)
+    return _s_transform_core(t, x, n_paths, stream_seed, dt, threads, stream_label,
+                             phi_sup, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +379,7 @@ def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
 
 
 def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
-                              stream_seed: int, x: float = 0.0,
-                              block: int = DEFAULT_BLOCK, threads: int = 1,
+                              stream_seed: int, x: float = 0.0, threads: int = 1,
                               stream_label: str = "localtime") -> dict:
     """Ensemble means of the occupation histogram at level x, of the
     quadratic functional int L^2 da, and the exact mass-identity defect.
@@ -375,20 +387,15 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
     Returns means with standard errors plus the stated discretization-bias
     budget (binning O(da^2) at the symmetric level, skeleton O(sqrt(dt)))."""
     levels = build_level_grid(t, x, delta_a)
-    t_grid = _time_grid(t, dt)
-    steps = np.diff(t_grid)
     j0 = int(np.argmin(np.abs(levels - x)))
-    ranges = _block_ranges(n_paths, block)
 
-    def one_block(b: int):
-        lo_, hi_ = ranges[b]
-        gen = substream(stream_seed, stream_label, b)
-        pos = _ensemble_positions(hi_ - lo_, t_grid, x, gen)
-        prof = _profiles_from_positions(pos, steps, levels)
+    def reduce(b, steps, pos, prof):
         mass_err = np.abs(delta_a * prof.sum(axis=1) - t).max()
-        return prof[:, j0], delta_a * np.einsum("ij,ij->i", prof, prof), mass_err
+        # copy the column: a view would keep the whole block's profiles alive
+        return prof[:, j0].copy(), delta_a * np.einsum("ij,ij->i", prof, prof), mass_err
 
-    parts = _run_blocks(one_block, len(ranges), threads)
+    parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads,
+                          reduce, levels)
     L0 = np.concatenate([p[0] for p in parts])
     Q = np.concatenate([p[1] for p in parts])
     mass_defect = max(p[2] for p in parts)
@@ -412,33 +419,27 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     independent (path, noise) pairs, E exp(Psi) = 1 exactly in expectation.
     """
     levels = build_level_grid(t, x, delta_a)
+    _check_budget(n_noise * levels.size, f"{n_noise} noise draws x {levels.size} levels")
     da = float(levels[1] - levels[0])
     path = simulate_path(t, dt, x, substream(stream_seed, "psi-path"))
     prof = local_time(path, levels)
     q = prof.quadratic()
 
-    gen = substream(stream_seed, "psi-noise")
-    dW = gen.standard_normal((n_noise, levels.size)) * math.sqrt(da)
+    dW = substream(stream_seed, "psi-noise").standard_normal((n_noise, levels.size))
+    dW *= math.sqrt(da)
     psi = dW @ prof.values - 0.5 * q
     m, s = psi.mean(), psi.std(ddof=1)
     skew = float(np.mean(((psi - m) / s) ** 3))
 
     # unconditional E exp(Psi) over fresh (path, noise) pairs
-    ranges = _block_ranges(n_paths_b, DEFAULT_BLOCK)
-    t_grid = _time_grid(t, dt)
-    steps = np.diff(t_grid)
+    def reduce(b, steps, pos, profs):
+        dWb = substream(stream_seed, "psi-pairs-noise", b).standard_normal(profs.shape)
+        dWb *= math.sqrt(da)
+        return np.exp(np.einsum("ij,ij->i", profs, dWb)
+                      - 0.5 * da * np.einsum("ij,ij->i", profs, profs))
 
-    def one_block(b: int):
-        lo_, hi_ = ranges[b]
-        g1 = substream(stream_seed, "psi-pairs-path", b)
-        g2 = substream(stream_seed, "psi-pairs-noise", b)
-        pos = _ensemble_positions(hi_ - lo_, t_grid, x, g1)
-        profs = _profiles_from_positions(pos, steps, levels)
-        dWb = g2.standard_normal((hi_ - lo_, levels.size)) * math.sqrt(da)
-        psi_b = np.einsum("ij,ij->i", profs, dWb) - 0.5 * da * np.einsum("ij,ij->i", profs, profs)
-        return np.exp(psi_b)
-
-    ew = np.concatenate(_run_blocks(one_block, len(ranges), threads))
+    ew = np.concatenate(path_ensemble(t, x, dt, n_paths_b, stream_seed, "psi-pairs-path",
+                                      threads, reduce, levels))
     return {
         "conditional_mean": float(m), "conditional_mean_target": -0.5 * q,
         "conditional_se": float(s / math.sqrt(n_noise)),

@@ -21,8 +21,7 @@ import numpy as np
 
 from .chain_moments import CHAIN_ORDERS, space_increment_masses, time_increment_masses
 from .chaos import ChaosCoefficients, order_norm, second_moment
-from .feynman_kac import _block_ranges, _ensemble_positions, _profiles_from_positions, _run_blocks, _time_grid
-from .streams import substream
+from .feynman_kac import build_level_grid, occupation_profiles, path_ensemble
 
 __all__ = [
     "IncrementMomentCurve",
@@ -202,15 +201,13 @@ def fit_exponent(curve: IncrementMomentCurve, r2_flag: float = 0.98) -> Exponent
 def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int,
                                stream_seed: int, dt: float = 1e-3,
                                delta_a: float = 0.025, x: float = 0.0,
-                               block: int = 2000, threads: int = 1
-                               ) -> list[tuple[float, float]]:
+                               threads: int = 1) -> list[tuple[float, float]]:
     """Table of (h, E int (L_a - L_{a-h})^2 da / h).
 
     The ratio approaches 4t as h decreases (linear local-time increment law).
     Every h must be a multiple of the level resolution delta_a with
     h >= 2 delta_a; h = 0 is allowed and returns exactly 0.
     """
-    from .feynman_kac import build_level_grid
     shifts = {}
     for h in h_values:
         if h == 0.0:
@@ -220,22 +217,16 @@ def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int
             raise ValueError(f"h={h} must be a multiple of delta_a={delta_a} with h >= 2 delta_a")
         shifts[float(h)] = s
     levels = build_level_grid(t, x, delta_a)
-    t_grid = _time_grid(t, dt)
-    steps = np.diff(t_grid)
-    ranges = _block_ranges(n_paths, block)
 
-    def one_block(b: int) -> dict:
-        lo_, hi_ = ranges[b]
-        gen = substream(stream_seed, "lt-increments", b)
-        pos = _ensemble_positions(hi_ - lo_, t_grid, x, gen)
-        prof = _profiles_from_positions(pos, steps, levels)
+    def reduce(b, steps, pos, prof) -> dict:
         out = {}
         for h, s in shifts.items():
             D = prof[:, s:] - prof[:, :-s]
             out[h] = float(np.sum(D * D) * delta_a)
         return out
 
-    parts = _run_blocks(one_block, len(ranges), threads)
+    parts = path_ensemble(t, x, dt, n_paths, stream_seed, "lt-increments", threads,
+                          reduce, levels)
     table = []
     for h in sorted(float(v) for v in h_values):
         if h == 0.0:
@@ -249,7 +240,7 @@ def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int
 def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
                                         n_paths: int, stream_seed: int,
                                         dt: float = 1e-3, delta_a: float = 0.025,
-                                        x: float = 0.0, block: int = 2000,
+                                        x: float = 0.0,
                                         threads: int = 1) -> IncrementMomentCurve:
     """E int (L_a(t) - L_a(t - h))^2 da over a lag ladder (exponent 3/2 law).
 
@@ -257,27 +248,19 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
     solution field shows it only from t = 0 (see ``exact_increment_curve``)
     and is smooth in time away from it.
     """
-    from .feynman_kac import build_level_grid
     lags = np.asarray(sorted(float(h) for h in lags))
     levels = build_level_grid(t_hi, x, delta_a)
-    t_grid = _time_grid(t_hi, dt)
-    steps = np.diff(t_grid)
-    ranges = _block_ranges(n_paths, block)
     cuts = [int(round((t_hi - h) / dt)) for h in lags]
 
-    def one_block(b: int) -> np.ndarray:
-        lo_, hi_ = ranges[b]
-        gen = substream(stream_seed, "lt-temporal", b)
-        pos = _ensemble_positions(hi_ - lo_, t_grid, x, gen)
-        prof_full = _profiles_from_positions(pos, steps, levels)
+    def reduce(b, steps, pos, prof) -> np.ndarray:
         out = np.zeros(lags.size)
         for i, cut in enumerate(cuts):
-            prof_cut = _profiles_from_positions(pos[:, :cut], steps[:cut], levels)
-            D = prof_full - prof_cut
+            D = prof - occupation_profiles(pos[:, :cut], steps[:cut], levels)
             out[i] = float(np.sum(D * D) * delta_a)
         return out
 
-    parts = _run_blocks(one_block, len(ranges), threads)
+    parts = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,
+                          reduce, levels)
     moments = sum(parts) / n_paths
     return IncrementMomentCurve(lags=lags, moments=moments, direction="time",
                                 base_point=(t_hi, x), tail_share=0.0,

@@ -138,22 +138,12 @@ def fk_kernel(n: int, t: float, x: float, u0: InitialCondition,
                         evaluator=lambda y: _symmetrized(ctx, x, np.asarray(y, dtype=float)))
 
 
-def mw_kernel(n: int, t: float, x: float, u0: InitialCondition,
-              quad: CoefficientQuadrature | None = None,
-              time_points: int = 16) -> WienerKernel:
-    """Order-n kernel in the mild-solution (backward-chain) parameterisation.
-
-    Each backward chain over ordered times r_1 < ... < r_n equals a forward
-    chain with reversed visits under r_i = t - s_i; after that exact
-    substitution the evaluator reduces to the same canonical permutation sum
-    as the path kernel, so ``mw_kernel`` and ``fk_kernel`` agree bitwise.
-    """
-    _check_order(n)
-    if n == 0:
-        return _order_zero(t, x, u0, quad, "mw")
-    ctx = _ChainContext(n, t, u0, quad, time_points)
-    return WienerKernel(order=n, point=(t, x), label="mw",
-                        evaluator=lambda y: _symmetrized(ctx, x, np.asarray(y, dtype=float)))
+# Order-n kernel in the mild-solution (backward-chain) parameterisation.  Each
+# backward chain over ordered times r_1 < ... < r_n equals a forward chain with
+# reversed visits under r_i = t - s_i; after that exact substitution its
+# evaluator is the path kernel's canonical permutation sum, so the two kernels
+# are one function and agree bitwise by construction.
+mw_kernel = fk_kernel
 
 
 def cs_kernel(n: int, t: float, x: float, u0: InitialCondition,

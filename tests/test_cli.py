@@ -86,6 +86,37 @@ class TestRunner:
         assert "truncation.N" in err and "1..4" in err
         assert not (tmp_path / "out").exists()
 
+    def test_memory_budget_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # a path block of 2000 paths x 1000 steps is 16 MB at the defaults
+        monkeypatch.setattr("wickshe.feynman_kac.ARRAY_BUDGET_BYTES", 2 ** 20)
+        cfg = write_cfg(tmp_path, f"seed = 1\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["localtime", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2000 paths x 1000 steps" in err
+        assert "GiB" in err and err.count("\n") == 1
+
+    def test_psi_law_budget_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # psi_law_stats gets 20000 noise draws x 347 levels (55 MB) at the
+        # defaults, while one path block stays at 8 MB
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the fk loop ran")
+
+        monkeypatch.setattr("wickshe.feynman_kac.ARRAY_BUDGET_BYTES", 20 * 2 ** 20)
+        monkeypatch.setattr("wickshe.cli.fk_conditional_estimate", no_sampling)
+        cfg = write_cfg(tmp_path, f"seed = 1\nprobes = 0.5,0.0\n"
+                                  f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["fk", "--config", str(cfg)]) == 2
+        assert "20000 noise draws" in capsys.readouterr().err
+
+    def test_engine_error_exit_3(self, tmp_path, capsys):
+        # x = 9 is outside the default quadrature.L = 12 coverage at t = 0.5
+        cfg = write_cfg(tmp_path, "seed = 1\ntruncation.N = 2\ntruncation.J = 2\n"
+                                  f"probes = 0.5,9.0\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["chaos", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("engine error:") and "x = 9.0" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_equivalence_run_and_report(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "seed = 11\nprobes = 1.0,0.0\n"
                                   f"output_dir = {tmp_path/'out'}\n")

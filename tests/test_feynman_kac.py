@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from wickshe.basis import hermite_function
-from wickshe.feynman_kac import (build_level_grid, fk_conditional_estimate, local_time,
+from wickshe import feynman_kac
+from wickshe.basis import hermite_function, hermite_function_dx
+from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
+                                 fk_conditional_estimate, local_time,
                                  local_time_ensemble_stats, occupation_functional,
-                                 psi_law_stats, psi_sample, sample_noise, simulate_path,
-                                 s_transform_dx_mc, s_transform_mc)
+                                 path_ensemble, psi_law_stats, psi_sample, sample_noise,
+                                 simulate_path, s_transform_dx_mc, s_transform_mc)
 from wickshe.kernels import constant_ic, sine_ic
+from wickshe.regularity import local_time_increment_check, local_time_temporal_increment_check
 from wickshe.streams import substream
 
 
@@ -218,11 +221,46 @@ class TestSTransformMC:
                               lambda y: np.zeros_like(y), 500, 23)
 
 
+def _half_e1(y):
+    return 0.5 * hermite_function(1, y)
+
+
+def _half_e1_dx(y):
+    return 0.5 * hermite_function_dx(1, y)
+
+
+def _fk(threads):
+    noise = sample_noise(build_level_grid(0.5, 0.0, 0.05), substream(99, "noise"))
+    return fk_conditional_estimate(0.5, 0.0, sine_ic(), noise, 4500, 99, threads=threads)
+
+
+def _temporal(threads):
+    curve = local_time_temporal_increment_check(0.5, [0.05, 0.1], 4500, 99, delta_a=0.05,
+                                                threads=threads)
+    return curve.lags.tolist(), curve.moments.tolist()
+
+
+# every path-ensemble routine at 4500 paths: two full blocks and a short one
+ENSEMBLE_ROUTINES = {
+    "fk_conditional_estimate": _fk,
+    "s_transform_mc": lambda th: s_transform_mc(0.5, 0.2, sine_ic(), _half_e1, 4500, 99,
+                                                threads=th),
+    "s_transform_dx_mc": lambda th: s_transform_dx_mc(0.5, 0.2, sine_ic(), _half_e1,
+                                                      _half_e1_dx, 4500, 99, threads=th),
+    "local_time_ensemble_stats": lambda th: local_time_ensemble_stats(0.5, 1e-3, 0.05, 4500,
+                                                                      99, threads=th),
+    "psi_law_stats": lambda th: psi_law_stats(0.5, 1e-3, 0.05, 4500, 1000, 99, threads=th),
+    "local_time_increment_check": lambda th: local_time_increment_check(
+        0.5, [0.1, 0.2], 4500, 99, delta_a=0.05, threads=th),
+    "local_time_temporal_increment_check": _temporal,
+}
+
+
 class TestDeterminism:
-    def test_thread_count_invariance(self):
-        a = local_time_ensemble_stats(0.5, 1e-3, 0.05, 6000, 99, threads=1)
-        b = local_time_ensemble_stats(0.5, 1e-3, 0.05, 6000, 99, threads=7)
-        assert a == b
+    @pytest.mark.parametrize("routine", sorted(ENSEMBLE_ROUTINES))
+    def test_thread_count_invariance(self, routine):
+        run = ENSEMBLE_ROUTINES[routine]
+        assert run(1) == run(3)
 
     def test_seed_reproducibility(self):
         e1 = s_transform_mc(0.5, 0.0, constant_ic(),
@@ -230,3 +268,45 @@ class TestDeterminism:
         e2 = s_transform_mc(0.5, 0.0, constant_ic(),
                             lambda y: 0.5 * hermite_function(1, y), 3000, 77)
         assert e1 == e2
+
+
+class TestPathEnsemble:
+    def test_blocks_in_order_with_short_tail(self):
+        levels = build_level_grid(0.1, 0.0, 0.05)
+        seen = path_ensemble(0.1, 0.0, 1e-3, 4500, 5, "pe", 2,
+                             lambda b, steps, pos, prof: (b, pos.shape, prof.shape,
+                                                          steps.sum()), levels)
+        assert [r[0] for r in seen] == [0, 1, 2]
+        assert [r[1] for r in seen] == [(2000, 100), (2000, 100), (500, 100)]
+        assert seen[2][2] == (500, levels.size)
+        assert seen[0][3] == pytest.approx(0.1, abs=1e-12)
+
+    def test_no_levels_gives_no_profiles(self):
+        out = path_ensemble(0.1, 0.0, 1e-3, 100, 5, "pe", 1,
+                            lambda b, steps, pos, prof: prof)
+        assert out == [None]
+
+    def test_matches_single_path_simulation(self):
+        # one block of one path draws the same numbers as simulate_path
+        (pos,) = path_ensemble(0.3, 0.4, 1e-3, 1, 5, "pe", 1,
+                               lambda b, steps, pos, prof: pos[0])
+        p = simulate_path(0.3, 1e-3, 0.4, substream(5, "pe", 0))
+        assert np.array_equal(p.positions[1:], pos)
+
+    def test_budget_refuses_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a substream was drawn")
+
+        monkeypatch.setattr(feynman_kac, "substream", no_draw)
+        monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 2000 * 8 * 999)
+        with pytest.raises(EnsembleMemoryError, match="2000 paths x 1000 steps"):
+            path_ensemble(1.0, 0.0, 1e-3, 100, 5, "pe", 1, lambda *a: None)
+
+    def test_psi_law_budget(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a substream was drawn")
+
+        monkeypatch.setattr(feynman_kac, "substream", no_draw)
+        monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 20 * 2 ** 20)
+        with pytest.raises(EnsembleMemoryError, match="20000 noise draws"):
+            psi_law_stats(1.0, 1e-3, 0.05, 200, 20_000, 77)
