@@ -35,6 +35,7 @@ __all__ = [
     "hermite_function_dx",
     "hermite_function_table",
     "enumerate_multiindices",
+    "LevelWiring",
     "evaluate_sym_basis",
     "sample_xi",
 ]
@@ -236,6 +237,47 @@ def enumerate_multiindices(spec: TruncationSpec, cap: int = 2_000_000) -> list[M
             continue
         out.extend(MultiIndex(c) for c in compositions(n, J))
     return out
+
+
+class LevelWiring:
+    """Forcing wiring of the triangular coefficient system, in which alpha is
+    forced by sqrt(alpha_j) e_j u_{alpha lowered at j}; shared by both sweeps.
+
+    ``slices[n]`` is level n's contiguous block of the graded index list and
+    ``modes[n]`` lists, by ascending mode j, ``(j - 1, rows, parents, weights)``:
+    the rows within the level that carry mode j, the parents' indices in the
+    list and sqrt(alpha_j) as a column.  A row appears at most once per mode.
+    """
+
+    def __init__(self, indices: Sequence[MultiIndex]):
+        index_of = {a: i for i, a in enumerate(indices)}
+        degrees = [a.degree() for a in indices]
+        self.slices: list[slice] = []
+        self.modes: list[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = []
+        for n in range(max(degrees) + 1):
+            start = degrees.index(n)
+            stop = start + degrees.count(n)
+            if set(degrees[start:stop]) != {n}:
+                raise ValueError(f"level {n} is not contiguous in the index list")
+            by_mode: dict[int, list[tuple[int, int, float]]] = {}
+            for r, a in enumerate(indices[start:stop]):
+                for j in a.support():
+                    by_mode.setdefault(j, []).append(
+                        (r, index_of[a.lowered(j)], math.sqrt(a.entry(j))))
+            self.slices.append(slice(start, stop))
+            self.modes.append([])
+            for j in sorted(by_mode):
+                rows, parents, weights = map(np.array, zip(*by_mode[j]))
+                self.modes[-1].append((j - 1, rows, parents, weights[:, None]))
+
+    def forcing(self, n: int, E: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Level n's forcing, one row per member; modes are added onto zeros in
+        ascending order, each as (weights * E[j - 1]) * state[parents]."""
+        sl = self.slices[n]
+        F = np.zeros((sl.stop - sl.start, state.shape[1]))
+        for j0, rows, parents, weights in self.modes[n]:
+            F[rows] += weights * E[j0] * state[parents]
+        return F
 
 
 def _distinct_permutations(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

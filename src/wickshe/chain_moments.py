@@ -37,7 +37,6 @@ from itertools import permutations
 from typing import Dict, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "CHAIN_ORDERS",
@@ -172,6 +171,7 @@ def _pair_nodes_space(n: int, t: float, rng_seed: int
         V, jv = _simplex_from_unit(U, t)
         # all (v, w) pairs from the tensor square, streamed in blocks
         return V, jv * wq, None
+    from scipy.stats import qmc  # loaded only for chain orders 3 and 4
     sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
     U = _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
     V, jv = _simplex_from_unit(U[:, :n], t)
@@ -266,6 +266,7 @@ def _time_region_nodes(n: int, t: float, h: float, rng_seed: int,
             parts.append(V)
             wparts.append(jv * wi * bw[k] * h)
         return np.concatenate(parts, axis=0), np.concatenate(wparts), False
+    from scipy.stats import qmc  # loaded only for chain orders 3 and 4
     sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
     U = _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
     out = []

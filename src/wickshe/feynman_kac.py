@@ -237,12 +237,14 @@ def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
     da = float(levels[1] - levels[0])
     lo = float(levels[0] - 0.5 * da)
     K = levels.size
-    idx = np.floor((pos - lo) / da).astype(np.int64)
+    idx = pos - lo  # bin coordinate, computed in place until the cast
+    idx /= da
+    idx = np.floor(idx, out=idx).astype(np.int64)
     if idx.min() < 0 or idx.max() >= K:
         raise ValueError("level grid does not cover the simulated paths")
     nb = pos.shape[0]
-    flat = idx + K * np.arange(nb)[:, None]
-    counts = np.bincount(flat.ravel(), weights=np.broadcast_to(steps, pos.shape).ravel(),
+    idx += K * np.arange(nb)[:, None]
+    counts = np.bincount(idx.ravel(), weights=np.broadcast_to(steps, pos.shape).ravel(),
                          minlength=nb * K)
     return counts.reshape(nb, K) / da
 

@@ -35,7 +35,6 @@ __all__ = [
     "initial_condition_from_tag",
     "apply_heat_semigroup",
     "apply_heat_semigroup_dx",
-    "default_half_width",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -212,11 +211,6 @@ class HeatOperator:
             block = block @ self.D1.T
         out = block @ w
         return float(out) if out.ndim == 0 else out
-
-
-def default_half_width(max_abs_x: float, horizon: float) -> float:
-    """L = max|x| + 6 sqrt(T) + 6 covers kernel and Hermite mass below 1e-8."""
-    return max_abs_x + 6.0 * math.sqrt(max(horizon, 0.0)) + 6.0
 
 
 # ---------------------------------------------------------------------------

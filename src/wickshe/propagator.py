@@ -11,6 +11,11 @@ uniform lattice (unconditionally stable, second order in dt and dx).  The
 sweep is independent of the simplex-quadrature coefficient path and serves
 as its oracle.
 
+Each step advances one whole level |alpha| = n at a time: the level's
+forcing comes from the shared ``basis.LevelWiring`` (as in the spectral
+sweep), the new forcing is carried to the next step, and the level's
+coefficients are one right-hand-side block of a single banded solve.
+
 Dirichlet values at the lattice ends: level 0 takes heat-semigroup values of
 the initial datum, all higher levels take zero (their forcings decay like
 Hermite functions, far below tolerance at |x| = 12).
@@ -18,14 +23,13 @@ Hermite functions, far below tolerance at |x| = 12).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, enumerate_multiindices,
+from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
                     hermite_function_table)
 from .chaos import ChaosCoefficients
 from .kernels import InitialCondition, apply_heat_semigroup, build_line_grid
@@ -117,20 +121,12 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
     x = grid.x
     nx = x.size
     indices = enumerate_multiindices(spec)
-    index_of = {a: i for i, a in enumerate(indices)}
-    levels = [a.degree() for a in indices]
+    wiring = LevelWiring(indices)
     J = spec.max_mode
-
     if mode_functions is None:
         E = hermite_function_table(J, x)
     else:
         E = np.stack([np.asarray(mode_functions(j, x), dtype=float) for j in range(1, J + 1)])
-
-    # forcing wiring: alpha <- sqrt(alpha_j) e_j * u_{alpha lowered at j}
-    wiring: list[list[tuple[int, int, float]]] = [[] for _ in indices]
-    for a, i in index_of.items():
-        for j in a.support():
-            wiring[i].append((index_of[a.lowered(j)], j - 1, math.sqrt(a.entry(j))))
 
     steps_of = {}
     for t_req in snapshot_times:
@@ -147,42 +143,30 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
     bc_hi = np.array([apply_heat_semigroup(u0, float(tk), grid.half_width, bgrid) for tk in t_all])
 
     U = np.zeros((len(indices), nx))
-    U[index_of[ZERO_INDEX]] = u0(x)
+    U[0] = u0(x)  # the zero index leads the graded order
 
     lam = grid.dt / (4.0 * grid.dx * grid.dx)  # (dt/2) * (1/2) / dx^2
     ab = _tridiagonal_banded(nx, lam)
 
-    def forcing(i: int, state: np.ndarray) -> np.ndarray:
-        f = np.zeros(nx)
-        for (src, jrow, w) in wiring[i]:
-            f += w * E[jrow] * state[src]
-        return f
-
     def stencil(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+        out[:, 1:-1] = v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]
         return out
 
     sol = PropagatorSolution(grid=grid, spec=spec, indices=indices)
-    max_level = spec.max_order
-    by_level = [[i for i, lv in enumerate(levels) if lv == n] for n in range(max_level + 1)]
-
+    f_old = [wiring.forcing(n, E, U) for n in range(len(wiring.slices))]
     U_new = np.zeros_like(U)
     for k in range(1, n_steps + 1):
-        for n in range(max_level + 1):
-            for i in by_level[n]:
-                f_old = forcing(i, U)
-                f_new = forcing(i, U_new)  # lower levels already advanced
-                if grid.explicit:
-                    v = U[i] + 2.0 * lam * stencil(U[i]) + grid.dt * f_old
-                    v[0] = bc_lo[k - 1] if n == 0 else 0.0
-                    v[-1] = bc_hi[k - 1] if n == 0 else 0.0
-                else:
-                    rhs = U[i] + lam * stencil(U[i]) + 0.5 * grid.dt * (f_old + f_new)
-                    rhs[0] = bc_lo[k - 1] if n == 0 else 0.0
-                    rhs[-1] = bc_hi[k - 1] if n == 0 else 0.0
-                    v = solve_banded((1, 1), ab, rhs)
-                U_new[i] = v
+        for n, sl in enumerate(wiring.slices):
+            f_new = wiring.forcing(n, E, U_new)  # lower levels already advanced
+            if grid.explicit:
+                v = U[sl] + 2.0 * lam * stencil(U[sl]) + grid.dt * f_old[n]
+            else:
+                v = U[sl] + lam * stencil(U[sl]) + 0.5 * grid.dt * (f_old[n] + f_new)
+            v[:, 0] = bc_lo[k - 1] if n == 0 else 0.0
+            v[:, -1] = bc_hi[k - 1] if n == 0 else 0.0
+            U_new[sl] = v if grid.explicit else solve_banded((1, 1), ab, v.T).T
+            f_old[n] = f_new
         U, U_new = U_new, U
         if not np.all(np.isfinite(U)):
             raise FloatingPointError(f"propagator sweep blew up at step {k}")

@@ -6,7 +6,8 @@ Duhamel integral over each step is evaluated with the phi-function trapezoid
 (second order in dt, spectrally accurate in space).  This engine supplies
 per-point coefficient tables for S-transform cross-checks, order-norm scans
 at deep truncations, and the moment-curve machinery; it is cheap enough to
-carry thousands of multi-indices.
+carry thousands of multi-indices.  The forcing of each level is built from
+the shared ``basis.LevelWiring``: one in-place indexed add per mode.
 
 The domain is [-L, L) periodic with L = 4 pi by default: the sine initial
 datum is exactly periodic there and Hermite-function mass beyond |x| = 4 pi
@@ -21,7 +22,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .basis import (TruncationSpec, ZERO_INDEX, enumerate_multiindices,
+from .basis import (LevelWiring, TruncationSpec, enumerate_multiindices,
                     hermite_function_table)
 from .chaos import ChaosCoefficients
 from .kernels import InitialCondition
@@ -61,36 +62,16 @@ class SpectralChaosField:
         self.w_new = dt * phi2
 
         self.indices = enumerate_multiindices(spec)
-        self.index_of = {a: i for i, a in enumerate(self.indices)}
         self.levels = np.array([a.degree() for a in self.indices])
         self.E = hermite_function_table(spec.max_mode, self.x)
 
-        # gather/scatter wiring per level: alpha <- sqrt(alpha_j) e_j u_{alpha-,j}
-        self._wiring = []
-        for n in range(spec.max_order + 1):
-            sel = np.flatnonzero(self.levels == n)
-            pos_of = {int(i): p for p, i in enumerate(sel)}
-            rows, parents, modes_j, weights = [], [], [], []
-            for a, i in self.index_of.items():
-                if a.degree() != n or n == 0:
-                    continue
-                for j in a.support():
-                    rows.append(pos_of[i])
-                    parents.append(self.index_of[a.lowered(j)])
-                    modes_j.append(j - 1)
-                    weights.append(math.sqrt(a.entry(j)))
-            self._wiring.append((sel, np.asarray(rows, dtype=int), np.asarray(parents, dtype=int),
-                                 np.asarray(modes_j, dtype=int), np.asarray(weights, dtype=float)))
+        self.wiring = LevelWiring(self.indices)
         self.snapshots: Dict[float, np.ndarray] = {}
 
     # -- time stepping -------------------------------------------------------
 
     def _forcing_hat(self, level: int, state_real: np.ndarray) -> np.ndarray:
-        sel, rows, parents, modes_j, weights = self._wiring[level]
-        F = np.zeros((sel.size, self.m))
-        contrib = weights[:, None] * self.E[modes_j] * state_real[parents]
-        np.add.at(F, rows, contrib)
-        return np.fft.rfft(F, axis=1)
+        return np.fft.rfft(self.wiring.forcing(level, self.E, state_real), axis=1)
 
     def run(self, snapshot_times: Iterable[float]) -> "SpectralChaosField":
         wanted: Dict[int, float] = {}
@@ -101,22 +82,20 @@ class SpectralChaosField:
                                  f"of dt = {self.dt}")
             wanted[k] = t_req
         n_steps = max(wanted)
-        n_mi = len(self.indices)
         N = self.spec.max_order
 
-        U_real = np.zeros((n_mi, self.m))
-        U_real[self.index_of[ZERO_INDEX]] = self.u0(self.x)
+        U_real = np.zeros((len(self.indices), self.m))
+        U_real[0] = self.u0(self.x)  # the zero index leads the graded order
         U_hat = np.fft.rfft(U_real, axis=1)
         F_hat = [self._forcing_hat(n, U_real) for n in range(N + 1)]
 
         for k in range(1, n_steps + 1):
             new_hat = np.empty_like(U_hat)
             new_real = np.empty_like(U_real)
-            i0 = self.index_of[ZERO_INDEX]
-            new_hat[i0] = self.heat_mult * U_hat[i0]
-            new_real[i0] = np.fft.irfft(new_hat[i0], n=self.m)
+            new_hat[0] = self.heat_mult * U_hat[0]
+            new_real[0] = np.fft.irfft(new_hat[0], n=self.m)
             for n in range(1, N + 1):
-                sel = self._wiring[n][0]
+                sel = self.wiring.slices[n]
                 fh_new = self._forcing_hat(n, new_real)
                 new_hat[sel] = (self.heat_mult * U_hat[sel]
                                 + self.w_old * F_hat[n] + self.w_new * fh_new)
@@ -156,6 +135,4 @@ class SpectralChaosField:
     def order_masses(self, t: float, x: float, deriv: bool = False) -> np.ndarray:
         """sum_{|alpha| = n} coefficient^2 for n = 0..N."""
         vals = self.values_at(t, [x], deriv=deriv)[:, 0]
-        out = np.zeros(self.spec.max_order + 1)
-        np.add.at(out, self.levels, vals * vals)
-        return out
+        return np.bincount(self.levels, weights=vals * vals, minlength=self.spec.max_order + 1)

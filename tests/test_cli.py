@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wickshe
 from wickshe.cli import encode_alpha, main, run, write_csv
 from wickshe.basis import MultiIndex
 from wickshe.config import ConfigError, parse_config
@@ -53,6 +57,17 @@ class TestConfigParsing:
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "# header\n\nseed = 3  # trailing\n"))
         assert cfg.seed == 3
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats (~0.5 s) is only needed by the Sobol rule at chain orders 3-4
+    src = str(Path(wickshe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, wickshe.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestAlphaEncoding:

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from wickshe.basis import MultiIndex, TruncationSpec
+from scipy.linalg import solve_banded
+
+from wickshe.basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
+                           hermite_function_table)
 from wickshe.chaos import order_norm, second_moment
 from wickshe.coefficients import cs_coefficient
-from wickshe.kernels import constant_ic, sine_ic, tanh_ic
-from wickshe.propagator import PropagatorGrid, propagator_oracle
+from wickshe.kernels import (apply_heat_semigroup, build_line_grid, constant_ic, sine_ic,
+                             tanh_ic)
+from wickshe.propagator import PropagatorGrid, _tridiagonal_banded, propagator_oracle
 from wickshe.spectral import SpectralChaosField
 
 ZERO = MultiIndex(())
@@ -127,3 +131,90 @@ class TestSpectralEngine:
         fine.run([1.0])
         sm_fine = second_moment(fine.coefficients_at(1.0, 0.0))
         assert abs(sm_fine - sm_coarse) / sm_fine < 0.01
+
+
+class TestLevelWiring:
+    """The shared forcing wiring: a plain indexed add drops a duplicate row,
+    so each (alpha, j) must be wired exactly once and rows must be unique
+    within each (level, mode)."""
+
+    spec = TruncationSpec(3, 4)
+
+    def test_every_lowering_wired_once(self):
+        indices = enumerate_multiindices(self.spec)
+        index_of = {a: i for i, a in enumerate(indices)}
+        wiring = LevelWiring(indices)
+        seen = []
+        for sl, modes in zip(wiring.slices, wiring.modes):
+            for j0, rows, parents, weights in modes:
+                assert weights.shape == (rows.size, 1)
+                seen += [(sl.start + int(r), j0 + 1, int(p), float(w))
+                         for r, p, w in zip(rows, parents, weights[:, 0])]
+        expected = [(index_of[a], j, index_of[a.lowered(j)], math.sqrt(a.entry(j)))
+                    for a in indices for j in a.support()]
+        assert len(seen) == len(set(seen))
+        assert sorted(seen) == sorted(expected)
+
+    def test_rows_unique_per_level_and_mode(self):
+        wiring = LevelWiring(enumerate_multiindices(self.spec))
+        for modes in wiring.modes:
+            assert [j0 for j0, *_ in modes] == sorted({j0 for j0, *_ in modes})
+            for _, rows, _, _ in modes:
+                assert np.unique(rows).size == rows.size
+
+    def test_level_slices_tile_the_index_list(self):
+        indices = enumerate_multiindices(self.spec)
+        wiring = LevelWiring(indices)
+        assert len(wiring.slices) == self.spec.max_order + 1
+        covered = np.concatenate([np.arange(len(indices))[sl] for sl in wiring.slices])
+        np.testing.assert_array_equal(covered, np.arange(len(indices)))
+        for n, sl in enumerate(wiring.slices):
+            assert {a.degree() for a in indices[sl]} == {n}
+
+    def test_spectral_forcing_matches_add_at_reference(self):
+        field = SpectralChaosField(self.spec, constant_ic(), modes=64)
+        state = np.random.default_rng(7).standard_normal((len(field.indices), field.m))
+        index_of = {a: i for i, a in enumerate(field.indices)}
+        for n in range(self.spec.max_order + 1):
+            level = [a for a in field.indices if a.degree() == n]
+            wires = [(r, index_of[a.lowered(j)], j - 1, math.sqrt(a.entry(j)))
+                     for r, a in enumerate(level) for j in a.support()]
+            F = np.zeros((len(level), field.m))
+            if wires:
+                rows, parents, modes_j, weights = (np.array(c) for c in zip(*wires))
+                np.add.at(F, rows, weights[:, None] * field.E[modes_j] * state[parents])
+            assert np.array_equal(field._forcing_hat(n, state), np.fft.rfft(F, axis=1))
+
+    def test_batched_oracle_matches_per_column_solves(self):
+        spec, grid, t = TruncationSpec(1, 2), PropagatorGrid(dt=0.01), 0.1
+        u0 = constant_ic()
+        sol = propagator_oracle(spec, u0, grid, snapshot_times=[t])
+        # reference: one solve_banded call per alpha per step
+        x = grid.x
+        indices = enumerate_multiindices(spec)
+        index_of = {a: i for i, a in enumerate(indices)}
+        E = hermite_function_table(2, x)
+        bgrid = build_line_grid(grid.half_width + 8.0, panels=64)
+        lam = grid.dt / (4.0 * grid.dx * grid.dx)
+        ab = _tridiagonal_banded(x.size, lam)
+
+        def forcing(a, state):
+            f = np.zeros(x.size)
+            for j in a.support():
+                f += math.sqrt(a.entry(j)) * E[j - 1] * state[index_of[a.lowered(j)]]
+            return f
+
+        U = np.zeros((len(indices), x.size))
+        U[0] = u0(x)
+        for k in range(1, round(t / grid.dt) + 1):
+            U_new = np.zeros_like(U)
+            for i, a in enumerate(indices):
+                rhs = U[i].copy()
+                rhs[1:-1] += lam * (U[i, :-2] - 2.0 * U[i, 1:-1] + U[i, 2:])
+                rhs += 0.5 * grid.dt * (forcing(a, U) + forcing(a, U_new))
+                for end, xe in ((0, -grid.half_width), (-1, grid.half_width)):
+                    rhs[end] = (apply_heat_semigroup(u0, k * grid.dt, xe, bgrid)
+                                if a.degree() == 0 else 0.0)
+                U_new[i] = solve_banded((1, 1), ab, rhs)
+            U = U_new
+        assert np.array_equal(sol.snapshots[t], U)
