@@ -17,6 +17,22 @@ where M is the n x n precision matrix assembled from the two chains' gap
 times and a is the anchored vertex.  Derivative fields differentiate the
 pairing in the anchor offset d, giving (A/S)(1 - d^2/S) e^{-d^2/2S}.
 
+M is a weighted graph Laplacian of the two chains plus anchor terms, so it
+is symmetric positive definite for positive gaps.  Both quantities come
+from the pivots d_1..d_n of one unrolled LDL^T factorisation, M = L D L^T
+with L unit lower triangular, batched over the quadrature nodes.  The
+anchor is the last index, so
+
+    (M^{-1})_{aa} = 1/d_n,   1/S = 1/v_1 - 1/(d_n v_1^2),
+    log det M = sum_j log d_j.
+
+The elimination runs on the Laplacian's couplings and anchor weights and
+only ever adds non-negative terms; d_n = a_n + 1/v_1, where a_n is y_n's
+anchor weight without the identity chain's own anchored edge, so that
+S = v_1 + 1/a_n carries no cancellation either.  A gap that is not positive
+and finite, or a pivot d_j <= 0, raises ``numpy.linalg.LinAlgError``; no
+NaN reaches a moment.
+
 Only time-simplex quadrature remains: graded tensor rules up to order 2,
 scrambled Sobol points at orders 3 and 4.  The (A, S) tables are independent
 of the lag, so a whole lag ladder costs one assembly; spatial increments
@@ -34,7 +50,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +63,7 @@ __all__ = [
 
 _TENSOR_AXIS_NODES = {1: 60, 2: 30}
 _QMC_LOG2 = {3: 16, 4: 16}  # Sobol points at orders 3 and 4
+_PAIR_BLOCK = 1 << 18  # node pairs per block of a tensor-square rule
 CHAIN_ORDERS = (1, 2, 3, 4)  # the orders with a time-simplex rule above
 
 
@@ -112,47 +129,96 @@ def _tensor_unit_nodes(dim: int, n_axis: int) -> tuple[np.ndarray, np.ndarray]:
     return U, wmesh.ravel()
 
 
-def _chain_edges(n: int, sigma: Sequence[int]) -> list[np.ndarray]:
-    """Unit vectors of the chain's difference arguments over y_1..y_n; first
-    edge is the anchored one (argument d - y_{visited last})."""
-    seq = [sigma[n - 1 - k] for k in range(n)]
-    edges = []
-    u = np.zeros(n)
-    u[seq[0]] = -1.0
-    edges.append(u.copy())
-    for k in range(1, n):
-        u = np.zeros(n)
-        u[seq[k - 1]] = 1.0
-        u[seq[k]] = -1.0
-        edges.append(u.copy())
-    return edges
+def _acc(E: dict, owned: set, key, x: np.ndarray):
+    """E[key] += x.  An entry is updated in place only once it belongs to
+    this table; until then it may be shared with the block or be x itself."""
+    if key in owned:
+        E[key] += x
+    elif key in E:
+        E[key] = E[key] + x
+        owned.add(key)
+    else:
+        E[key] = x
 
 
-def _pair_AS(n: int, sigma: Sequence[int], Vg: np.ndarray, Wg: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, S) for the pairing of the identity chain (gaps Vg) with the
-    sigma-permuted chain (gaps Wg); arrays are (B, n) gap tables."""
-    ident = tuple(range(n))
-    ed1 = _chain_edges(n, ident)
-    ed2 = _chain_edges(n, sigma)
-    B = Vg.shape[0]
-    M = np.zeros((B, n, n))
-    for u, tau in zip(ed1, Vg.T):
-        M += (u[:, None] * u[None, :])[None, :, :] / tau[:, None, None]
-    for u, tau in zip(ed2, Wg.T):
-        M += (u[:, None] * u[None, :])[None, :, :] / tau[:, None, None]
-    anchor = n - 1  # identity chain anchors at y_n
-    e = np.zeros((B, n, 1))
-    e[:, anchor, 0] = 1.0
-    Minv_col = np.linalg.solve(M, e)[..., 0]
-    v1 = Vg[:, 0]
-    quad = 1.0 / v1 - Minv_col[:, anchor] / (v1 * v1)
-    S = 1.0 / quad
-    detM = np.linalg.det(M)
-    logA = (-0.5 * np.sum(np.log(2 * math.pi * Vg), axis=1)
-            - 0.5 * np.sum(np.log(2 * math.pi * Wg), axis=1)
-            + 0.5 * n * math.log(2 * math.pi) - 0.5 * np.log(detM))
-    return np.exp(logA), S
+class _Side(NamedTuple):
+    """Per-row data of one chain's (B, n) gap table G: the reciprocal gaps as
+    an (n, B) array, -1/2 sum_e log(2 pi tau_e) and the first gap.  Each
+    field is row-wise, so blocks of repeated or tiled rows are cut from it."""
+
+    recip: np.ndarray
+    log_dens: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def of(cls, G: np.ndarray) -> "_Side":
+        if not (G.min() > 0.0 and G.max() < np.inf):  # a NaN fails too
+            raise np.linalg.LinAlgError("chain gap times must be positive and finite")
+        return cls(np.ascontiguousarray((1.0 / G).T),
+                   -0.5 * np.sum(np.log(2 * math.pi * G), axis=1), G[:, 0])
+
+
+class _Pairing:
+    """(A, S) tables for one block of node pairs: the identity chain with
+    v-gaps paired with each permuted chain with w-gaps (sides v and w).
+
+    A chain over y_1..y_n visits its vertices from last to first: the
+    identity chain's anchored edge acts on y_n with gap v_1 and its edge k
+    joins y_{n-k+1} and y_{n-k} with gap v_{k+1}; the sigma chain does the
+    same along y_sigma(n), ..., y_sigma(1) with the w-gaps.  An edge with
+    reciprocal gap r adds r to the diagonal entries of both its vertices and
+    -r to their off-diagonal pair; an anchored edge adds r to one diagonal
+    entry.  So M is a weighted graph Laplacian plus anchor terms, and it is
+    held that way: couplings c_ik = -M_ik >= 0 (i > k) and anchor weights
+    a_i >= 0, with M_ii = a_i + sum_k c_ik.  Everything that does not depend
+    on sigma (the reciprocal gaps, the Gaussian normalisations and the
+    identity chain's couplings) is built once per block, not once per sigma.
+    """
+
+    def __init__(self, v: _Side, w: _Side):
+        n = self.n = v.recip.shape[0]
+        self.rW = w.recip
+        self.log_norm = v.log_dens + w.log_dens + 0.5 * n * math.log(2 * math.pi)
+        self.v1, self.inv_v1 = v.first, v.recip[0]
+        self.ident = {(n - k, n - k - 1): v.recip[k] for k in range(1, n)}
+
+    def tables(self, sigma: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(A, S), each (B,), for the pairing with the sigma-permuted chain."""
+        n, rW = self.n, self.rW
+        c, c_own = dict(self.ident), set()
+        seq = sigma[::-1]
+        anchor, a_own = {seq[0]: rW[0]}, set()  # y_n's 1/v_1 enters last
+        for k in range(1, n):
+            i, j = seq[k - 1], seq[k]
+            _acc(c, c_own, (max(i, j), min(i, j)), rW[k])
+        # Unrolled LDL^T, keeping only the pivots d_j.  Eliminating y_j adds
+        # c_ij c_kj / d_j to c_ik and c_ij a_j / d_j to a_i, and
+        # d_j = a_j + sum_i c_ij: sums of non-negative terms, free of
+        # cancellation.  y_n goes last, so the pivots before it do not see
+        # its anchor weight, and its own pivot is d_n = a_n + 1/v_1.
+        pivots = []
+        for j in range(n - 1):
+            col = [i for i in range(j + 1, n) if (i, j) in c]
+            terms = ([anchor[j]] if j in anchor else []) + [c[i, j] for i in col]
+            d = sum(terms[1:], terms[0])
+            pivots.append(d)
+            for i in col:
+                f = c[i, j] / d
+                if j in anchor:
+                    _acc(anchor, a_own, i, f * anchor[j])
+                for k in col:
+                    if k >= i:
+                        break
+                    _acc(c, c_own, (i, k), f * c[k, j])
+        a_n = anchor[n - 1]
+        if not all(d.min() > 0.0 for d in pivots + [a_n]):  # a NaN fails too
+            raise np.linalg.LinAlgError("pairing matrix M is not positive definite")
+        # 1/S = 1/v_1 - (M^{-1})_{nn} / v_1^2 with (M^{-1})_{nn} = 1/d_n
+        S = self.v1 + 1.0 / a_n
+        log_det = np.log(a_n + self.inv_v1)
+        for d in pivots:
+            log_det += np.log(d)
+        return np.exp(self.log_norm - 0.5 * log_det), S
 
 
 def _gaps(V: np.ndarray) -> np.ndarray:
@@ -163,63 +229,91 @@ def _gaps(V: np.ndarray) -> np.ndarray:
     return G
 
 
+def _pair_blocks(n: int, nodes: np.ndarray, w: np.ndarray, paired: bool):
+    """(v side, w side, weights) blocks of node pairs.  Rows that already
+    hold both copies form one block; otherwise the pairs are the tensor
+    square of the rows, streamed in blocks of about ``_PAIR_BLOCK`` pairs
+    and cut from one side built for all rows."""
+    if paired:
+        yield _Side.of(_gaps(nodes[:, :n])), _Side.of(_gaps(nodes[:, n:])), w
+        return
+    side = _Side.of(_gaps(nodes))
+    B = nodes.shape[0]
+    step = max(1, _PAIR_BLOCK // B + 1)
+    for i0 in range(0, B, step):
+        i1 = min(i0 + step, B)
+        nb = i1 - i0
+        yield (_Side(*(np.repeat(x[..., i0:i1], B, axis=-1) for x in side)),
+               _Side(*(np.tile(x, nb) for x in side)),
+               np.repeat(w[i0:i1], B) * np.tile(w, nb))
+
+
+def _pairing_sums(n: int, blocks, term) -> tuple:
+    """Componentwise sums of term(A, S, weights) over the permutations sigma
+    of the second chain and the node blocks.  Each block is built once and
+    serves every sigma; the terms are added sigma-major, block-minor."""
+    sigmas = list(permutations(range(n)))
+    parts: list[list[tuple]] = [[] for _ in sigmas]
+    for v, w_side, w in blocks:
+        pairing = _Pairing(v, w_side)
+        for row, sigma in zip(parts, sigmas):
+            row.append(term(*pairing.tables(sigma), w))
+    totals = None
+    for row in parts:
+        for p in row:
+            totals = p if totals is None else tuple(a + b for a, b in zip(totals, p))
+    return totals
+
+
+def _sobol_pairs(n: int, rng_seed: int) -> np.ndarray:
+    """Scrambled Sobol points in the 2n-cube, clipped into its interior: the
+    unit nodes of the order-n double rules (orders 3 and 4)."""
+    from scipy.stats import qmc  # loaded only for chain orders 3 and 4
+    sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
+    return _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
+
+
 def _pair_nodes_space(n: int, t: float, rng_seed: int
-                      ) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Quadrature nodes for the double simplex (v, w) in T^n x T^n."""
+                      ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Quadrature nodes for the double simplex (v, w) in T^n x T^n: (times,
+    weights, paired) as for ``_time_region_nodes``."""
     if n <= 2:
         U, wq = _tensor_unit_nodes(n, _TENSOR_AXIS_NODES[n])
         V, jv = _simplex_from_unit(U, t)
-        # all (v, w) pairs from the tensor square, streamed in blocks
-        return V, jv * wq, None
-    from scipy.stats import qmc  # loaded only for chain orders 3 and 4
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
-    U = _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
+        return V, jv * wq, False
+    U = _sobol_pairs(n, rng_seed)
     V, jv = _simplex_from_unit(U[:, :n], t)
     W, jw = _simplex_from_unit(U[:, n:], t)
     wts = jv * jw / U.shape[0]  # QMC average with jacobians
-    return np.concatenate([V, W], axis=1), wts, "qmc"
+    return np.concatenate([V, W], axis=1), wts, True
 
 
 def _accumulate_space(n: int, t: float, lags: np.ndarray, deriv: bool,
-                      rng_seed: int, block: int = 1 << 18
-                      ) -> tuple[np.ndarray, float]:
+                      rng_seed: int) -> tuple[np.ndarray, float]:
     """(increment masses per lag, field mass) for one chaos order."""
-    nodes, wts, mode = _pair_nodes_space(n, t, rng_seed)
-    inc = np.zeros(lags.size)
-    mass = 0.0
-    sigmas = list(permutations(range(n)))
-    if mode == "qmc":
-        Vg, Wg = _gaps(nodes[:, :n]), _gaps(nodes[:, n:])
-        for sigma in sigmas:
-            A, S = _pair_AS(n, sigma, Vg, Wg)
-            base = A / S if deriv else A
-            mass += float(np.dot(wts, base))
-            z = lags[:, None] ** 2 / (2.0 * S[None, :])
-            if deriv:
-                g = -np.expm1(-z) + 2.0 * z * np.exp(-z)
-            else:
-                g = -np.expm1(-z)
-            inc += (g * (2.0 * wts * base)[None, :]).sum(axis=1)
-        return inc, mass
-    V, jw = nodes, wts
-    B = V.shape[0]
-    Vg_all = _gaps(V)
-    for sigma in sigmas:
-        for i0 in range(0, B, max(1, block // B + 1)):
-            i1 = min(i0 + max(1, block // B + 1), B)
-            nb = i1 - i0
-            Vg = np.repeat(Vg_all[i0:i1], B, axis=0)
-            Wg = np.tile(Vg_all, (nb, 1))
-            wq = np.repeat(jw[i0:i1], B) * np.tile(jw, nb)
-            A, S = _pair_AS(n, sigma, Vg, Wg)
-            base = A / S if deriv else A
-            mass += float(np.dot(wq, base))
-            z = lags[:, None] ** 2 / (2.0 * S[None, :])
-            if deriv:
-                g = -np.expm1(-z) + 2.0 * z * np.exp(-z)
-            else:
-                g = -np.expm1(-z)
-            inc += (g * (2.0 * wq * base)[None, :]).sum(axis=1)
+    nodes, wts, paired = _pair_nodes_space(n, t, rng_seed)
+    neg_lags_sq = -lags[:, None] ** 2
+    buffers: dict = {}
+
+    def term(A, S, w):
+        # g = -expm1(-z) + 2z e^{-z} (K-field) or -expm1(-z) (u-field) at
+        # z = h^2 / 2S, built as -g in reused (lags, B) buffers: every
+        # rounding is that of g itself, with the sign flipped
+        base = A / S if deriv else A
+        if S.size not in buffers:
+            buffers[S.size] = [np.empty((lags.size, S.size)) for _ in range(3)]
+        m, neg_g, e = buffers[S.size]
+        np.divide(neg_lags_sq, 2.0 * S[None, :], out=m)
+        np.expm1(m, out=neg_g)
+        if deriv:
+            np.exp(m, out=e)
+            m *= 2.0
+            m *= e
+            neg_g += m
+        neg_g *= (2.0 * w * base)[None, :]
+        return float(np.dot(w, base)), -neg_g.sum(axis=1)
+
+    mass, inc = _pairing_sums(n, _pair_blocks(n, nodes, wts, paired), term)
     return inc, mass
 
 
@@ -246,12 +340,14 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
     return inc, mass
 
 
-def _time_region_nodes(n: int, t: float, h: float, rng_seed: int,
+def _time_region_nodes(n: int, t: float, h: float, U: np.ndarray | None,
                        n_axis_box: int = 12) -> tuple[np.ndarray, np.ndarray, bool]:
     """One copy of the increment region: v_n in [t, t+h], inner simplex below.
 
-    Tensor product for n <= 2, Sobol for deeper orders.  Returns (times,
-    weights, paired) where ``paired`` means rows already hold both copies.
+    Tensor product for n <= 2; for deeper orders the Sobol set U of
+    ``_sobol_pairs`` (drawn once per order, shared by every lag) mapped onto
+    both copies.  Returns (times, weights, paired) where ``paired`` means rows
+    already hold both copies.
     """
     if n == 1:
         bx, bw = _axis_rule(n_axis_box, grading=1.0)
@@ -266,9 +362,6 @@ def _time_region_nodes(n: int, t: float, h: float, rng_seed: int,
             parts.append(V)
             wparts.append(jv * wi * bw[k] * h)
         return np.concatenate(parts, axis=0), np.concatenate(wparts), False
-    from scipy.stats import qmc  # loaded only for chain orders 3 and 4
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
-    U = _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
     out = []
     wts = np.ones(U.shape[0])
     for half in (U[:, :n], U[:, n:]):
@@ -311,29 +404,15 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
         for n in orders:
             out[n] = unit[n] * lags ** (1.5 * n - (1.0 if deriv else 0.0))
         return out, {n: float(m[top]) for n, m in out.items()}
+
+    def term(A, S, w):
+        return (float(np.dot(w, A / S if deriv else A)),)
+
     for n in orders:
         masses = np.zeros(lags.size)
+        U = _sobol_pairs(n, rng_seed) if n >= 3 else None
         for li, h in enumerate(lags):
-            nodes, wfull, paired = _time_region_nodes(n, t, float(h), rng_seed)
-            total = 0.0
-            if paired:
-                Vg, Wg = _gaps(nodes[:, :n]), _gaps(nodes[:, n:])
-                for sigma in permutations(range(n)):
-                    A, S = _pair_AS(n, sigma, Vg, Wg)
-                    total += float(np.dot(wfull, A / S if deriv else A))
-            else:
-                Vg_all = _gaps(nodes)
-                B = nodes.shape[0]
-                chunk = max(1, (1 << 18) // B + 1)
-                for sigma in permutations(range(n)):
-                    for i0 in range(0, B, chunk):
-                        i1 = min(i0 + chunk, B)
-                        nb = i1 - i0
-                        Vg = np.repeat(Vg_all[i0:i1], B, axis=0)
-                        Wg = np.tile(Vg_all, (nb, 1))
-                        wq = np.repeat(wfull[i0:i1], B) * np.tile(wfull, nb)
-                        A, S = _pair_AS(n, sigma, Vg, Wg)
-                        total += float(np.dot(wq, A / S if deriv else A))
-            masses[li] = total
+            nodes, wfull, paired = _time_region_nodes(n, t, float(h), U)
+            masses[li], = _pairing_sums(n, _pair_blocks(n, nodes, wfull, paired), term)
         out[n] = masses
     return out, field_order_masses(t + float(lags[top]), orders, deriv, rng_seed)

@@ -131,8 +131,9 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
     per-order sums over |alpha| = 1..max_order are the whole increment
     moment; the truncation gate applies to the order cut alone.  It is
     evaluated at the latest probed time (t in space, t + max(lags) in time),
-    where the top-order share is largest, and a share that is not finite
-    (the masses vanish at t = 0, so a space curve there is 0/0) is refused.
+    where the top-order share is largest, and a share that is not finite is
+    refused.  So is a space curve at t = 0: every chain mass vanishes there
+    and the share is 0/0.
 
     Away from t = 0 both fields are smooth in time, so a time curve from
     t > 0 with lags well below t measures slope ~2.  The Hoelder exponents
@@ -145,6 +146,9 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
                          f"engine handles orders {CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
     lags = np.asarray(sorted(float(h) for h in lags))
     orders = range(1, max_order + 1)
+    if direction == "space" and t == 0.0:
+        raise TruncationTailError("top-order mass share is 0/0 at base time 0, "
+                                  "where every chain mass vanishes")
     if direction == "space":
         inc, mass = space_increment_masses(t, lags, orders, deriv, rng_seed)
     else:

@@ -90,10 +90,11 @@ class _ChainContext:
             ker = np.exp(-d * d / (2.0 * tt[:, None])) / np.sqrt(2 * math.pi * tt[:, None])
             out[~small] = ker @ (u0(quad.grid.nodes) * quad.grid.weights)
         if np.any(small):
+            # the Taylor block I + (tau/2) D2 + (tau^2/8) D2^2 of HeatOperator
             base = u0(quad.grid.nodes)
-            v0 = quad.point_eval(base, xi)
-            v2 = quad.point_eval(base, xi, 2)
-            out[small] = v0 + 0.5 * taus[small] * v2
+            v0, v2, v4 = (quad.point_eval(base, xi, k) for k in (0, 2, 4))
+            ts = taus[small]
+            out[small] = v0 + 0.5 * ts * v2 + 0.125 * ts * ts * v4
         return out
 
 def _forward_chain(ctx: _ChainContext, x: float, visits: np.ndarray) -> float:

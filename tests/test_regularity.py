@@ -1,11 +1,15 @@
 import math
 import warnings
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
+from wickshe import chain_moments
 from wickshe.basis import MultiIndex, TruncationSpec
-from wickshe.chain_moments import field_order_masses, time_increment_masses
+from wickshe.chain_moments import (_Pairing, _Side, field_order_masses,
+                                   time_increment_masses)
 from wickshe.chaos import ChaosCoefficients, sample_realization_batch
 from wickshe.kernels import constant_ic
 from wickshe.regularity import (IncrementMomentCurve,
@@ -205,6 +209,135 @@ class TestExactCurves:
     def test_rejects_negative_base_time(self):
         with pytest.raises(ValueError, match="non-negative"):
             exact_increment_curve(-0.5, "time", LAGS6, deriv=False, max_order=1)
+
+
+def _dense_edges(n, sigma):
+    """Unit vectors of a chain's difference arguments over y_1..y_n; the
+    first edge is the anchored one (argument d - y_{visited last})."""
+    seq = [sigma[n - 1 - k] for k in range(n)]
+    edges = [np.zeros(n)]
+    edges[0][seq[0]] = -1.0
+    for k in range(1, n):
+        u = np.zeros(n)
+        u[seq[k - 1]] = 1.0
+        u[seq[k]] = -1.0
+        edges.append(u)
+    return edges
+
+
+def _dense_M(n, sigma, Vg, Wg):
+    M = np.zeros((Vg.shape[0], n, n))
+    for edges, gaps in ((_dense_edges(n, tuple(range(n))), Vg), (_dense_edges(n, sigma), Wg)):
+        for u, tau in zip(edges, gaps.T):
+            M += (u[:, None] * u[None, :])[None, :, :] / tau[:, None, None]
+    return M
+
+
+def _dense_AS(n, sigma, Vg, Wg):
+    """(A, S) from the dense (B, n, n) matrices with np.linalg.solve and det."""
+    M = _dense_M(n, sigma, Vg, Wg)
+    e = np.zeros((Vg.shape[0], n, 1))
+    e[:, n - 1, 0] = 1.0
+    minv = np.linalg.solve(M, e)[:, n - 1, 0]
+    v1 = Vg[:, 0]
+    S = 1.0 / (1.0 / v1 - minv / (v1 * v1))
+    logA = (-0.5 * np.sum(np.log(2 * math.pi * Vg), axis=1)
+            - 0.5 * np.sum(np.log(2 * math.pi * Wg), axis=1)
+            + 0.5 * n * math.log(2 * math.pi) - 0.5 * np.log(np.linalg.det(M)))
+    return np.exp(logA), S
+
+
+def _exact_logdet_S(n, sigma, v, w):
+    """log det M and S of one node pair, by Gaussian elimination in exact
+    rational arithmetic on the same float gaps."""
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for edges, gaps in ((_dense_edges(n, tuple(range(n))), v), (_dense_edges(n, sigma), w)):
+        for u, tau in zip(edges, gaps):
+            r = 1 / Fraction(float(tau))
+            for i in range(n):
+                for j in range(n):
+                    M[i][j] += int(u[i] * u[j]) * r
+    det = Fraction(1)
+    for j in range(n):
+        det *= M[j][j]
+        for i in range(j + 1, n):
+            f = M[i][j] / M[j][j]
+            for k in range(j, n):
+                M[i][k] -= f * M[j][k]
+    v1 = Fraction(float(v[0]))
+    S = 1 / (1 / v1 - 1 / (M[n - 1][n - 1] * v1 * v1))
+    return math.log(det), float(S)
+
+
+def _pairing(Vg, Wg):
+    return _Pairing(_Side.of(Vg), _Side.of(Wg))
+
+
+class TestPairingKernel:
+    """The unrolled LDL^T pairing kernel against a dense np.linalg reference
+    and an exact rational one, for every sigma at orders 1..4."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, n):
+        gen = np.random.default_rng(100 + n)
+        Vg, Wg = gen.uniform(1e-6, 1.0, (2, 64, n))
+        eps = np.finfo(float).eps
+        for sigma in permutations(range(n)):
+            A, S = _pairing(Vg, Wg).tables(sigma)
+            A_ref, S_ref = _dense_AS(n, sigma, Vg, Wg)
+            # the reference's LU carries ~eps cond(M); its S also loses
+            # S/v_1 to the subtraction in 1/S = 1/v_1 - (M^-1)_nn / v_1^2
+            kappa = np.linalg.cond(_dense_M(n, sigma, Vg, Wg))
+            assert np.all(np.abs(A / A_ref - 1.0) <= 1e-12 + 4 * eps * kappa), sigma
+            assert np.all(np.abs(S / S_ref - 1.0)
+                          <= 1e-12 + 4 * eps * kappa * S / Vg[:, 0]), sigma
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_exact_rational_reference(self, n):
+        # log-uniform gaps down to 1e-6: ratios up to 1e6 between the edges
+        gen = np.random.default_rng(200 + n)
+        Vg, Wg = 10.0 ** gen.uniform(-6.0, 0.0, (2, 12, n))
+        for sigma in permutations(range(n)):
+            pairing = _pairing(Vg, Wg)
+            A, S = pairing.tables(sigma)
+            for b in range(Vg.shape[0]):
+                log_det, S_exact = _exact_logdet_S(n, sigma, Vg[b], Wg[b])
+                A_exact = math.exp(pairing.log_norm[b] - 0.5 * log_det)
+                assert A[b] == pytest.approx(A_exact, rel=1e-13, abs=0.0)
+                assert S[b] == pytest.approx(S_exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan])
+    def test_non_positive_gap_raises(self, n, bad):
+        Vg = np.full((3, n), 0.5)
+        Wg = np.full((3, n), 0.5)
+        for gaps in (Vg, Wg):
+            G = gaps.copy()
+            G[1, n - 1] = bad
+            tables = (G, Wg) if gaps is Vg else (Vg, G)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError, match="positive"):
+                    _pairing(*tables).tables(tuple(range(n))[::-1])
+
+    def test_masses_refuse_a_zero_gap(self):
+        # at t = 0 every simplex node collapses: the engine raises instead of
+        # returning NaN masses
+        with pytest.raises(np.linalg.LinAlgError):
+            field_order_masses(0.0, [2], deriv=True)
+
+    def test_one_sobol_set_per_order(self, monkeypatch):
+        draws = []
+        real = chain_moments._sobol_pairs
+
+        def counted(n, rng_seed):
+            draws.append(n)
+            return real(n, rng_seed)
+
+        monkeypatch.setattr(chain_moments, "_sobol_pairs", counted)
+        time_increment_masses(1.0, LAGS6, [3], deriv=False)
+        # one set for the six lags' box rules, one for the gate mass at t + h
+        assert draws == [3, 3]
 
 
 class TestLocalTimeIncrements:

@@ -5,7 +5,8 @@ import pytest
 
 from wickshe.kernels import constant_ic, sine_ic
 from wickshe.streams import substream
-from wickshe.wiener_kernels import cs_kernel, fk_kernel, mw_kernel, sym_cs_kernel
+from wickshe.wiener_kernels import (_ChainContext, cs_kernel, fk_kernel, mw_kernel,
+                                    sym_cs_kernel)
 
 
 class TestOrderZeroAndOne:
@@ -22,6 +23,18 @@ class TestOrderZeroAndOne:
         k1 = fk_kernel(1, 1.0, 0.0, constant_ic(), coeff_quad)
         with pytest.raises(ValueError, match="order"):
             k1(0.1, 0.2)
+
+
+class TestSemigroupTail:
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01])
+    def test_sine_tail_across_tau_res(self, coeff_quad, factor):
+        # u_bar(tau, xi) = e^{-tau/2} sin(xi) for sine data, on both sides of
+        # the switch to the Taylor block at tau_res
+        ctx = _ChainContext(1, 1.0, sine_ic(), coeff_quad)
+        tau = factor * coeff_quad.tau_res
+        for xi in (1.0, -2.3):
+            assert ctx.u0bar_at(np.array([tau]), xi)[0] == pytest.approx(
+                math.exp(-tau / 2.0) * math.sin(xi), rel=0.0, abs=1e-7)
 
 
 class TestEquivalences:
