@@ -317,13 +317,20 @@ def _accumulate_space(n: int, t: float, lags: np.ndarray, deriv: bool,
     return inc, mass
 
 
+def _mass_term(deriv: bool):
+    """Pairing term of the field mass alone: sum w A (u) or sum w A / S (dx u)."""
+    def term(A, S, w):
+        return (float(np.dot(w, A / S if deriv else A)),)
+    return term
+
+
 def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
                        rng_seed: int = 10103) -> Dict[int, float]:
     """sum_{|alpha| = n} F_alpha(t, x)^2 per order (x-independent here)."""
     out: Dict[int, float] = {}
     for n in _check_orders(orders):
-        _, mass = _accumulate_space(n, t, np.asarray([1.0]), deriv, rng_seed)
-        out[n] = mass
+        nodes, wts, paired = _pair_nodes_space(n, t, rng_seed)
+        out[n], = _pairing_sums(n, _pair_blocks(n, nodes, wts, paired), _mass_term(deriv))
     return out
 
 
@@ -405,14 +412,12 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
             out[n] = unit[n] * lags ** (1.5 * n - (1.0 if deriv else 0.0))
         return out, {n: float(m[top]) for n, m in out.items()}
 
-    def term(A, S, w):
-        return (float(np.dot(w, A / S if deriv else A)),)
-
     for n in orders:
         masses = np.zeros(lags.size)
         U = _sobol_pairs(n, rng_seed) if n >= 3 else None
         for li, h in enumerate(lags):
             nodes, wfull, paired = _time_region_nodes(n, t, float(h), U)
-            masses[li], = _pairing_sums(n, _pair_blocks(n, nodes, wfull, paired), term)
+            masses[li], = _pairing_sums(n, _pair_blocks(n, nodes, wfull, paired),
+                                        _mass_term(deriv))
         out[n] = masses
     return out, field_order_masses(t + float(lags[top]), orders, deriv, rng_seed)

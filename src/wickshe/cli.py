@@ -30,11 +30,9 @@ from .chaos import s_transform_chaos, s_transform_tail_estimate, second_moment
 from .coefficients import CoefficientQuadrature, dx_level_coefficients
 from .config import ConfigError, RunConfig, config_items, parse_config
 from .feynman_kac import (EnsembleMemoryError, build_level_grid, fk_conditional_estimate,
-                          local_time_ensemble_stats, psi_law_stats, sample_noise,
-                          s_transform_dx_mc, s_transform_mc)
+                          ordered_map, psi_law_stats, sample_noise, s_transform_ensemble_mc)
 from .kernels import apply_heat_semigroup, build_line_grid, constant_ic, sine_ic
-from .regularity import (exact_increment_curve, fit_exponent,
-                         local_time_increment_check,
+from .regularity import (exact_increment_curve, fit_exponent, local_time_profile_checks,
                          local_time_temporal_increment_check)
 from .spectral import SpectralChaosField
 from .streams import substream
@@ -160,18 +158,28 @@ def run_fk(cfg: RunConfig, out: Path, report: RunReport):
                        threads=cfg.threads)
     u0 = cfg.initial_condition()
     grid = build_line_grid(cfg.quadrature_half_width + 8.0, cfg.quadrature_panels)
+    levels = [build_level_grid(t, x, cfg.delta_a) for (t, x) in cfg.probes]
+    n_paths = max(cfg.mc_n_paths // cfg.mc_n_noise, 100)
+
+    def estimate(task: tuple[int, int]) -> tuple[float, float]:
+        # every (probe, noise) estimate draws from its own substreams, so the
+        # estimates run one per worker thread
+        pi, k = task
+        t, x = cfg.probes[pi]
+        noise = sample_noise(levels[pi], substream(cfg.seed, "fk-noise", pi, k))
+        return fk_conditional_estimate(t, x, u0, noise, n_paths, stream_seed=cfg.seed,
+                                       dt=cfg.mc_dt, threads=1,
+                                       stream_label=f"fk-paths-{pi}-{k}")
+
+    tasks = [(pi, k) for pi in range(len(cfg.probes)) for k in range(cfg.mc_n_noise)]
+    results = ordered_map(estimate, tasks, cfg.threads)
     rows = []
     ok = True
     detail = []
     for pi, (t, x) in enumerate(cfg.probes):
-        levels = build_level_grid(t, x, cfg.delta_a)
         ests = np.empty(cfg.mc_n_noise)
         for k in range(cfg.mc_n_noise):
-            noise = sample_noise(levels, substream(cfg.seed, "fk-noise", pi, k))
-            est, se = fk_conditional_estimate(
-                t, x, u0, noise, max(cfg.mc_n_paths // cfg.mc_n_noise, 100),
-                stream_seed=cfg.seed, dt=cfg.mc_dt, threads=cfg.threads,
-                stream_label=f"fk-paths-{pi}-{k}")
+            est, se = results[pi * cfg.mc_n_noise + k]
             rows.append((pi, t, x, k, est, se))
             ests[k] = est
         mean = float(ests.mean())
@@ -255,28 +263,24 @@ def run_stransform_compare(cfg: RunConfig, out: Path, report: RunReport):
     u0 = cfg.initial_condition()
     rows = []
     ok = True
+    cases = _phi_cases(cfg)
     for (t, x) in cfg.probes:
         c_u = fld.coefficients_at(t, x)
         c_k = fld.coefficients_at(t, x, deriv=True)
-        for name, phi, phi_dx, sup in _phi_cases(cfg):
+        # one path ensemble per probe serves every phi and both fields
+        mc = s_transform_ensemble_mc(t, x, u0, [(phi, phi_dx, sup)
+                                                for _, phi, phi_dx, sup in cases],
+                                     cfg.mc_n_paths, cfg.seed, dt=cfg.mc_dt,
+                                     threads=cfg.threads, stream_label=f"st-{t}-{x}")
+        for (name, phi, _, _), mc_pair in zip(cases, mc):
             modes, mode_tail = _phi_modes(phi, cfg.truncation_modes)
-            chaos_u = s_transform_chaos(c_u, modes)
-            tail_u = s_transform_tail_estimate(c_u, modes) + mode_tail
-            mc_u, se_u = s_transform_mc(t, x, u0, phi, cfg.mc_n_paths, cfg.seed,
-                                        dt=cfg.mc_dt, threads=cfg.threads, phi_sup=sup,
-                                        stream_label=f"st-{name}-{t}-{x}")
-            z_u = (chaos_u - mc_u) / max(3.0 * se_u + tail_u, 1e-300) * 3.0
-            rows.append((name, "u", t, x, chaos_u, mc_u, se_u, tail_u, z_u))
-            ok &= abs(chaos_u - mc_u) <= 3.0 * se_u + tail_u
-
-            chaos_k = s_transform_chaos(c_k, modes)
-            tail_k = s_transform_tail_estimate(c_k, modes) + mode_tail
-            mc_k, se_k = s_transform_dx_mc(t, x, u0, phi, phi_dx, cfg.mc_n_paths,
-                                           cfg.seed, dt=cfg.mc_dt, threads=cfg.threads,
-                                           phi_sup=sup, stream_label=f"std-{name}-{t}-{x}")
-            z_k = (chaos_k - mc_k) / max(3.0 * se_k + tail_k, 1e-300) * 3.0
-            rows.append((name, "dx_u", t, x, chaos_k, mc_k, se_k, tail_k, z_k))
-            ok &= abs(chaos_k - mc_k) <= 3.0 * se_k + tail_k
+            for field_name, table, (mc_val, se) in (("u", c_u, mc_pair[0]),
+                                                     ("dx_u", c_k, mc_pair[1])):
+                chaos_val = s_transform_chaos(table, modes)
+                tail = s_transform_tail_estimate(table, modes) + mode_tail
+                z = (chaos_val - mc_val) / max(3.0 * se + tail, 1e-300) * 3.0
+                rows.append((name, field_name, t, x, chaos_val, mc_val, se, tail, z))
+                ok &= abs(chaos_val - mc_val) <= 3.0 * se + tail
     report.artifacts.append(write_csv(
         out / "stransform_compare.csv",
         ("phi", "field", "t", "x", "chaos_value", "mc_value", "mc_stderr",
@@ -319,12 +323,11 @@ def run_equivalence(cfg: RunConfig, out: Path, report: RunReport):
 
 def run_localtime(cfg: RunConfig, out: Path, report: RunReport):
     t = 1.0
-    stats = local_time_ensemble_stats(t, cfg.mc_dt, cfg.delta_a, cfg.mc_n_paths,
-                                      cfg.seed, threads=cfg.threads)
     h = 4 * round(0.1 / cfg.delta_a / 4) * cfg.delta_a if cfg.delta_a <= 0.05 else 2 * cfg.delta_a
-    table = local_time_increment_check(t, [h, 2 * h], cfg.mc_n_paths, cfg.seed,
-                                       dt=cfg.mc_dt, delta_a=cfg.delta_a,
-                                       threads=cfg.threads)
+    # the statistics and the increment table come from one path ensemble
+    stats, table = local_time_profile_checks(t, [h, 2 * h], cfg.mc_n_paths, cfg.seed,
+                                             dt=cfg.mc_dt, delta_a=cfg.delta_a,
+                                             threads=cfg.threads)
     rows = [("mass_identity_defect", stats["mass_identity_defect"], 0.0, 0.0),
             ("mean_L_at_start", stats["mean_L_at_start"], stats["se_L_at_start"],
              stats["bias_budget_L"]),

@@ -18,7 +18,15 @@ loop: it streams paths in blocks of ``DEFAULT_BLOCK``, each block draws from
 its own counter-based substream, and the per-block results come back in
 block order, so estimates are bit-identical no matter how many worker
 threads ran them.  A block whose position or profile array would exceed
-``ARRAY_BUDGET_BYTES`` is refused before anything is allocated.
+``ARRAY_BUDGET_BYTES`` is refused before anything is allocated.  Blocks go
+through ``ordered_map``, which runs a single item inline; a caller with many
+one-block ensembles (the fk double average) maps them over the workers
+instead, each ensemble on one thread.
+
+Common random numbers: ``s_transform_ensemble_mc`` reduces one ensemble to
+the S-transform values of u and dx u for several test functions at once,
+and ``local_time_ensemble_stats`` can hand each block's profiles to a
+further reduction (the local-time increment table) in the same pass.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,16 +54,19 @@ __all__ = [
     "fk_conditional_estimate",
     "s_transform_mc",
     "s_transform_dx_mc",
+    "s_transform_ensemble_mc",
     "build_level_grid",
     "sample_noise",
     "local_time_ensemble_stats",
     "psi_law_stats",
     "path_ensemble",
+    "ordered_map",
     "occupation_profiles",
     "EnsembleMemoryError",
 ]
 
 DEFAULT_BLOCK = 2000
+PROFILE_CHUNK = 128  # rows that occupation_profiles bins at a time
 ARRAY_BUDGET_BYTES = 1 << 30  # largest float64 array one ensemble step may allocate
 
 
@@ -233,20 +244,44 @@ def _positions(nb: int, steps: np.ndarray, x: float,
 def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
                         levels: np.ndarray) -> np.ndarray:
     """(n_paths, n_bins) occupation histograms; each step adds its dt to the bin
-    of its right endpoint.  Raises if a path escapes the level grid."""
+    of its right endpoint.  Raises if a path escapes the level grid.
+
+    Rows are binned ``PROFILE_CHUNK`` at a time through one reused bin-index
+    buffer and one tiled step-weight array, so the transient memory is a few
+    chunk-sized arrays beside the output.  Every bin still sums the steps of
+    its own row in step order, so the result does not depend on the chunking.
+    """
     da = float(levels[1] - levels[0])
     lo = float(levels[0] - 0.5 * da)
     K = levels.size
-    idx = pos - lo  # bin coordinate, computed in place until the cast
-    idx /= da
-    idx = np.floor(idx, out=idx).astype(np.int64)
-    if idx.min() < 0 or idx.max() >= K:
-        raise ValueError("level grid does not cover the simulated paths")
-    nb = pos.shape[0]
-    idx += K * np.arange(nb)[:, None]
-    counts = np.bincount(idx.ravel(), weights=np.broadcast_to(steps, pos.shape).ravel(),
-                         minlength=nb * K)
-    return counts.reshape(nb, K) / da
+    nb, m = pos.shape
+    out = np.empty((nb, K))
+    rows = min(PROFILE_CHUNK, nb)
+    buf = np.empty((rows, m))
+    weights = np.tile(steps, rows)
+    offsets = K * np.arange(rows)[:, None]
+    for r0 in range(0, nb, rows):
+        n = min(rows, nb - r0)
+        idx = buf[:n]  # bin coordinate, computed in place until the cast
+        np.subtract(pos[r0:r0 + n], lo, out=idx)
+        idx /= da
+        np.floor(idx, out=idx)
+        if not (idx.min() >= 0 and idx.max() < K):
+            raise ValueError("level grid does not cover the simulated paths")
+        bins = idx.astype(np.int64)
+        bins += offsets[:n]
+        counts = np.bincount(bins.ravel(), weights=weights[:n * m], minlength=n * K)
+        np.divide(counts.reshape(n, K), da, out=out[r0:r0 + n])
+    return out
+
+
+def ordered_map(fn: Callable[[object], object], items: Sequence, threads: int) -> list:
+    """``[fn(i) for i in items]`` on up to ``threads`` worker threads, results in
+    item order.  One item, or one thread, runs inline without a pool."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(i) for i in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
@@ -273,11 +308,7 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
         prof = None if levels is None else occupation_profiles(pos, steps, levels)
         return reduce(b, steps, pos, prof)
 
-    n_blocks = -(-n_paths // DEFAULT_BLOCK)
-    if threads <= 1:
-        return [one_block(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_block, range(n_blocks)))
+    return ordered_map(one_block, range(-(-n_paths // DEFAULT_BLOCK)), threads)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -315,24 +346,58 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
     return float(vals.mean()), _jackknife_se(vals)
 
 
-def _s_transform_core(t: float, x: float, n_paths: int, stream_seed: int,
-                      dt: float, threads: int, stream_label: str,
-                      phi_sup: Optional[float],
-                      payload: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-                      ) -> tuple[float, float]:
+def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
+                            phis: Sequence[tuple[Callable[[np.ndarray], np.ndarray],
+                                                 Optional[Callable[[np.ndarray], np.ndarray]],
+                                                 Optional[float]]],
+                            n_paths: int, stream_seed: int, dt: float = 1e-3,
+                            threads: int = 1, stream_label: str = "stransform"
+                            ) -> list[tuple[tuple[float, float], Optional[tuple[float, float]]]]:
+    """S-transform values of u and dx u for several test functions, all from
+    one path ensemble (common random numbers).
+
+    ``phis`` holds (phi, phi_prime, phi_sup) per test function.  Each gets
+    ((u value, se), (dx u value, se)) back, the second None when phi_prime
+    is None; the values are those of ``s_transform_mc`` and
+    ``s_transform_dx_mc`` on the same stream label.  ``phi_sup`` (when known)
+    guards the exponent: sup|phi| * t > 50 would overflow far before Monte
+    Carlo error matters.
+    """
+    need_dx = any(phi_prime is not None for _, phi_prime, _ in phis)
+    if need_dx and not u0.has_derivative:
+        raise ValueError("the S-transform of dx u needs an initial condition with a derivative")
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    if phi_sup is not None and phi_sup * t > 50.0:
-        raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
+    for _, _, phi_sup in phis:
+        if phi_sup is not None and phi_sup * t > 50.0:
+            raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
 
-    def reduce(b, steps, pos, prof) -> np.ndarray:
+    def reduce(b, steps, pos, prof) -> list:
         # left endpoints: start point x plus all but the last position
         left = np.concatenate([np.full((pos.shape[0], 1), x), pos[:, :-1]], axis=1)
-        return payload(left, pos, steps)
+        end = pos[:, -1]
+        u_end = u0(end)
+        du_end = u0.derivative(end) if need_dx else None
+        out = []
+        for phi, phi_prime, _ in phis:
+            grow = np.exp(np.asarray(phi(left), dtype=float) @ steps)
+            u = u_end * grow
+            dx = None
+            if phi_prime is not None:
+                # u0'(B_t) e^{int phi} + u0(B_t) e^{int phi} int phi'
+                occ_prime = np.asarray(phi_prime(left), dtype=float) @ steps
+                dx = du_end * grow + u * occ_prime
+            out.append((u, dx))
+        return out
 
-    vals = np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
-                                        threads, reduce))
-    return float(vals.mean()), _jackknife_se(vals)
+    parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads, reduce)
+
+    def estimate(i: int, field: int) -> tuple[float, float]:
+        vals = np.concatenate([p[i][field] for p in parts])
+        return float(vals.mean()), _jackknife_se(vals)
+
+    return [(estimate(i, 0), None if phi_prime is None else estimate(i, 1))
+            for i, (_, phi_prime, _) in enumerate(phis)]
 
 
 def s_transform_mc(t: float, x: float, u0: InitialCondition,
@@ -345,12 +410,9 @@ def s_transform_mc(t: float, x: float, u0: InitialCondition,
     ``phi_sup`` (when known) guards the exponent: sup|phi| * t > 50 would
     overflow far before Monte Carlo error matters.
     """
-    def payload(left: np.ndarray, pos: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        occ = np.asarray(phi(left), dtype=float) @ steps
-        return u0(pos[:, -1]) * np.exp(occ)
-
-    return _s_transform_core(t, x, n_paths, stream_seed, dt, threads, stream_label,
-                             phi_sup, payload)
+    ((u, _),) = s_transform_ensemble_mc(t, x, u0, [(phi, None, phi_sup)], n_paths,
+                                        stream_seed, dt, threads, stream_label)
+    return u
 
 
 def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
@@ -363,17 +425,9 @@ def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
 
         E[ u0'(B_t^x) e^{int phi} + u0(B_t^x) e^{int phi} int_0^t phi'(B_s^x) ds ].
     """
-    if not u0.has_derivative:
-        raise ValueError("s_transform_dx_mc needs an initial condition with a derivative")
-
-    def payload(left: np.ndarray, pos: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        grow = np.exp(np.asarray(phi(left), dtype=float) @ steps)
-        occ_prime = np.asarray(phi_prime(left), dtype=float) @ steps
-        end = pos[:, -1]
-        return u0.derivative(end) * grow + u0(end) * grow * occ_prime
-
-    return _s_transform_core(t, x, n_paths, stream_seed, dt, threads, stream_label,
-                             phi_sup, payload)
+    ((_, dx),) = s_transform_ensemble_mc(t, x, u0, [(phi, phi_prime, phi_sup)], n_paths,
+                                         stream_seed, dt, threads, stream_label)
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +436,33 @@ def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
 
 def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
                               stream_seed: int, x: float = 0.0, threads: int = 1,
-                              stream_label: str = "localtime") -> dict:
+                              stream_label: str = "localtime",
+                              profile_reduce: Optional[Callable[[np.ndarray], object]] = None
+                              ) -> dict:
     """Ensemble means of the occupation histogram at level x, of the
     quadratic functional int L^2 da, and the exact mass-identity defect.
 
     Returns means with standard errors plus the stated discretization-bias
-    budget (binning O(da^2) at the symmetric level, skeleton O(sqrt(dt)))."""
+    budget (binning O(da^2) at the symmetric level, skeleton O(sqrt(dt))).
+    ``profile_reduce(prof)``, when given, runs on every block's profiles in
+    the same pass; its results come back in block order under
+    ``"profile_parts"`` and leave the statistics unchanged."""
     levels = build_level_grid(t, x, delta_a)
     j0 = int(np.argmin(np.abs(levels - x)))
 
     def reduce(b, steps, pos, prof):
         mass_err = np.abs(delta_a * prof.sum(axis=1) - t).max()
+        extra = None if profile_reduce is None else profile_reduce(prof)
         # copy the column: a view would keep the whole block's profiles alive
-        return prof[:, j0].copy(), delta_a * np.einsum("ij,ij->i", prof, prof), mass_err
+        return (prof[:, j0].copy(), delta_a * np.einsum("ij,ij->i", prof, prof), mass_err,
+                extra)
 
     parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads,
                           reduce, levels)
     L0 = np.concatenate([p[0] for p in parts])
     Q = np.concatenate([p[1] for p in parts])
     mass_defect = max(p[2] for p in parts)
-    return {
+    stats = {
         "mean_L_at_start": float(L0.mean()),
         "se_L_at_start": float(L0.std(ddof=1) / math.sqrt(L0.size)),
         "mean_int_L2": float(Q.mean()),
@@ -410,6 +471,9 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
         "bias_budget_L": math.sqrt(2.0 * dt / math.pi) + delta_a * delta_a,
         "bias_budget_L2": math.sqrt(dt) + 0.5 * delta_a,
     }
+    if profile_reduce is not None:
+        stats["profile_parts"] = [p[3] for p in parts]
+    return stats
 
 
 def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: int,

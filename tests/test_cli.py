@@ -156,6 +156,39 @@ class TestRunner:
         assert (tmp_path / "ob" / "localtime.csv").read_bytes() == ref
         assert (tmp_path / "oc" / "localtime.csv").read_bytes() == ref
 
+    def test_fk_byte_identical_across_threads(self, tmp_path):
+        # the (probe, noise) estimates run one per worker thread; each keeps its
+        # own substreams, so every CSV is the same at any worker count
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "seed = 5\nmc.n_paths = 2000\nmc.n_noise = 10\n"
+                                  f"probes = 0.5,0.0; 0.25,0.3\noutput_dir = {out}\n")
+        names = ("fk_estimates.csv", "psi_law.csv", "report_fk.csv")
+        digests = {name: set() for name in names}
+        for threads in (1, 2, 3):
+            assert main(["fk", "--config", str(cfg), "--threads", str(threads)]) in (0, 1)
+            for name in names:
+                digests[name].add((out / name).read_bytes())
+        assert all(len(v) == 1 for v in digests.values())
+        rows = (out / "fk_estimates.csv").read_text().splitlines()[1:]
+        assert [tuple(r.split(",")[:4:3]) for r in rows] == [
+            (str(p), str(k)) for p in range(2) for k in range(10)]
+
+    def test_localtime_rows_are_the_ensemble_statistics(self, tmp_path):
+        # the fused pass writes local_time_ensemble_stats at the same seed
+        from wickshe.cli import _fmt
+        from wickshe.feynman_kac import local_time_ensemble_stats
+        cfg = write_cfg(tmp_path, "seed = 5\nmc.n_paths = 2500\nmc.dt = 0.002\n"
+                                  f"output_dir = {tmp_path / 'lt'}\nthreads = 2\n")
+        assert main(["localtime", "--config", str(cfg)]) in (0, 1)
+        st = local_time_ensemble_stats(1.0, 0.002, 0.79 * 0.002 ** 0.5, 2500, 5)
+        want = [("mass_identity_defect", st["mass_identity_defect"], 0.0, 0.0),
+                ("mean_L_at_start", st["mean_L_at_start"], st["se_L_at_start"],
+                 st["bias_budget_L"]),
+                ("mean_int_L2", st["mean_int_L2"], st["se_int_L2"], st["bias_budget_L2"])]
+        rows = (tmp_path / "lt" / "localtime.csv").read_text().splitlines()
+        assert rows[1:4] == [",".join(_fmt(v) for v in row) for row in want]
+        assert [r.split(",")[0][:16] for r in rows[4:]] == ["increment_ratio_"] * 2
+
     def test_env_thread_override(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "seed = 5\nmc.n_paths = 1000\nprobes = 0.5,0.0\n"
                                   f"output_dir = {tmp_path/'env'}\n")

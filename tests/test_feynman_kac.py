@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from wickshe.basis import hermite_function, hermite_function_dx
 from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
                                  fk_conditional_estimate, local_time,
                                  local_time_ensemble_stats, occupation_functional,
-                                 path_ensemble, psi_law_stats, psi_sample, sample_noise,
-                                 simulate_path, s_transform_dx_mc, s_transform_mc)
+                                 occupation_profiles, ordered_map, path_ensemble,
+                                 psi_law_stats, psi_sample, sample_noise, simulate_path,
+                                 s_transform_dx_mc, s_transform_ensemble_mc, s_transform_mc)
 from wickshe.kernels import constant_ic, sine_ic
-from wickshe.regularity import local_time_increment_check, local_time_temporal_increment_check
+from wickshe.regularity import (local_time_increment_check, local_time_profile_checks,
+                                local_time_temporal_increment_check)
 from wickshe.streams import substream
 
 
@@ -66,6 +69,74 @@ class TestLocalTime:
         target = 8.0 / (3.0 * math.sqrt(2.0 * math.pi))
         dev = abs(stats["mean_int_L2"] - target)
         assert dev <= 3 * stats["se_int_L2"] + stats["bias_budget_L2"]
+
+
+def _whole_block_profiles(pos, steps, levels):
+    """Reference histogram: one weighted bincount over the whole block."""
+    da = float(levels[1] - levels[0])
+    K = levels.size
+    idx = np.floor((pos - float(levels[0] - 0.5 * da)) / da).astype(np.int64)
+    idx += K * np.arange(pos.shape[0])[:, None]
+    counts = np.bincount(idx.ravel(), weights=np.broadcast_to(steps, pos.shape).ravel(),
+                         minlength=pos.shape[0] * K)
+    return counts.reshape(pos.shape[0], K) / da
+
+
+def _block(nb, n_steps, seed=3):
+    t = n_steps * 1e-3
+    steps = np.diff(feynman_kac._time_grid(t, 1e-3))
+    pos = feynman_kac._positions(nb, steps, 0.1, substream(seed, "occ-block"))
+    return pos, steps, build_level_grid(t, 0.1, 0.79 * math.sqrt(1e-3))
+
+
+class TestOccupationProfiles:
+    # 50 rows: one short chunk; 300 rows: two full chunks and a short one
+    @pytest.mark.parametrize("nb, n_steps", [(50, 300), (300, 200), (2000, 1000)])
+    def test_chunks_match_whole_block_bincount(self, nb, n_steps):
+        pos, steps, levels = _block(nb, n_steps)
+        got = occupation_profiles(pos, steps, levels)
+        assert got.shape == (nb, levels.size)
+        assert np.array_equal(got, _whole_block_profiles(pos, steps, levels))
+
+    def test_column_slice_matches(self):
+        # the temporal increment check bins leading columns of a block
+        pos, steps, levels = _block(300, 200)
+        got = occupation_profiles(pos[:, :150], steps[:150], levels)
+        assert np.array_equal(got, _whole_block_profiles(pos[:, :150], steps[:150], levels))
+
+    def test_escape_in_last_row_of_last_chunk(self):
+        pos, steps, levels = _block(300, 200)
+        pos[-1, -1] = levels[-1] + levels[1] - levels[0]
+        with pytest.raises(ValueError, match="cover"):
+            occupation_profiles(pos, steps, levels)
+        pos[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="cover"):
+            occupation_profiles(pos, steps, levels)
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        pos, steps, levels = _block(2000, 1000)
+        tracemalloc.start()
+        try:
+            out = occupation_profiles(pos, steps, levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * out.nbytes
+
+
+class TestOrderedMap:
+    def test_order_and_inline_single_item(self, monkeypatch):
+        assert ordered_map(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(feynman_kac, "ThreadPoolExecutor", no_pool)
+        assert ordered_map(lambda i: i + 1, [4], 8) == [5]
+        assert ordered_map(lambda i: i + 1, [4, 5], 1) == [5, 6]
+        # a one-block estimate runs without a pool at any thread count
+        noise = sample_noise(build_level_grid(0.2, 0.0, 0.05), substream(1, "n"))
+        fk_conditional_estimate(0.2, 0.0, constant_ic(), noise, 500, 1, threads=4)
 
 
 class TestOccupationFunctional:
@@ -213,6 +284,38 @@ class TestSTransformMC:
                                     lambda y: np.zeros_like(y), 500, 23)
         assert est == pytest.approx(0.0, abs=1e-12)
 
+    def test_shared_ensemble_matches_single_routines(self):
+        # one phi on the shared routine: the same bits as the two single-field
+        # routines at the same stream label
+        ((u, dx),) = s_transform_ensemble_mc(0.5, 0.2, sine_ic(), [(_half_e1, _half_e1_dx, 0.5)],
+                                             4500, 24, stream_label="shared")
+        assert u == s_transform_mc(0.5, 0.2, sine_ic(), _half_e1, 4500, 24, phi_sup=0.5,
+                                   stream_label="shared")
+        assert dx == s_transform_dx_mc(0.5, 0.2, sine_ic(), _half_e1, _half_e1_dx, 4500, 24,
+                                       phi_sup=0.5, stream_label="shared")
+
+    def test_shared_ensemble_serves_every_phi(self):
+        # common random numbers: each phi gets what a run on it alone gets
+        bump = lambda y: 0.6 * np.exp(-y * y)
+        phis = [(_half_e1, _half_e1_dx, None), (bump, None, 0.6)]
+        shared = s_transform_ensemble_mc(0.5, 0.0, sine_ic(), phis, 2500, 25,
+                                         stream_label="crn")
+        assert shared[1][1] is None
+        for phi, out in zip(phis, shared):
+            assert out == s_transform_ensemble_mc(0.5, 0.0, sine_ic(), [phi], 2500, 25,
+                                                  stream_label="crn")[0]
+
+    def test_shared_ensemble_guards(self):
+        from wickshe.kernels import InitialCondition
+        bare = InitialCondition(evaluator=lambda x: np.ones_like(x), sup_norm=1.0)
+        zero = lambda y: np.zeros_like(y)
+        with pytest.raises(ValueError, match="derivative"):
+            s_transform_ensemble_mc(1.0, 0.0, bare, [(zero, None, 0.0), (zero, zero, 0.0)],
+                                    500, 23)
+        with pytest.raises(ValueError, match="guard"):
+            s_transform_ensemble_mc(1.0, 0.0, constant_ic(), [(zero, None, 0.0),
+                                                              (zero, None, 60.0)], 500, 23)
+
     def test_missing_derivative_guard(self):
         from wickshe.kernels import InitialCondition
         bare = InitialCondition(evaluator=lambda x: np.ones_like(x), sup_norm=1.0)
@@ -253,6 +356,11 @@ ENSEMBLE_ROUTINES = {
     "local_time_increment_check": lambda th: local_time_increment_check(
         0.5, [0.1, 0.2], 4500, 99, delta_a=0.05, threads=th),
     "local_time_temporal_increment_check": _temporal,
+    "s_transform_ensemble_mc": lambda th: s_transform_ensemble_mc(
+        0.5, 0.2, sine_ic(), [(_half_e1, _half_e1_dx, None), (_half_e1, None, None)],
+        4500, 99, threads=th),
+    "local_time_profile_checks": lambda th: local_time_profile_checks(
+        0.5, [0.1, 0.2], 4500, 99, delta_a=0.05, threads=th),
 }
 
 

@@ -11,11 +11,12 @@ from wickshe.basis import MultiIndex, TruncationSpec
 from wickshe.chain_moments import (_Pairing, _Side, field_order_masses,
                                    time_increment_masses)
 from wickshe.chaos import ChaosCoefficients, sample_realization_batch
+from wickshe.feynman_kac import local_time_ensemble_stats
 from wickshe.kernels import constant_ic
 from wickshe.regularity import (IncrementMomentCurve,
                                 TruncationTailError, exact_increment_curve,
                                 fit_exponent, increment_moments,
-                                local_time_increment_check,
+                                local_time_increment_check, local_time_profile_checks,
                                 local_time_temporal_increment_check)
 from wickshe.spectral import SpectralChaosField
 from wickshe.streams import substream
@@ -340,6 +341,16 @@ class TestPairingKernel:
         assert draws == [3, 3]
 
 
+def test_field_order_masses_equal_the_space_pass_masses():
+    # the mass-only pairing term returns the mass that the space increment
+    # pass computes beside its increments, bit for bit
+    for deriv in (False, True):
+        masses = field_order_masses(0.7, [1, 2, 3], deriv, rng_seed=5)
+        for n in (1, 2, 3):
+            _, ref = chain_moments._accumulate_space(n, 0.7, np.asarray([1.0]), deriv, 5)
+            assert masses[n] == ref
+
+
 class TestLocalTimeIncrements:
     def test_ratio_table(self):
         table = local_time_increment_check(1.0, [0.0, 0.1, 0.2], 30_000, 55,
@@ -375,6 +386,17 @@ class TestLocalTimeIncrements:
     def test_resolution_guard(self):
         with pytest.raises(ValueError, match="delta_a"):
             local_time_increment_check(1.0, [0.03], 1000, 1, delta_a=0.025)
+        with pytest.raises(ValueError, match="delta_a"):
+            local_time_profile_checks(1.0, [0.03], 1000, 1, delta_a=0.025)
+
+    def test_fused_pass_keeps_the_ensemble_statistics(self):
+        # one pass on "localtime" gives local_time_ensemble_stats bit for bit
+        # and the increment table of those same paths
+        stats, table = local_time_profile_checks(1.0, [0.0, 0.1, 0.2], 4500, 59,
+                                                 dt=2e-3, delta_a=0.05, threads=2)
+        assert stats == local_time_ensemble_stats(1.0, 2e-3, 0.05, 4500, 59)
+        assert [h for h, _ in table] == [0.0, 0.1, 0.2] and table[0][1] == 0.0
+        assert 3.0 <= table[1][1] <= 4.4 and table[2][1] < table[1][1]
 
     def test_temporal_increment_slope(self):
         curve = local_time_temporal_increment_check(
