@@ -34,7 +34,10 @@ and finite, or a pivot d_j <= 0, raises ``numpy.linalg.LinAlgError``; no
 NaN reaches a moment.
 
 Only time-simplex quadrature remains: graded tensor rules up to order 2,
-scrambled Sobol points at orders 3 and 4.  The (A, S) tables are independent
+scrambled Sobol points at orders 3 and 4, all mapped onto the simplex by the
+warped nested substitution; the axis rules, their tensor products and that
+map are those of ``kernels`` (``graded_panels``, ``tensor_rule``,
+``simplex_from_unit``).  The (A, S) tables are independent
 of the lag, so a whole lag ladder costs one assembly; spatial increments
 evaluate
 
@@ -54,6 +57,8 @@ from typing import Dict, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .kernels import graded_panels, simplex_from_unit, tensor_rule
+
 __all__ = [
     "CHAIN_ORDERS",
     "field_order_masses",
@@ -62,6 +67,7 @@ __all__ = [
 ]
 
 _TENSOR_AXIS_NODES = {1: 60, 2: 30}
+_AXIS_GRADING = 2.5  # panels graded toward 0, the singular chain endpoint
 _QMC_LOG2 = {3: 16, 4: 16}  # Sobol points at orders 3 and 4
 _PAIR_BLOCK = 1 << 18  # node pairs per block of a tensor-square rule
 CHAIN_ORDERS = (1, 2, 3, 4)  # the orders with a time-simplex rule above
@@ -82,51 +88,6 @@ def _clip_unit(U: np.ndarray) -> np.ndarray:
     poison the pairing tables.  The clamp displaces a ~1e-6 sliver whose
     integrand weight is O(1e-6) via the warp Jacobian."""
     return np.clip(U, 1e-6, 1.0 - 1e-6)
-
-
-def _warp(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothstep map of unit coordinates with its Jacobian (see kernels)."""
-    return u * u * (3.0 - 2.0 * u), 6.0 * u * (1.0 - u)
-
-
-def _simplex_from_unit(U: np.ndarray, horizon: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map unit-cube rows to ordered simplex times v_1 <= ... <= v_n <= horizon
-    via v_n = horizon x_n, v_{k} = v_{k+1} x_k, with the smoothstep warp per
-    axis; returns (times (B, n), jacobian weights (B,))."""
-    B, n = U.shape
-    X = np.empty_like(U)
-    jac = np.ones(B)
-    for k in range(n):
-        X[:, k], dj = _warp(U[:, k])
-        jac *= dj
-    V = np.empty_like(U)
-    V[:, n - 1] = horizon * X[:, n - 1]
-    jac = jac * horizon
-    for k in range(n - 2, -1, -1):
-        V[:, k] = V[:, k + 1] * X[:, k]
-        jac = jac * V[:, k + 1]
-    return V, jac
-
-
-def _axis_rule(n_nodes: int, grading: float = 2.5) -> tuple[np.ndarray, np.ndarray]:
-    """Panels on (0,1) graded toward 0 (the singular chain endpoint)."""
-    gx, gw = np.polynomial.legendre.leggauss(6)
-    edges = np.linspace(0.0, 1.0, max(1, round(n_nodes / 6)) + 1) ** grading
-    xs = np.concatenate([0.5 * (hi - lo) * gx + 0.5 * (hi + lo)
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    ws = np.concatenate([0.5 * (hi - lo) * gw
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    return xs, ws
-
-
-def _tensor_unit_nodes(dim: int, n_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = _axis_rule(n_axis)
-    grids = np.meshgrid(*([xs] * dim), indexing="ij")
-    wmesh = np.ones_like(grids[0])
-    for wa in np.ix_(*([ws] * dim)):
-        wmesh = wmesh * wa
-    U = np.stack([g.ravel() for g in grids], axis=1)
-    return U, wmesh.ravel()
 
 
 def _acc(E: dict, owned: set, key, x: np.ndarray):
@@ -278,12 +239,13 @@ def _pair_nodes_space(n: int, t: float, rng_seed: int
     """Quadrature nodes for the double simplex (v, w) in T^n x T^n: (times,
     weights, paired) as for ``_time_region_nodes``."""
     if n <= 2:
-        U, wq = _tensor_unit_nodes(n, _TENSOR_AXIS_NODES[n])
-        V, jv = _simplex_from_unit(U, t)
+        axis = graded_panels(_TENSOR_AXIS_NODES[n], _AXIS_GRADING, both_ends=False)
+        U, wq = tensor_rule(*axis, n)
+        V, jv = simplex_from_unit(U, t)
         return V, jv * wq, False
     U = _sobol_pairs(n, rng_seed)
-    V, jv = _simplex_from_unit(U[:, :n], t)
-    W, jw = _simplex_from_unit(U[:, n:], t)
+    V, jv = simplex_from_unit(U[:, :n], t)
+    W, jw = simplex_from_unit(U[:, n:], t)
     wts = jv * jw / U.shape[0]  # QMC average with jacobians
     return np.concatenate([V, W], axis=1), wts, True
 
@@ -356,25 +318,26 @@ def _time_region_nodes(n: int, t: float, h: float, U: np.ndarray | None,
     both copies.  Returns (times, weights, paired) where ``paired`` means rows
     already hold both copies.
     """
+    bx, bw = graded_panels(n_axis_box, 1.0, both_ends=False)
     if n == 1:
-        bx, bw = _axis_rule(n_axis_box, grading=1.0)
         return (t + h * bx)[:, None], h * bw, False
+
+    def box(inner: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # inner simplex rows below v_n = t + h top, and their Jacobians
+        v_top = t + h * top
+        Vin, jv = simplex_from_unit(inner, v_top)
+        return np.concatenate([Vin, v_top[:, None]], axis=1), jv
+
     if n == 2:
-        bx, bw = _axis_rule(n_axis_box, grading=1.0)
-        Ui, wi = _tensor_unit_nodes(1, _TENSOR_AXIS_NODES[1])
-        parts, wparts = [], []
-        for k, v_top in enumerate(t + h * bx):
-            Vin, jv = _simplex_from_unit(Ui, v_top)
-            V = np.concatenate([Vin, np.full((Vin.shape[0], 1), v_top)], axis=1)
-            parts.append(V)
-            wparts.append(jv * wi * bw[k] * h)
-        return np.concatenate(parts, axis=0), np.concatenate(wparts), False
+        ui, wi = graded_panels(_TENSOR_AXIS_NODES[1], _AXIS_GRADING, both_ends=False)
+        nb, ni = bx.size, ui.size
+        V, jv = box(np.tile(ui, nb)[:, None], np.repeat(bx, ni))
+        return V, jv * np.tile(wi, nb) * np.repeat(bw, ni) * h, False
     out = []
     wts = np.ones(U.shape[0])
     for half in (U[:, :n], U[:, n:]):
-        v_top = t + h * half[:, n - 1]
-        Vin, jv = _simplex_from_unit(half[:, :n - 1], v_top)
-        out.append(np.concatenate([Vin, v_top[:, None]], axis=1))
+        V, jv = box(half[:, :n - 1], half[:, n - 1])
+        out.append(V)
         wts = wts * jv * h
     return np.concatenate(out, axis=1), wts / U.shape[0], True
 

@@ -59,11 +59,6 @@ class CoefficientQuadrature:
         self.grading = grading
         self.tau_res = self.heat.tau_res
 
-    def point_eval(self, v: np.ndarray, x: float, deriv: int = 0):
-        """v(x) or its derivative of order ``deriv`` from grid values by panel
-        interpolation; the rows of a 2-D v are evaluated together."""
-        return self.heat.point_eval(v, x, deriv)
-
     # -- transfer operators --------------------------------------------------
 
     def kernel_matrix(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -75,19 +70,6 @@ class CoefficientQuadrature:
     def apply_P(self, tau: float, V: np.ndarray) -> np.ndarray:
         """P(tau) applied to rows-last arrays of grid functions."""
         return self.heat.apply(self.kernel_matrix(tau), V)
-
-    def leading_row(self, tau: float, x: float, V: np.ndarray, deriv: bool) -> np.ndarray:
-        """[P(tau) v](x) (or its x-derivative) for each grid function in the
-        rows of V; small-tau limit handled by panel interpolation."""
-        nodes, w = self.grid.nodes, self.grid.weights
-        if tau >= self.tau_res:
-            d = x - nodes
-            row = np.exp(-d * d / (2.0 * tau)) / math.sqrt(2 * math.pi * tau) * w
-            if deriv:
-                row = row * (-(d / tau))
-            return V @ row
-        k = 1 if deriv else 0
-        return self.point_eval(V, x, k) + (tau / 2.0) * self.point_eval(V, x, k + 2)
 
     def u0_on_grid(self, u0: InitialCondition, s: float) -> np.ndarray:
         """u_bar(s, .) on the grid (s = 0 allowed)."""
@@ -129,7 +111,7 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
             V = quad.apply_P(s[k] - s[k - 1], V)
             V = (E[:, None, :] * V[None, ...]).reshape(-1, quad.grid.nodes.size)
             shape = (J,) + shape
-        lead = quad.leading_row(t - s[n - 1], x, V, deriv)
+        lead = V @ quad.heat.row(t - s[n - 1], x, deriv)
         out += w * lead.reshape(shape).T if n > 1 else w * lead
     return out
 

@@ -165,6 +165,9 @@ def _validate(cfg: RunConfig):
     for (t, x) in cfg.probes:
         if t <= 0:
             raise ConfigError(f"probes: time {t} must be positive")
+        if abs(x) + 6.0 * t ** 0.5 > cfg.quadrature_half_width:
+            raise ConfigError(f"probes: ({t}, {x}) needs |x| + 6 sqrt(t) <= quadrature.L "
+                              f"= {cfg.quadrature_half_width}")
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -27,6 +27,8 @@ __all__ = [
     "simplex_quadrature",
     "simplex_map",
     "graded_panels",
+    "tensor_rule",
+    "simplex_from_unit",
     "InitialCondition",
     "constant_ic",
     "sine_ic",
@@ -40,22 +42,20 @@ __all__ = [
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def heat_kernel(t: float, x) -> float | np.ndarray:
-    """Gaussian heat kernel p(t, x) = (2 pi t)^{-1/2} exp(-x^2 / (2t)), t > 0."""
-    if t <= 0:
+def heat_kernel(t, x) -> float | np.ndarray:
+    """Gaussian heat kernel p(t, x) = (2 pi t)^{-1/2} exp(-x^2 / (2t)), t > 0;
+    t and x broadcast against each other."""
+    if np.any(np.asarray(t) <= 0):
         raise ValueError(f"heat_kernel needs t > 0, got t = {t}")
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
+    out = np.asarray(-np.square(x, dtype=float) / (2.0 * t))
+    np.exp(out, out=out)  # in place: one allocation for a whole row block
+    out /= np.sqrt(2.0 * math.pi * t)
     return out if out.ndim else float(out)
 
 
-def heat_kernel_dx(t: float, x) -> float | np.ndarray:
+def heat_kernel_dx(t, x) -> float | np.ndarray:
     """Spatial derivative of the heat kernel: -(x/t) p(t, x)."""
-    if t <= 0:
-        raise ValueError(f"heat_kernel_dx needs t > 0, got t = {t}")
-    x = np.asarray(x, dtype=float)
-    out = -(x / t) * np.exp(-x * x / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-    return out if out.ndim else float(out)
+    return -(np.asarray(x, dtype=float) / t) * heat_kernel(t, x)
 
 
 def dxp_cross_inner(t1: float, t2: float, x1: float, x2: float) -> float:
@@ -162,17 +162,21 @@ class HeatOperator:
         self.D2 = self.D1 @ self.D1
         self.D2sq = self.D2 @ self.D2
 
+    def _taylor(self, tau, M: np.ndarray) -> np.ndarray:
+        """M times the Taylor block I + (tau/2) D2 + (tau^2/8) D2^2, one
+        product per entry of tau (leading axes)."""
+        tau = np.reshape(tau, np.shape(tau) + (1,) * M.ndim)
+        return M + (tau / 2.0) * (M @ self.D2) + (tau * tau / 8.0) * (M @ self.D2sq)
+
     def blocks(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """P(tau) as (panel offsets d, blocks K_d of shape (len(d), q, q))."""
         if tau < self.tau_res:
-            block = np.eye(self.q) + (tau / 2.0) * self.D2 + (tau * tau / 8.0) * self.D2sq
-            return np.zeros(1, dtype=int), block[None]
+            return np.zeros(1, dtype=int), self._taylor(tau, np.eye(self.q))[None]
         P = self.panels
         d = np.arange(-(P - 1), P)
         g = self.local_nodes
         diff = (d * self.width)[:, None, None] + (g[:, None] - g[None, :])
-        K = np.exp(-diff * diff / (2.0 * tau)) / math.sqrt(2 * math.pi * tau)
-        K *= self.local_weights
+        K = heat_kernel(tau, diff) * self.local_weights
         keep = np.any(K != 0.0, axis=(1, 2))
         return d[keep], K[keep]
 
@@ -192,25 +196,52 @@ class HeatOperator:
             out[lo:lo + k] += (src @ K.T).reshape(k, rows, q)
         return out.transpose(1, 0, 2).reshape(V.shape)
 
-    def point_eval(self, V: np.ndarray, x: float, deriv: int = 0):
-        """v(x) or its derivative of order ``deriv`` from the grid values of
-        each grid function in the rows of V, by interpolation on the panel
-        containing x."""
-        P, q = self.panels, self.q
-        p = int(np.clip((x + self.grid.half_width) // self.width, 0, P - 1))
-        sl = slice(p * q, (p + 1) * q)
+    def _interp(self, x: float) -> tuple[slice, np.ndarray]:
+        """The grid slice of the panel containing x and x's interpolation
+        weights on it."""
+        p = int(np.clip((x + self.grid.half_width) // self.width, 0, self.panels - 1))
+        sl = slice(p * self.q, (p + 1) * self.q)
         xs = self.grid.nodes[sl]
         if np.any(np.abs(xs - x) < 1e-14):
-            w = np.zeros(q)
+            w = np.zeros(self.q)
             w[int(np.argmin(np.abs(xs - x)))] = 1.0
         else:
             w = self.bary / (x - xs)
             w = w / w.sum()
+        return sl, w
+
+    def point_eval(self, V: np.ndarray, x: float, deriv: int = 0):
+        """v(x) or its derivative of order ``deriv`` from the grid values of
+        each grid function in the rows of V, by interpolation on the panel
+        containing x."""
+        sl, w = self._interp(x)
         block = np.asarray(V)[..., sl]
         for _ in range(deriv):
             block = block @ self.D1.T
         out = block @ w
         return float(out) if out.ndim == 0 else out
+
+    def row(self, tau, x: float, deriv: int = 0) -> np.ndarray:
+        """The quadrature row r with [P(tau) v](x) = r . v, or with the
+        x-derivative of P(tau) v for ``deriv`` = 1; an array of tau gives one
+        row per entry, shape (len(tau), m).
+
+        At or above tau_res r is the Gaussian kernel row times the grid
+        weights; below it, x's panel-interpolation weights times D1^deriv
+        times the Taylor block of ``blocks``.
+        """
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+        small = taus < self.tau_res
+        out = np.zeros((taus.size, self.grid.nodes.size))
+        if not small.all():
+            kernel = heat_kernel_dx if deriv else heat_kernel
+            gauss = kernel(taus[~small, None], x - self.grid.nodes)
+            gauss *= self.grid.weights
+            out[~small] = gauss
+        if small.any():
+            sl, w = self._interp(x)
+            out[small, sl] = self._taylor(taus[small], w @ self.D1 if deriv else w)
+        return out if np.ndim(tau) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +337,25 @@ def _coverage_check(grid: QuadratureGrid, t: float, x: float):
             f"(need |x| + 6 sqrt(t))")
 
 
-def apply_heat_semigroup(u0: InitialCondition, t: float, x, grid: QuadratureGrid) -> float | np.ndarray:
-    """(P_t u0)(x) = int p(t, x - y) u0(y) dy by line quadrature."""
+def _semigroup_quadrature(kernel, u0: InitialCondition, t: float, x, grid: QuadratureGrid):
+    """int kernel(t, x - y) u0(y) dy by line quadrature, at each x."""
     if t <= 0:
-        raise ValueError("apply_heat_semigroup needs t > 0")
+        raise ValueError(f"the heat semigroup needs t > 0, got t = {t}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     for xv in xs:
         _coverage_check(grid, t, float(xv))
-    vals = u0(grid.nodes) * grid.weights
-    diff = xs[:, None] - grid.nodes[None, :]
-    out = np.exp(-diff * diff / (2.0 * t)) @ vals / math.sqrt(2.0 * math.pi * t)
+    out = kernel(t, xs[:, None] - grid.nodes[None, :]) @ (u0(grid.nodes) * grid.weights)
     return out if np.ndim(x) else float(out[0])
+
+
+def apply_heat_semigroup(u0: InitialCondition, t: float, x, grid: QuadratureGrid) -> float | np.ndarray:
+    """(P_t u0)(x) = int p(t, x - y) u0(y) dy by line quadrature."""
+    return _semigroup_quadrature(heat_kernel, u0, t, x, grid)
 
 
 def apply_heat_semigroup_dx(u0: InitialCondition, t: float, x, grid: QuadratureGrid) -> float | np.ndarray:
     """d/dx of the heat semigroup, int dxp(t, x - y) u0(y) dy."""
-    if t <= 0:
-        raise ValueError("apply_heat_semigroup_dx needs t > 0")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    for xv in xs:
-        _coverage_check(grid, t, float(xv))
-    vals = u0(grid.nodes) * grid.weights
-    diff = xs[:, None] - grid.nodes[None, :]
-    kernel = -(diff / t) * np.exp(-diff * diff / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-    out = kernel @ vals
-    return out if np.ndim(x) else float(out[0])
+    return _semigroup_quadrature(heat_kernel_dx, u0, t, x, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +389,10 @@ class SimplexSpec:
 SIMPLEX_ORDER_CAP = 4  # cost grows as points^n; higher orders use other engines
 
 
-def graded_panels(n_points: int, grading: float, both_ends: bool = True,
-                  warp: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def graded_panels(n_points: int, grading: float,
+                  both_ends: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights on (0,1) from Gauss-Legendre panels graded toward the
-    endpoint(s): panel edges u^grading (and mirrored when both_ends).
-
-    With ``warp`` the smoothstep substitution x = 3 xi^2 - 2 xi^3 is applied
-    on top; its Jacobian 6 xi (1 - xi) turns x^{-1/2}- and (1-x)^{-1/2}-type
-    endpoint singularities into smooth integrands (and softens any exponent
-    > -1), which plain graded Gauss panels resolve poorly.
-    """
+    endpoint(s): panel edges u^grading (and mirrored when both_ends)."""
     per_panel = 6
     if both_ends:
         n_half = max(1, round(n_points / (2 * per_panel)))
@@ -387,36 +406,54 @@ def graded_panels(n_points: int, grading: float, both_ends: bool = True,
                          for lo, hi in zip(edges[:-1], edges[1:])])
     ws = np.concatenate([0.5 * (hi - lo) * gw
                          for lo, hi in zip(edges[:-1], edges[1:])])
-    if warp:
-        ws = ws * 6.0 * xs * (1.0 - xs)
-        xs = xs * xs * (3.0 - 2.0 * xs)
     return xs, ws
 
 
+def tensor_rule(xs: np.ndarray, ws: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dim-fold tensor product of the rule (xs, ws): nodes (len(xs)^dim,
+    dim), with the last axis varying fastest, and their weights."""
+    grids = np.meshgrid(*([xs] * dim), indexing="ij")
+    wmesh = np.ones_like(grids[0])
+    for wa in np.ix_(*([ws] * dim)):
+        wmesh = wmesh * wa
+    return np.stack([g.ravel() for g in grids], axis=1), wmesh.ravel()
+
+
+def simplex_from_unit(U: np.ndarray, horizon: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map unit-cube rows to ordered simplex times v_1 <= ... <= v_n <= horizon
+    (a scalar or one horizon per row); returns (times (B, n), Jacobians (B,)).
+
+    Each axis first takes the smoothstep warp x = 3 u^2 - 2 u^3; its Jacobian
+    6 u (1 - u) turns x^{-1/2}- and (1-x)^{-1/2}-type endpoint singularities
+    into smooth integrands (and softens any exponent > -1), which plain
+    graded Gauss panels resolve poorly.  Then the nested substitution
+    v_n = horizon x_n, v_k = v_{k+1} x_k adds the factor horizon prod_{k>=2} v_k.
+    """
+    B, n = U.shape
+    X = U * U * (3.0 - 2.0 * U)
+    jac = np.ones(B)
+    for k in range(n):
+        jac *= 6.0 * U[:, k] * (1.0 - U[:, k])
+    V = np.empty_like(U)
+    V[:, n - 1] = horizon * X[:, n - 1]
+    jac = jac * horizon
+    for k in range(n - 2, -1, -1):
+        V[:, k] = V[:, k + 1] * X[:, k]
+        jac = jac * V[:, k + 1]
+    return V, jac
+
+
 def simplex_map(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor quadrature for the ordered simplex via the nested substitution
-    s_n = t x_n, s_{k} = s_{k+1} x_k with x in (0,1)^n.
+    """Tensor quadrature for the ordered simplex {0 <= s_1 <= ... <= s_n <= t}
+    through ``simplex_from_unit``.
 
     Returns (points, weights): points has shape (n_nodes, n) with ordered
-    rows 0 <= s_1 <= ... <= s_n <= t; weights include the Jacobian
-    prod_{k=2..n} s_k * t.  Axes are double-graded so integrable endpoint and
-    consecutive-gap singularities converge.
+    rows; weights include the Jacobian.  Axes are double-graded so integrable
+    endpoint and consecutive-gap singularities converge.
     """
-    n, t = spec.order, spec.horizon
-    xs, ws = graded_panels(spec.points_per_axis, spec.grading, both_ends=True, warp=True)
-    grids = np.meshgrid(*([xs] * n), indexing="ij")
-    wmesh = np.ones_like(grids[0])
-    for waxis in np.ix_(*([ws] * n)):
-        wmesh = wmesh * waxis
-    X = [g.ravel() for g in grids]
-    w = wmesh.ravel().copy()
-    s = [np.empty_like(X[0]) for _ in range(n)]
-    s[n - 1] = t * X[n - 1]
-    w *= t
-    for k in range(n - 2, -1, -1):
-        s[k] = s[k + 1] * X[k]
-        w *= s[k + 1]
-    return np.stack(s, axis=1), w
+    U, w = tensor_rule(*graded_panels(spec.points_per_axis, spec.grading), spec.order)
+    S, jac = simplex_from_unit(U, spec.horizon)
+    return S, jac * w
 
 
 def simplex_quadrature(spec: SimplexSpec, integrand: Callable[..., np.ndarray]) -> float:

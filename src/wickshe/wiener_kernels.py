@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientQuadrature
-from .kernels import InitialCondition, SimplexSpec, simplex_map
+from .kernels import InitialCondition, SimplexSpec, apply_heat_semigroup, simplex_map
 
 __all__ = [
     "WienerKernel",
@@ -69,33 +69,18 @@ class WienerKernel:
 
 
 class _ChainContext:
-    """Precomputed simplex nodes and a point-wise semigroup evaluator."""
+    """Precomputed simplex nodes and the initial datum on the line grid.  The
+    chains' tail u_bar(tau, xi) is the heat operator's row at (tau, xi)
+    applied to that datum, one row per time node."""
 
     def __init__(self, n: int, t: float, u0: InitialCondition,
                  quad: CoefficientQuadrature | None = None, time_points: int = 16):
-        self.n, self.t, self.u0 = n, t, u0
+        self.n, self.t = n, t
         self.quad = quad or CoefficientQuadrature()
+        self.u0_grid = u0(self.quad.grid.nodes)
         spec = SimplexSpec(order=n, horizon=t, points_per_axis=time_points, grading=2.0)
         self.w_nodes, self.w_weights = simplex_map(spec)
 
-    def u0bar_at(self, taus: np.ndarray, xi: float) -> np.ndarray:
-        """u_bar(tau_i, xi) vectorized over the time nodes."""
-        quad, u0 = self.quad, self.u0
-        taus = np.asarray(taus, dtype=float)
-        out = np.empty_like(taus)
-        small = taus < quad.tau_res
-        if np.any(~small):
-            tt = taus[~small]
-            d = xi - quad.grid.nodes[None, :]
-            ker = np.exp(-d * d / (2.0 * tt[:, None])) / np.sqrt(2 * math.pi * tt[:, None])
-            out[~small] = ker @ (u0(quad.grid.nodes) * quad.grid.weights)
-        if np.any(small):
-            # the Taylor block I + (tau/2) D2 + (tau^2/8) D2^2 of HeatOperator
-            base = u0(quad.grid.nodes)
-            v0, v2, v4 = (quad.point_eval(base, xi, k) for k in (0, 2, 4))
-            ts = taus[small]
-            out[small] = v0 + 0.5 * ts * v2 + 0.125 * ts * ts * v4
-        return out
 
 def _forward_chain(ctx: _ChainContext, x: float, visits: np.ndarray) -> float:
     """G(t, x; visits) -- forward chain through the given visit sequence."""
@@ -113,7 +98,7 @@ def _forward_chain(ctx: _ChainContext, x: float, visits: np.ndarray) -> float:
         log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
     vals = np.exp(np.sum(log_vals, axis=1))
     vals = np.where(np.isfinite(vals), vals, 0.0)  # zero-gap, non-zero-step limit
-    tail = ctx.u0bar_at(t - W[:, n - 1], float(visits[n - 1]))
+    tail = ctx.quad.heat.row(t - W[:, n - 1], float(visits[n - 1])) @ ctx.u0_grid
     return float(np.dot(ctx.w_weights, vals * tail))
 
 
@@ -180,7 +165,7 @@ def cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
             log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
         vals = np.exp(np.sum(log_vals, axis=1))
         vals = np.where(np.isfinite(vals), vals, 0.0)
-        tail = ctx.u0bar_at(S[:, 0], float(y[0]))
+        tail = ctx.quad.heat.row(S[:, 0], float(y[0])) @ ctx.u0_grid
         return float(np.dot(ctx.w_weights, vals * tail))
 
     return WienerKernel(order=n, point=(t, x), label="cs",
@@ -214,7 +199,6 @@ def _check_order(n: int):
 
 def _order_zero(t: float, x: float, u0: InitialCondition,
                 quad: CoefficientQuadrature | None, label: str) -> WienerKernel:
-    from .kernels import apply_heat_semigroup
     quad = quad or CoefficientQuadrature()
     val = float(apply_heat_semigroup(u0, t, x, quad.grid))
     return WienerKernel(order=0, point=(t, x), label=label,

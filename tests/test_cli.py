@@ -10,6 +10,7 @@ import wickshe
 from wickshe.cli import encode_alpha, main, run, write_csv
 from wickshe.basis import MultiIndex
 from wickshe.config import ConfigError, parse_config
+from wickshe.kernels import build_line_grid
 
 
 def write_cfg(tmp_path: Path, text: str) -> Path:
@@ -123,13 +124,25 @@ class TestRunner:
         assert main(["fk", "--config", str(cfg)]) == 2
         assert "20000 noise draws" in capsys.readouterr().err
 
-    def test_engine_error_exit_3(self, tmp_path, capsys):
-        # x = 9 is outside the default quadrature.L = 12 coverage at t = 0.5
+    def test_uncovered_probe_is_a_config_error(self, tmp_path, capsys):
+        # |x| + 6 sqrt(t) = 15.7 exceeds the default quadrature.L = 12
         cfg = write_cfg(tmp_path, "seed = 1\ntruncation.N = 2\ntruncation.J = 2\n"
-                                  f"probes = 0.5,9.0\noutput_dir = {tmp_path / 'out'}\n")
+                                  f"probes = 0.5,11.5\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["chaos", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "quadrature.L" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_engine_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the parser admits x = 5 at t = 0.5 on quadrature.L = 12; a 6-wide
+        # semigroup grid then fails the library's own coverage check
+        monkeypatch.setattr("wickshe.cli.build_line_grid",
+                            lambda half_width, panels: build_line_grid(6.0, panels))
+        cfg = write_cfg(tmp_path, "seed = 1\ntruncation.N = 2\ntruncation.J = 2\n"
+                                  f"probes = 0.5,5.0\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["chaos", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("engine error:") and "x = 9.0" in err
+        assert err.startswith("engine error:") and "x = 5.0" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_equivalence_run_and_report(self, tmp_path, capsys):

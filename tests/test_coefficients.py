@@ -182,13 +182,36 @@ class TestHeatOperator:
         bw = 1.0 / gap.prod(axis=1)
         lw = bw / (x - xs)
         ref = float(lw @ dv[sl] / lw.sum())
-        got = coeff_quad.point_eval(v, x, deriv)
+        got = coeff_quad.heat.point_eval(v, x, deriv)
         # rounding of a deriv-fold differentiation grows as |D|^deriv
         norm_D = np.abs(coeff_quad.heat.D1).sum(axis=1).max()
         tol = 1e-15 * norm_D ** deriv * np.abs(v[sl]).max()
         assert got == pytest.approx(ref, abs=tol)
-        rows = coeff_quad.point_eval(np.stack([v, 2.0 * v]), x, deriv)
+        rows = coeff_quad.heat.point_eval(np.stack([v, 2.0 * v]), x, deriv)
         np.testing.assert_allclose(rows, [ref, 2.0 * ref], rtol=0.0, atol=2.0 * tol)
+
+    @pytest.mark.parametrize("factor", [0.25, 0.99, 1.01, 50.0])
+    def test_row_and_apply_match_closed_form(self, factor, coeff_quad):
+        # P(tau) exp(-x^2) = (1 + 2 tau)^{-1/2} exp(-x^2 / (1 + 2 tau)), on both
+        # sides of the switch to the Taylor block at tau_res
+        tau = factor * coeff_quad.tau_res
+        heat, nodes = coeff_quad.heat, coeff_quad.grid.nodes
+        v = np.exp(-nodes * nodes)
+        s = 1.0 + 2.0 * tau
+        for x in (0.0, 0.37, -1.3, 2.1):
+            exact = math.exp(-x * x / s) / math.sqrt(s)
+            assert heat.row(tau, x) @ v == pytest.approx(exact, abs=1e-5)
+            assert heat.row(tau, x, deriv=1) @ v == pytest.approx(-2.0 * x / s * exact, abs=1e-5)
+        np.testing.assert_allclose(coeff_quad.apply_P(tau, v),
+                                   np.exp(-nodes * nodes / s) / math.sqrt(s), rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_row_block_is_rows_per_tau(self, deriv, coeff_quad):
+        taus = coeff_quad.tau_res * np.array([50.0, 0.25, 1.01, 0.99])
+        rows = coeff_quad.heat.row(taus, 0.37, deriv)
+        assert rows.shape == (taus.size, coeff_quad.grid.nodes.size)
+        for tau, r in zip(taus, rows):
+            np.testing.assert_array_equal(r, coeff_quad.heat.row(tau, 0.37, deriv))
 
     def test_holds_no_dense_matrix(self, coeff_quad):
         m = coeff_quad.grid.nodes.size

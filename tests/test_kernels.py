@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from wickshe.kernels import (SimplexSpec, apply_heat_semigroup, apply_heat_semigroup_dx,
-                             build_line_grid, constant_ic, dxp_cross_inner,
-                             heat_kernel, heat_kernel_dx,
-                             initial_condition_from_tag, simplex_quadrature, sine_ic)
+                             build_line_grid, constant_ic, dxp_cross_inner, graded_panels,
+                             heat_kernel, heat_kernel_dx, initial_condition_from_tag,
+                             simplex_from_unit, simplex_map, simplex_quadrature, sine_ic,
+                             tensor_rule)
 
 
 class TestHeatKernel:
@@ -116,15 +117,21 @@ class TestInitialConditions:
 
 
 class TestSimplexQuadrature:
-    def test_volume_order_one(self):
-        spec = SimplexSpec(order=1, horizon=2.0, points_per_axis=24)
-        assert simplex_quadrature(spec, lambda s: np.ones_like(s)) == pytest.approx(
-            2.0, abs=1e-10)
-
-    def test_volume_order_two(self):
-        spec = SimplexSpec(order=2, horizon=1.0, points_per_axis=24)
-        assert simplex_quadrature(spec, lambda a, b: np.ones_like(a)) == pytest.approx(
-            0.5, abs=1e-8)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rule", ["simplex_map", "chain"])
+    def test_volume(self, rule, order):
+        # the double-graded rule of simplex_map and the one-sided rule of the
+        # chain-pairing engine, both through simplex_from_unit
+        t = 1.7
+        if rule == "simplex_map":
+            pts, w = simplex_map(SimplexSpec(order=order, horizon=t, points_per_axis=24))
+        else:
+            U, wq = tensor_rule(*graded_panels(30, 2.5, both_ends=False), order)
+            pts, jac = simplex_from_unit(U, t)
+            w = wq * jac
+        assert w.sum() == pytest.approx(t ** order / math.factorial(order), rel=1e-12)
+        assert pts.shape == (w.size, order)
+        assert 0.0 < pts.min() and pts.max() < t and np.all(np.diff(pts, axis=1) >= 0.0)
 
     def test_singular_integrand_vs_adaptive(self):
         # (s2-s1)^{-1/2} (1-s2)^{-1/2} on the unit 2-simplex
