@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
     "hermite_function_dx",
     "hermite_function_table",
     "enumerate_multiindices",
+    "FORCING_CHUNK",
+    "ForcingChunk",
     "LevelWiring",
     "evaluate_sym_basis",
     "sample_xi",
@@ -103,9 +105,6 @@ class MultiIndex:
         n = max(len(self.entries), len(other.entries))
         return MultiIndex(tuple(self.entry(j) + other.entry(j) for j in range(1, n + 1)))
 
-    def padded(self, width: int) -> tuple[int, ...]:
-        return self.entries + (0,) * (width - len(self.entries))
-
     def __repr__(self) -> str:  # compact: (0), (1,0,2), ...
         return "(" + ",".join(map(str, self.entries)) + ")" if self.entries else "(0)"
 
@@ -131,6 +130,13 @@ class TruncationSpec:
         """Number of enumerated indices: sum_{n<=N} C(n+J-1, J-1)."""
         return sum(math.comb(n + self.max_mode - 1, self.max_mode - 1)
                    for n in range(self.max_order + 1))
+
+    def lowerings(self) -> int:
+        """Number of pairs (alpha, j) with alpha_j >= 1, i.e. of forcing terms:
+        alpha lowered at j runs once over every index of degree < N, per j."""
+        if self.max_order == 0:
+            return 0
+        return self.max_mode * TruncationSpec(self.max_order - 1, self.max_mode).count()
 
     def contains(self, alpha: MultiIndex) -> bool:
         return alpha.degree() <= self.max_order and len(alpha.entries) <= self.max_mode
@@ -239,45 +245,81 @@ def enumerate_multiindices(spec: TruncationSpec, cap: int = 2_000_000) -> list[M
     return out
 
 
-class LevelWiring:
-    """Forcing wiring of the triangular coefficient system, in which alpha is
-    forced by sqrt(alpha_j) e_j u_{alpha lowered at j}; shared by both sweeps.
+FORCING_CHUNK = 256  # rows of one level whose forcing is built at a time
 
-    ``slices[n]`` is level n's contiguous block of the graded index list and
-    ``modes[n]`` lists, by ascending mode j, ``(j - 1, rows, parents, weights)``:
-    the rows within the level that carry mode j, the parents' indices in the
-    list and sqrt(alpha_j) as a column.  A row appears at most once per mode.
+
+class ForcingChunk(NamedTuple):
+    """Up to ``FORCING_CHUNK`` consecutive rows of one level and their wiring.
+
+    ``block`` is the chunk's slice of the graded index list.  ``modes`` lists,
+    by ascending mode j, ``(j - 1, rows, parents, weighted)``: the rows within
+    the chunk that carry mode j (a slice where they run contiguously), the
+    parents' indices in the list, and sqrt(alpha_j) * e_j on the grid, one row
+    per entry of ``rows``.  A row appears at most once per mode.
     """
 
-    def __init__(self, indices: Sequence[MultiIndex]):
+    block: slice
+    modes: list[tuple[int, slice | np.ndarray, np.ndarray, np.ndarray]]
+
+    @property
+    def size(self) -> int:
+        return self.block.stop - self.block.start
+
+
+class LevelWiring:
+    """Forcing plan of the triangular coefficient system on one grid, in which
+    alpha is forced by sqrt(alpha_j) e_j u_{alpha lowered at j}; shared by
+    both sweeps.
+
+    ``E`` holds e_1..e_J on the grid, one row per mode.  ``slices[n]`` is level
+    n's contiguous block of the graded index list and ``chunks[n]`` splits it
+    into ``ForcingChunk`` runs of at most ``FORCING_CHUNK`` rows, so that a
+    chunk's forcing, state and transforms stay in cache.  The products
+    sqrt(alpha_j) * e_j are formed once here; ``spec.lowerings()`` of them
+    exist, one grid row each.
+    """
+
+    def __init__(self, indices: Sequence[MultiIndex], E: np.ndarray):
         index_of = {a: i for i, a in enumerate(indices)}
         degrees = [a.degree() for a in indices]
         self.slices: list[slice] = []
-        self.modes: list[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = []
+        self.chunks: list[list[ForcingChunk]] = []
         for n in range(max(degrees) + 1):
             start = degrees.index(n)
             stop = start + degrees.count(n)
             if set(degrees[start:stop]) != {n}:
                 raise ValueError(f"level {n} is not contiguous in the index list")
-            by_mode: dict[int, list[tuple[int, int, float]]] = {}
-            for r, a in enumerate(indices[start:stop]):
-                for j in a.support():
-                    by_mode.setdefault(j, []).append(
-                        (r, index_of[a.lowered(j)], math.sqrt(a.entry(j))))
             self.slices.append(slice(start, stop))
-            self.modes.append([])
-            for j in sorted(by_mode):
-                rows, parents, weights = map(np.array, zip(*by_mode[j]))
-                self.modes[-1].append((j - 1, rows, parents, weights[:, None]))
+            self.chunks.append([])
+            for lo in range(start, stop, FORCING_CHUNK):
+                block = slice(lo, min(lo + FORCING_CHUNK, stop))
+                by_mode: dict[int, list[tuple[int, int, float]]] = {}
+                for r, a in enumerate(indices[block]):
+                    for j in a.support():
+                        by_mode.setdefault(j, []).append(
+                            (r, index_of[a.lowered(j)], math.sqrt(a.entry(j))))
+                modes = []
+                for j in sorted(by_mode):
+                    rows, parents, weights = map(np.array, zip(*by_mode[j]))
+                    if rows[-1] - rows[0] + 1 == rows.size:
+                        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+                    modes.append((j - 1, rows, parents, weights[:, None] * E[j - 1]))
+                self.chunks[-1].append(ForcingChunk(block, modes))
+        self._term = np.empty((FORCING_CHUNK, E.shape[1]))
 
-    def forcing(self, n: int, E: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """Level n's forcing, one row per member; modes are added onto zeros in
-        ascending order, each as (weights * E[j - 1]) * state[parents]."""
-        sl = self.slices[n]
-        F = np.zeros((sl.stop - sl.start, state.shape[1]))
-        for j0, rows, parents, weights in self.modes[n]:
-            F[rows] += weights * E[j0] * state[parents]
-        return F
+    def force(self, chunk: ForcingChunk, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write one chunk's forcing into ``out`` and return it.  Modes are added
+        onto zeros in ascending order, each as (sqrt(alpha_j) * e_j) *
+        state[parents]; only the wiring's own scratch row block is touched, so
+        one wiring serves one sweep at a time."""
+        out.fill(0.0)
+        for _, rows, parents, weighted in chunk.modes:
+            # mode="raise" would gather through a temporary; parents are in range
+            term = np.take(state, parents, axis=0, out=self._term[:parents.size],
+                           mode="clip")
+            np.multiply(weighted, term, out=term)
+            out[rows] += term
+        return out
 
 
 def _distinct_permutations(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

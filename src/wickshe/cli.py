@@ -86,14 +86,19 @@ def _spectral_dt(probes: Sequence[tuple[float, float]]) -> float:
     return dt
 
 
-def _spectral_field(cfg: RunConfig, times: Sequence[float]) -> SpectralChaosField:
+def _spectral_field(cfg: RunConfig) -> SpectralChaosField:
     spec = TruncationSpec(cfg.truncation_order, cfg.truncation_modes)
-    dt = _spectral_dt([(t, 0.0) for t in times])
+    dt = _spectral_dt(cfg.probes)
     try:
         f = SpectralChaosField(spec, cfg.initial_condition(), dt=dt)
-    except ValueError as exc:  # e.g. non-periodizable initial condition
+    except ValueError as exc:  # non-periodizable initial condition, state over budget
         raise ConfigError(str(exc)) from exc
-    f.run(sorted(set(times)))
+    for (t, x) in cfg.probes:
+        # beyond the periodic domain the engine would answer for an image point
+        if abs(x) + 6.0 * math.sqrt(t) > f.L:
+            raise ConfigError(f"probes: ({t}, {x}) needs |x| + 6 sqrt(t) <= {f.L:.6g}, "
+                              f"the half-width of the spectral engine's periodic domain")
+    f.run(sorted({t for (t, _) in cfg.probes}))
     return f
 
 
@@ -102,8 +107,7 @@ def _spectral_field(cfg: RunConfig, times: Sequence[float]) -> SpectralChaosFiel
 
 
 def run_chaos(cfg: RunConfig, out: Path, report: RunReport):
-    times = [t for (t, _) in cfg.probes]
-    fld = _spectral_field(cfg, times)
+    fld = _spectral_field(cfg)
     grid = build_line_grid(cfg.quadrature_half_width, cfg.quadrature_panels)
     u0 = cfg.initial_condition()
     rows = []
@@ -121,8 +125,7 @@ def run_chaos(cfg: RunConfig, out: Path, report: RunReport):
 
 
 def run_derivative(cfg: RunConfig, out: Path, report: RunReport):
-    times = [t for (t, _) in cfg.probes]
-    fld = _spectral_field(cfg, times)
+    fld = _spectral_field(cfg)
     spec2 = TruncationSpec(min(cfg.truncation_order, 2), cfg.truncation_modes)
     quad = CoefficientQuadrature(half_width=cfg.quadrature_half_width,
                                  panels=cfg.quadrature_panels,
@@ -258,8 +261,7 @@ def _phi_modes(phi, J: int) -> tuple[np.ndarray, float]:
 
 
 def run_stransform_compare(cfg: RunConfig, out: Path, report: RunReport):
-    times = [t for (t, _) in cfg.probes]
-    fld = _spectral_field(cfg, times)
+    fld = _spectral_field(cfg)
     u0 = cfg.initial_condition()
     rows = []
     ok = True

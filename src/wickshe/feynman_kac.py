@@ -63,15 +63,17 @@ __all__ = [
     "ordered_map",
     "occupation_profiles",
     "EnsembleMemoryError",
+    "check_array_budget",
 ]
 
 DEFAULT_BLOCK = 2000
 PROFILE_CHUNK = 128  # rows that occupation_profiles bins at a time
-ARRAY_BUDGET_BYTES = 1 << 30  # largest float64 array one ensemble step may allocate
+ARRAY_BUDGET_BYTES = 1 << 30  # largest array an ensemble step or a coefficient state may take
 
 
 class EnsembleMemoryError(ValueError):
-    """Raised before allocation when an ensemble array would exceed the budget."""
+    """Raised before allocation when an ensemble array, or the state of a
+    coefficient sweep, would exceed the budget."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,8 @@ def psi_sample(profile: LocalTimeProfile, noise: NoiseRealization) -> PsiSample:
 # blocked ensembles
 
 
-def _check_budget(n_values: int, what: str):
+def check_array_budget(n_values: int, what: str):
+    """Refuse ``what``, which holds ``n_values`` float64 values, over budget."""
     nbytes = 8 * n_values
     if nbytes > ARRAY_BUDGET_BYTES:
         raise EnsembleMemoryError(f"{what} needs {nbytes / 2**30:.3g} GiB, over the "
@@ -299,7 +302,7 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
     n_steps = math.ceil(t / dt - 1e-12)
     n_levels = 0 if levels is None else levels.size
     width, unit = (n_steps, "steps") if n_steps >= n_levels else (n_levels, "levels")
-    _check_budget(DEFAULT_BLOCK * width, f"a block of {DEFAULT_BLOCK} paths x {width} {unit}")
+    check_array_budget(DEFAULT_BLOCK * width, f"a block of {DEFAULT_BLOCK} paths x {width} {unit}")
     steps = np.diff(_time_grid(t, dt))
 
     def one_block(b: int):
@@ -485,7 +488,7 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     independent (path, noise) pairs, E exp(Psi) = 1 exactly in expectation.
     """
     levels = build_level_grid(t, x, delta_a)
-    _check_budget(n_noise * levels.size, f"{n_noise} noise draws x {levels.size} levels")
+    check_array_budget(n_noise * levels.size, f"{n_noise} noise draws x {levels.size} levels")
     da = float(levels[1] - levels[0])
     path = simulate_path(t, dt, x, substream(stream_seed, "psi-path"))
     prof = local_time(path, levels)

@@ -12,9 +12,13 @@ sweep is independent of the simplex-quadrature coefficient path and serves
 as its oracle.
 
 Each step advances one whole level |alpha| = n at a time: the level's
-forcing comes from the shared ``basis.LevelWiring`` (as in the spectral
-sweep), the new forcing is carried to the next step, and the level's
-coefficients are one right-hand-side block of a single banded solve.
+forcing comes from the forcing plan of the shared ``basis.LevelWiring`` (as
+in the spectral sweep) and is carried to the next step, the right-hand side
+is built in place in the level's rows of the next state, and a single banded
+solve overwrites it with the level's coefficients.  Forcings and states
+live in buffers allocated once per sweep; a state (plus the plan) over
+``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the indices are
+enumerated.
 
 Dirichlet values at the lattice ends: level 0 takes heat-semigroup values of
 the initial datum, all higher levels take zero (their forcings decay like
@@ -32,6 +36,7 @@ from scipy.linalg import solve_banded
 from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
                     hermite_function_table)
 from .chaos import ChaosCoefficients
+from .feynman_kac import check_array_budget
 from .kernels import InitialCondition, apply_heat_semigroup, build_line_grid
 
 __all__ = ["PropagatorGrid", "PropagatorSolution", "propagator_oracle"]
@@ -120,13 +125,16 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
     grid = grid or PropagatorGrid()
     x = grid.x
     nx = x.size
-    indices = enumerate_multiindices(spec)
-    wiring = LevelWiring(indices)
     J = spec.max_mode
+    check_array_budget((spec.count() + spec.lowerings()) * nx,
+                       f"the propagator state and forcing plan of {spec.count()} "
+                       f"indices x {nx} lattice nodes")
+    indices = enumerate_multiindices(spec)
     if mode_functions is None:
         E = hermite_function_table(J, x)
     else:
         E = np.stack([np.asarray(mode_functions(j, x), dtype=float) for j in range(1, J + 1)])
+    wiring = LevelWiring(indices, E)
 
     steps_of = {}
     for t_req in snapshot_times:
@@ -144,30 +152,40 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
 
     U = np.zeros((len(indices), nx))
     U[0] = u0(x)  # the zero index leads the graded order
+    U_new = np.zeros_like(U)
+    f_old, f_new = np.empty_like(U), np.empty_like(U)
+    for chunk in (c for level in wiring.chunks for c in level):
+        wiring.force(chunk, U, f_old[chunk.block])
 
     lam = grid.dt / (4.0 * grid.dx * grid.dx)  # (dt/2) * (1/2) / dx^2
     ab = _tridiagonal_banded(nx, lam)
-
-    def stencil(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        out[:, 1:-1] = v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]
-        return out
+    # explicit: (U + 2 lam S) + dt f_old; implicit: (U + lam S) + (dt/2)(f_old + f_new)
+    stencil_w, forcing_w = (2.0 * lam, grid.dt) if grid.explicit else (lam, 0.5 * grid.dt)
 
     sol = PropagatorSolution(grid=grid, spec=spec, indices=indices)
-    f_old = [wiring.forcing(n, E, U) for n in range(len(wiring.slices))]
-    U_new = np.zeros_like(U)
     for k in range(1, n_steps + 1):
         for n, sl in enumerate(wiring.slices):
-            f_new = wiring.forcing(n, E, U_new)  # lower levels already advanced
-            if grid.explicit:
-                v = U[sl] + 2.0 * lam * stencil(U[sl]) + grid.dt * f_old[n]
-            else:
-                v = U[sl] + lam * stencil(U[sl]) + 0.5 * grid.dt * (f_old[n] + f_new)
-            v[:, 0] = bc_lo[k - 1] if n == 0 else 0.0
-            v[:, -1] = bc_hi[k - 1] if n == 0 else 0.0
-            U_new[sl] = v if grid.explicit else solve_banded((1, 1), ab, v.T).T
-            f_old[n] = f_new
+            for chunk in wiring.chunks[n]:  # lower levels already advanced
+                wiring.force(chunk, U_new, f_new[chunk.block])
+            # the right-hand side is built in U_new[sl] and solved in place
+            u, rhs = U[sl], U_new[sl]
+            inner = rhs[:, 1:-1]  # S = (U[:-2] - 2 U[1:-1]) + U[2:]
+            np.multiply(2.0, u[:, 1:-1], out=inner)
+            np.subtract(u[:, :-2], inner, out=inner)
+            inner += u[:, 2:]
+            inner *= stencil_w
+            inner += u[:, 1:-1]
+            f = f_old[sl]
+            if not grid.explicit:
+                f += f_new[sl]
+            f *= forcing_w
+            inner += f[:, 1:-1]
+            rhs[:, 0] = bc_lo[k - 1] if n == 0 else 0.0
+            rhs[:, -1] = bc_hi[k - 1] if n == 0 else 0.0
+            if not grid.explicit:  # solved in place, so the assignment copies nothing
+                U_new[sl] = solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T
         U, U_new = U_new, U
+        f_old, f_new = f_new, f_old
         if not np.all(np.isfinite(U)):
             raise FloatingPointError(f"propagator sweep blew up at step {k}")
         if k in steps_of:

@@ -6,13 +6,21 @@ Duhamel integral over each step is evaluated with the phi-function trapezoid
 (second order in dt, spectrally accurate in space).  This engine supplies
 per-point coefficient tables for S-transform cross-checks, order-norm scans
 at deep truncations, and the moment-curve machinery; it is cheap enough to
-carry thousands of multi-indices.  The forcing of each level is built from
-the shared ``basis.LevelWiring``: one in-place indexed add per mode.
+carry thousands of multi-indices.
+
+Each step runs level by level, and each level chunk by chunk through the
+forcing plan of the shared ``basis.LevelWiring``: the chunk's forcing, its
+transform and the update all write into buffers reused across steps, and two
+state buffers are swapped instead of allocated.  The top level forces
+nothing, so its real-space values are never transformed back.  A state (plus
+the plan) over ``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the
+indices are enumerated.
 
 The domain is [-L, L) periodic with L = 4 pi by default: the sine initial
 datum is exactly periodic there and Hermite-function mass beyond |x| = 4 pi
 is ~ 5e-35, so periodization error is far below double precision.  Initial
-data must be compatible with the periodic extension (checked).
+data must be compatible with the periodic extension, and evaluation points
+must lie in [-L, L) (both checked).
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .basis import (LevelWiring, TruncationSpec, enumerate_multiindices,
+from .basis import (FORCING_CHUNK, LevelWiring, TruncationSpec, enumerate_multiindices,
                     hermite_function_table)
 from .chaos import ChaosCoefficients
+from .feynman_kac import check_array_budget
 from .kernels import InitialCondition
 
 __all__ = ["SpectralChaosField"]
@@ -61,17 +70,18 @@ class SpectralChaosField:
         self.w_old = dt * (phi1 - phi2)
         self.w_new = dt * phi2
 
+        # the complex state, then the plan's sqrt(alpha_j) * e_j rows
+        check_array_budget(spec.count() * 2 * self.k.size + spec.lowerings() * modes,
+                           f"the spectral state and forcing plan of {spec.count()} "
+                           f"indices x {modes} modes")
         self.indices = enumerate_multiindices(spec)
         self.levels = np.array([a.degree() for a in self.indices])
         self.E = hermite_function_table(spec.max_mode, self.x)
 
-        self.wiring = LevelWiring(self.indices)
+        self.wiring = LevelWiring(self.indices, self.E)
         self.snapshots: Dict[float, np.ndarray] = {}
 
     # -- time stepping -------------------------------------------------------
-
-    def _forcing_hat(self, level: int, state_real: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(self.wiring.forcing(level, self.E, state_real), axis=1)
 
     def run(self, snapshot_times: Iterable[float]) -> "SpectralChaosField":
         wanted: Dict[int, float] = {}
@@ -83,25 +93,44 @@ class SpectralChaosField:
             wanted[k] = t_req
         n_steps = max(wanted)
         N = self.spec.max_order
+        wiring, m = self.wiring, self.m
+        level_chunks = [wiring.chunks[n] for n in range(1, N + 1)]
 
-        U_real = np.zeros((len(self.indices), self.m))
-        U_real[0] = self.u0(self.x)  # the zero index leads the graded order
-        U_hat = np.fft.rfft(U_real, axis=1)
-        F_hat = [self._forcing_hat(n, U_real) for n in range(N + 1)]
+        # real values only of the levels that force a next one
+        U_real = np.zeros((wiring.slices[N].start, m))
+        new_real = np.empty_like(U_real)
+        U_hat = np.empty((len(self.indices), self.k.size), dtype=complex)
+        U_hat[0] = np.fft.rfft(self.u0(self.x))  # the zero index leads the graded order
+        U_hat[1:] = np.fft.rfft(np.zeros(m))  # signed zeros as a transformed zero row
+        if N:
+            U_real[0] = self.u0(self.x)
+        new_hat = np.empty_like(U_hat)
+        F_hat, new_F_hat = np.empty_like(U_hat), np.empty_like(U_hat)
+        forcing = np.empty((FORCING_CHUNK, m))
+        term = np.empty((FORCING_CHUNK, self.k.size), dtype=complex)
+        for chunk in (c for level in level_chunks for c in level):
+            np.fft.rfft(wiring.force(chunk, U_real, forcing[:chunk.size]), axis=1,
+                        out=F_hat[chunk.block])
 
         for k in range(1, n_steps + 1):
-            new_hat = np.empty_like(U_hat)
-            new_real = np.empty_like(U_real)
-            new_hat[0] = self.heat_mult * U_hat[0]
-            new_real[0] = np.fft.irfft(new_hat[0], n=self.m)
-            for n in range(1, N + 1):
-                sel = self.wiring.slices[n]
-                fh_new = self._forcing_hat(n, new_real)
-                new_hat[sel] = (self.heat_mult * U_hat[sel]
-                                + self.w_old * F_hat[n] + self.w_new * fh_new)
-                new_real[sel] = np.fft.irfft(new_hat[sel], n=self.m, axis=1)
-                F_hat[n] = fh_new
-            U_hat, U_real = new_hat, new_real
+            np.multiply(self.heat_mult, U_hat[0], out=new_hat[0])
+            if N:
+                np.fft.irfft(new_hat[0], n=m, out=new_real[0])
+            for n, level in enumerate(level_chunks, start=1):
+                for chunk in level:
+                    sl = chunk.block
+                    fh_new = np.fft.rfft(wiring.force(chunk, new_real, forcing[:chunk.size]),
+                                         axis=1, out=new_F_hat[sl])
+                    # (heat * U + w_old * F_old) + w_new * F_new
+                    out, tmp = new_hat[sl], term[:chunk.size]
+                    np.multiply(self.heat_mult, U_hat[sl], out=out)
+                    out += np.multiply(self.w_old, F_hat[sl], out=tmp)
+                    out += np.multiply(self.w_new, fh_new, out=tmp)
+                    if n < N:  # the top level forces nothing
+                        np.fft.irfft(out, n=m, axis=1, out=new_real[sl])
+            U_hat, new_hat = new_hat, U_hat
+            U_real, new_real = new_real, U_real
+            F_hat, new_F_hat = new_F_hat, F_hat
             if k in wanted:
                 self.snapshots[wanted[k]] = U_hat.copy()
         return self
@@ -119,6 +148,10 @@ class SpectralChaosField:
         its exact spatial derivative) at arbitrary points."""
         state = self._state(t)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        outside = xs[~((xs >= -self.L) & (xs < self.L))]
+        if outside.size:
+            raise ValueError(f"points {outside} lie outside the periodic domain "
+                             f"[-{self.L:.6g}, {self.L:.6g}) of the spectral engine")
         weights = np.ones(self.m // 2 + 1)
         weights[1:-1] = 2.0
         C = state * (weights / self.m)

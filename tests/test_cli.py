@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,33 @@ class TestRunner:
         assert main(["chaos", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "quadrature.L" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_probe_outside_spectral_domain_is_a_config_error(self, tmp_path, capsys):
+        # quadrature.L = 30 admits (0.5, 20); the spectral engine's periodic
+        # domain is [-4 pi, 4 pi), where x = 20 would read its image 20 - 8 pi
+        cfg = write_cfg(tmp_path, "seed = 1\nquadrature.L = 30\nquadrature.panels = 120\n"
+                                  "truncation.N = 2\ntruncation.J = 6\n"
+                                  f"probes = 0.5,20.0\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["chaos", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "periodic domain" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_truncation_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # N = 5, J = 40 passes the parser and the enumeration cap
+        # (1,221,759 indices), but one spectral state would take 3.5 GiB
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("indices enumerated")
+
+        monkeypatch.setattr("wickshe.spectral.enumerate_multiindices", no_enumeration)
+        cfg = write_cfg(tmp_path, "seed = 1\ntruncation.N = 5\ntruncation.J = 40\n"
+                                  f"output_dir = {tmp_path / 'out'}\n")
+        start = time.perf_counter()
+        assert main(["chaos", "--config", str(cfg)]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1221759 indices" in err and "GiB" in err
         assert not (tmp_path / "out").exists()
 
     def test_engine_error_exit_3(self, tmp_path, capsys, monkeypatch):

@@ -5,10 +5,11 @@ import pytest
 
 from scipy.linalg import solve_banded
 
-from wickshe.basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
-                           hermite_function_table)
+from wickshe.basis import (FORCING_CHUNK, LevelWiring, MultiIndex, TruncationSpec,
+                           enumerate_multiindices, hermite_function_table)
 from wickshe.chaos import order_norm, second_moment
 from wickshe.coefficients import cs_coefficient
+from wickshe.feynman_kac import EnsembleMemoryError
 from wickshe.kernels import (apply_heat_semigroup, build_line_grid, constant_ic, sine_ic,
                              tanh_ic)
 from wickshe.propagator import PropagatorGrid, _tridiagonal_banded, propagator_oracle
@@ -105,6 +106,13 @@ class TestSpectralEngine:
         with pytest.raises(ValueError, match="periodic"):
             SpectralChaosField(TruncationSpec(1, 2), tanh_ic())
 
+    def test_points_outside_the_periodic_domain_rejected(self, spectral_const):
+        L = spectral_const.L
+        assert spectral_const.values_at(1.0, [-L, L - 1e-9]).shape == (15, 2)
+        for x in (L, -L - 1e-9, 20.0, float("nan")):
+            with pytest.raises(ValueError, match="periodic domain"):
+                spectral_const.values_at(1.0, [0.0, x])
+
     def test_snapshot_time_alignment(self):
         f = SpectralChaosField(TruncationSpec(0, 1), constant_ic())
         with pytest.raises(ValueError, match="multiple"):
@@ -133,43 +141,75 @@ class TestSpectralEngine:
         assert abs(sm_fine - sm_coarse) / sm_fine < 0.01
 
 
+@pytest.mark.parametrize("engine", ["spectral", "propagator"])
+def test_state_over_budget_refused_before_enumeration(engine, monkeypatch):
+    # N = 5, J = 40 has 1,221,759 indices: under the enumeration cap, but
+    # one state array would take several GiB
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("indices enumerated")
+
+    monkeypatch.setattr(f"wickshe.{engine}.enumerate_multiindices", no_enumeration)
+    with pytest.raises(EnsembleMemoryError, match="1221759 indices"):
+        if engine == "spectral":
+            SpectralChaosField(TruncationSpec(5, 40), constant_ic())
+        else:
+            propagator_oracle(TruncationSpec(5, 40), constant_ic())
+
+
 class TestLevelWiring:
-    """The shared forcing wiring: a plain indexed add drops a duplicate row,
+    """The shared forcing plan: a plain indexed add drops a duplicate row,
     so each (alpha, j) must be wired exactly once and rows must be unique
-    within each (level, mode)."""
+    within each (chunk, mode)."""
 
     spec = TruncationSpec(3, 4)
+
+    @staticmethod
+    def unit_wiring(indices, J):
+        # with e_j = 1 on a one-point grid the plan's rows are the weights
+        return LevelWiring(indices, np.ones((J, 1)))
+
+    @staticmethod
+    def local_rows(chunk, rows):
+        return np.arange(chunk.size)[rows]
 
     def test_every_lowering_wired_once(self):
         indices = enumerate_multiindices(self.spec)
         index_of = {a: i for i, a in enumerate(indices)}
-        wiring = LevelWiring(indices)
+        wiring = self.unit_wiring(indices, self.spec.max_mode)
         seen = []
-        for sl, modes in zip(wiring.slices, wiring.modes):
-            for j0, rows, parents, weights in modes:
-                assert weights.shape == (rows.size, 1)
-                seen += [(sl.start + int(r), j0 + 1, int(p), float(w))
-                         for r, p, w in zip(rows, parents, weights[:, 0])]
+        for chunk in (c for level in wiring.chunks for c in level):
+            for j0, rows, parents, weighted in chunk.modes:
+                rows = self.local_rows(chunk, rows)
+                assert weighted.shape == (rows.size, 1)
+                seen += [(chunk.block.start + int(r), j0 + 1, int(p), float(w))
+                         for r, p, w in zip(rows, parents, weighted[:, 0])]
         expected = [(index_of[a], j, index_of[a.lowered(j)], math.sqrt(a.entry(j)))
                     for a in indices for j in a.support()]
-        assert len(seen) == len(set(seen))
+        assert len(seen) == len(set(seen)) == self.spec.lowerings()
         assert sorted(seen) == sorted(expected)
 
     def test_rows_unique_per_level_and_mode(self):
-        wiring = LevelWiring(enumerate_multiindices(self.spec))
-        for modes in wiring.modes:
+        wiring = self.unit_wiring(enumerate_multiindices(self.spec), self.spec.max_mode)
+        for chunk in (c for level in wiring.chunks for c in level):
+            modes = chunk.modes
             assert [j0 for j0, *_ in modes] == sorted({j0 for j0, *_ in modes})
             for _, rows, _, _ in modes:
+                rows = self.local_rows(chunk, rows)
                 assert np.unique(rows).size == rows.size
 
     def test_level_slices_tile_the_index_list(self):
-        indices = enumerate_multiindices(self.spec)
-        wiring = LevelWiring(indices)
-        assert len(wiring.slices) == self.spec.max_order + 1
+        spec = TruncationSpec(6, 6)  # level 6 has 462 rows: two chunks
+        indices = enumerate_multiindices(spec)
+        wiring = self.unit_wiring(indices, spec.max_mode)
+        assert len(wiring.slices) == spec.max_order + 1
         covered = np.concatenate([np.arange(len(indices))[sl] for sl in wiring.slices])
         np.testing.assert_array_equal(covered, np.arange(len(indices)))
         for n, sl in enumerate(wiring.slices):
             assert {a.degree() for a in indices[sl]} == {n}
+            blocks = [c.block for c in wiring.chunks[n]]
+            assert [b.start for b in blocks] == list(range(sl.start, sl.stop, FORCING_CHUNK))
+            assert blocks[-1].stop == sl.stop
+        assert len(wiring.chunks[6]) == 2
 
     def test_spectral_forcing_matches_add_at_reference(self):
         field = SpectralChaosField(self.spec, constant_ic(), modes=64)
@@ -183,7 +223,49 @@ class TestLevelWiring:
             if wires:
                 rows, parents, modes_j, weights = (np.array(c) for c in zip(*wires))
                 np.add.at(F, rows, weights[:, None] * field.E[modes_j] * state[parents])
-            assert np.array_equal(field._forcing_hat(n, state), np.fft.rfft(F, axis=1))
+            planned = np.concatenate([
+                np.fft.rfft(field.wiring.force(c, state, np.empty((c.size, field.m))), axis=1)
+                for c in field.wiring.chunks[n]])
+            assert np.array_equal(planned, np.fft.rfft(F, axis=1))
+
+    def test_spectral_sweep_matches_reference_across_chunks(self):
+        # reference: the whole-level step with a per-mode indexed-add forcing
+        # and an inverse transform of every level; level 6 spans two chunks
+        spec, steps = TruncationSpec(6, 6), 4
+        field = SpectralChaosField(spec, sine_ic(), modes=64)
+        field.run([steps * field.dt])
+        m, indices = field.m, field.indices
+        index_of = {a: i for i, a in enumerate(indices)}
+        levels = [slice(min(i for i, a in enumerate(indices) if a.degree() == n),
+                        max(i for i, a in enumerate(indices) if a.degree() == n) + 1)
+                  for n in range(spec.max_order + 1)]
+        wires = [[(r, index_of[a.lowered(j)], j - 1, math.sqrt(a.entry(j)))
+                  for r, a in enumerate(indices[sl]) for j in a.support()] for sl in levels]
+
+        def forcing_hat(n, state):
+            F = np.zeros((levels[n].stop - levels[n].start, m))
+            if wires[n]:
+                rows, parents, modes_j, weights = (np.array(c) for c in zip(*wires[n]))
+                np.add.at(F, rows, weights[:, None] * field.E[modes_j] * state[parents])
+            return np.fft.rfft(F, axis=1)
+
+        U_real = np.zeros((len(indices), m))
+        U_real[0] = field.u0(field.x)
+        U_hat = np.fft.rfft(U_real, axis=1)
+        F_hat = [forcing_hat(n, U_real) for n in range(spec.max_order + 1)]
+        for _ in range(steps):
+            new_hat, new_real = np.empty_like(U_hat), np.empty_like(U_real)
+            new_hat[0] = field.heat_mult * U_hat[0]
+            new_real[0] = np.fft.irfft(new_hat[0], n=m)
+            for n in range(1, spec.max_order + 1):
+                sel = levels[n]
+                fh_new = forcing_hat(n, new_real)
+                new_hat[sel] = (field.heat_mult * U_hat[sel]
+                                + field.w_old * F_hat[n] + field.w_new * fh_new)
+                new_real[sel] = np.fft.irfft(new_hat[sel], n=m, axis=1)
+                F_hat[n] = fh_new
+            U_hat, U_real = new_hat, new_real
+        assert field.snapshots[steps * field.dt].tobytes() == U_hat.tobytes()
 
     def test_batched_oracle_matches_per_column_solves(self):
         spec, grid, t = TruncationSpec(1, 2), PropagatorGrid(dt=0.01), 0.1
