@@ -373,16 +373,9 @@ def evaluate_sym_basis(alpha: MultiIndex, y: Sequence[float]) -> float:
 
 def sample_xi(alpha: MultiIndex, g: GaussianCoordinates) -> float:
     """Cameron-Martin basis variable xi_alpha = prod_j H_{alpha_j}(W_{e_j}) / sqrt(alpha_j!)
-    evaluated at the given coordinates (deterministic given g)."""
-    if alpha.entries and len(alpha.entries) > len(g):
-        raise ValueError(
-            f"support of alpha reaches mode {len(alpha.entries)} but only "
-            f"{len(g)} coordinates were given")
-    out = 1.0
-    for j, aj in enumerate(alpha.entries, start=1):
-        if aj:
-            out *= hermite_poly(aj, float(g.values[j - 1])) / math.sqrt(math.factorial(aj))
-    return float(out)
+    evaluated at the given coordinates (deterministic given g): the one-row
+    case of ``sample_xi_batch``."""
+    return float(sample_xi_batch([alpha], g.values)[0, 0])
 
 
 def sample_xi_batch(indices: list[MultiIndex], g_matrix: np.ndarray) -> np.ndarray:
@@ -394,6 +387,10 @@ def sample_xi_batch(indices: list[MultiIndex], g_matrix: np.ndarray) -> np.ndarr
     """
     g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
     n_draws, j_max = g_matrix.shape
+    reach = max((len(a.entries) for a in indices), default=0)
+    if reach > j_max:
+        raise ValueError(f"support of an index reaches mode {reach} but only "
+                         f"{j_max} coordinates were given")
     max_deg = max((a.degree() for a in indices), default=0)
     # H[d, draw, j] = H_d(g[draw, j]) / sqrt(d!)
     H = np.empty((max_deg + 1, n_draws, j_max))

@@ -57,7 +57,7 @@ from typing import Dict, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import graded_panels, simplex_from_unit, tensor_rule
+from .kernels import graded_panels, increments, simplex_from_unit, tensor_rule
 
 __all__ = [
     "CHAIN_ORDERS",
@@ -182,23 +182,16 @@ class _Pairing:
         return np.exp(self.log_norm - 0.5 * log_det), S
 
 
-def _gaps(V: np.ndarray) -> np.ndarray:
-    G = np.empty_like(V)
-    G[:, 0] = V[:, 0]
-    if V.shape[1] > 1:
-        G[:, 1:] = V[:, 1:] - V[:, :-1]
-    return G
-
-
 def _pair_blocks(n: int, nodes: np.ndarray, w: np.ndarray, paired: bool):
     """(v side, w side, weights) blocks of node pairs.  Rows that already
     hold both copies form one block; otherwise the pairs are the tensor
     square of the rows, streamed in blocks of about ``_PAIR_BLOCK`` pairs
     and cut from one side built for all rows."""
     if paired:
-        yield _Side.of(_gaps(nodes[:, :n])), _Side.of(_gaps(nodes[:, n:])), w
+        yield (_Side.of(increments(nodes[:, :n], nodes[:, 0])),
+               _Side.of(increments(nodes[:, n:], nodes[:, n])), w)
         return
-    side = _Side.of(_gaps(nodes))
+    side = _Side.of(increments(nodes, nodes[:, 0]))
     B = nodes.shape[0]
     step = max(1, _PAIR_BLOCK // B + 1)
     for i0 in range(0, B, step):

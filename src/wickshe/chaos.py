@@ -21,7 +21,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .basis import (GaussianCoordinates, MultiIndex, TruncationSpec, ZERO_INDEX,
-                    sample_xi, sample_xi_batch)
+                    sample_xi_batch)
 
 __all__ = [
     "ChaosCoefficients",
@@ -82,14 +82,17 @@ def order_norm(coeffs: ChaosCoefficients, n: int, lam: float = 0.0) -> float:
 
 
 def sample_realization(coeffs: ChaosCoefficients, g: GaussianCoordinates) -> float:
-    """One realization sum_alpha F_alpha xi_alpha(g) of the truncated field."""
-    if len(g) < coeffs.spec.max_mode:
-        raise ValueError(f"need at least {coeffs.spec.max_mode} coordinates, got {len(g)}")
-    return float(sum(v * sample_xi(a, g) for a, v in coeffs.values.items()))
+    """One realization sum_alpha F_alpha xi_alpha(g) of the truncated field:
+    the one-row case of ``sample_realization_batch``."""
+    return float(sample_realization_batch(coeffs, g.values)[0])
 
 
 def sample_realization_batch(coeffs: ChaosCoefficients, g_matrix: np.ndarray) -> np.ndarray:
     """Realizations for every coordinate row of ``g_matrix`` (draws, modes)."""
+    g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
+    if g_matrix.shape[1] < coeffs.spec.max_mode:
+        raise ValueError(f"need at least {coeffs.spec.max_mode} coordinates, "
+                         f"got {g_matrix.shape[1]}")
     indices = list(coeffs.values.keys())
     xi = sample_xi_batch(indices, g_matrix)
     vals = np.array([coeffs.values[a] for a in indices])

@@ -24,14 +24,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import MultiIndex, TruncationSpec, hermite_function, hermite_function_dx
+from .basis import (MultiIndex, TruncationSpec, hermite_function, hermite_function_dx,
+                    hermite_function_table)
 from .chain_moments import CHAIN_ORDERS
 from .chaos import s_transform_chaos, s_transform_tail_estimate, second_moment
 from .coefficients import CoefficientQuadrature, dx_level_coefficients
 from .config import ConfigError, RunConfig, config_items, parse_config
 from .feynman_kac import (EnsembleMemoryError, build_level_grid, fk_conditional_estimate,
-                          ordered_map, psi_law_stats, sample_noise, s_transform_ensemble_mc)
-from .kernels import apply_heat_semigroup, build_line_grid, constant_ic, sine_ic
+                          local_time, ordered_map, psi_law_stats, sample_noise,
+                          s_transform_ensemble_mc, simulate_path)
+from .kernels import apply_heat_semigroup, build_line_grid, constant_ic, covers, sine_ic
 from .regularity import (exact_increment_curve, fit_exponent, local_time_profile_checks,
                          local_time_temporal_increment_check)
 from .spectral import SpectralChaosField
@@ -95,7 +97,7 @@ def _spectral_field(cfg: RunConfig) -> SpectralChaosField:
         raise ConfigError(str(exc)) from exc
     for (t, x) in cfg.probes:
         # beyond the periodic domain the engine would answer for an image point
-        if abs(x) + 6.0 * math.sqrt(t) > f.L:
+        if not covers(f.L, t, x):
             raise ConfigError(f"probes: ({t}, {x}) needs |x| + 6 sqrt(t) <= {f.L:.6g}, "
                               f"the half-width of the spectral engine's periodic domain")
     f.run(sorted({t for (t, _) in cfg.probes}))
@@ -212,7 +214,6 @@ def run_fk(cfg: RunConfig, out: Path, report: RunReport):
 def _dump_ensembles(cfg: RunConfig, out: Path, report: RunReport):
     """Opt-in raw dumps: (path_id, t_i, B_i) and (path_id, a_k, L_k) for a
     small path ensemble at the first probe (these files grow quickly)."""
-    from .feynman_kac import local_time, simulate_path
     t, x = cfg.probes[0]
     levels = build_level_grid(t, x, cfg.delta_a)
     n_dump = min(50, cfg.mc_n_paths)
@@ -250,7 +251,6 @@ def _phi_cases(cfg: RunConfig):
 
 def _phi_modes(phi, J: int) -> tuple[np.ndarray, float]:
     """Hermite-mode coordinates of phi and the L2 mass missed beyond mode J."""
-    from .basis import hermite_function_table
     g = build_line_grid(14.0, panels=56)
     vals = np.asarray(phi(g.nodes), dtype=float)
     E = hermite_function_table(J, g.nodes)
@@ -266,6 +266,7 @@ def run_stransform_compare(cfg: RunConfig, out: Path, report: RunReport):
     rows = []
     ok = True
     cases = _phi_cases(cfg)
+    phi_modes = [_phi_modes(phi, cfg.truncation_modes) for _, phi, _, _ in cases]
     for (t, x) in cfg.probes:
         c_u = fld.coefficients_at(t, x)
         c_k = fld.coefficients_at(t, x, deriv=True)
@@ -274,8 +275,7 @@ def run_stransform_compare(cfg: RunConfig, out: Path, report: RunReport):
                                                 for _, phi, phi_dx, sup in cases],
                                      cfg.mc_n_paths, cfg.seed, dt=cfg.mc_dt,
                                      threads=cfg.threads, stream_label=f"st-{t}-{x}")
-        for (name, phi, _, _), mc_pair in zip(cases, mc):
-            modes, mode_tail = _phi_modes(phi, cfg.truncation_modes)
+        for (name, _, _, _), (modes, mode_tail), mc_pair in zip(cases, phi_modes, mc):
             for field_name, table, (mc_val, se) in (("u", c_u, mc_pair[0]),
                                                      ("dx_u", c_k, mc_pair[1])):
                 chaos_val = s_transform_chaos(table, modes)

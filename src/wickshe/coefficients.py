@@ -127,17 +127,24 @@ def _assemble_from_sweep(C: np.ndarray, alpha: MultiIndex) -> float:
     return total * afact / math.sqrt(afact)
 
 
-def cs_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
-                          spec: TruncationSpec,
-                          quad: CoefficientQuadrature | None = None) -> Dict[MultiIndex, float]:
-    """All solution-field coefficients of degree n at (t, x) in one sweep."""
+def _level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
+                        spec: TruncationSpec, quad: CoefficientQuadrature | None,
+                        deriv: bool, epsilon: float = 0.0) -> Dict[MultiIndex, float]:
     quad = quad or CoefficientQuadrature()
-    C = _level_sweep(n, t, x, u0, spec.max_mode, quad, deriv=False)
+    horizon = None if epsilon == 0.0 else t - epsilon
+    C = _level_sweep(n, t, x, u0, spec.max_mode, quad, deriv=deriv, horizon=horizon)
     out: Dict[MultiIndex, float] = {}
     for alpha in enumerate_multiindices(spec):
         if alpha.degree() == n:
             out[alpha] = _assemble_from_sweep(C, alpha)
     return out
+
+
+def cs_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
+                          spec: TruncationSpec,
+                          quad: CoefficientQuadrature | None = None) -> Dict[MultiIndex, float]:
+    """All solution-field coefficients of degree n at (t, x) in one sweep."""
+    return _level_coefficients(n, t, x, u0, spec, quad, deriv=False)
 
 
 def dx_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
@@ -145,29 +152,44 @@ def dx_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
                           quad: CoefficientQuadrature | None = None,
                           epsilon: float = 0.0) -> Dict[MultiIndex, float]:
     """All derivative-field coefficients of degree n at (t, x) in one sweep."""
+    return _level_coefficients(n, t, x, u0, spec, quad, deriv=True, epsilon=epsilon)
+
+
+def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
+                 quad: CoefficientQuadrature | None, deriv: bool, epsilon: float = 0.0,
+                 check_convergence: bool = False, convergence_tol: float = 1e-3) -> float:
+    """One coefficient of u (or of its x-derivative); ``name`` heads the errors."""
+    if t <= 0:
+        raise ValueError(f"{name} needs t > 0")
+    if epsilon < 0 or epsilon >= t:
+        raise ValueError("epsilon must lie in [0, t)")
     quad = quad or CoefficientQuadrature()
+    if alpha == ZERO_INDEX:
+        semigroup = apply_heat_semigroup_dx if deriv else apply_heat_semigroup
+        return float(semigroup(u0, t, x, quad.grid))
+    n = alpha.degree()
+    J = len(alpha.entries)
     horizon = None if epsilon == 0.0 else t - epsilon
-    C = _level_sweep(n, t, x, u0, spec.max_mode, quad, deriv=True, horizon=horizon)
-    out: Dict[MultiIndex, float] = {}
-    for alpha in enumerate_multiindices(spec):
-        if alpha.degree() == n:
-            out[alpha] = _assemble_from_sweep(C, alpha)
-    return out
+    C = _level_sweep(n, t, x, u0, J, quad, deriv=deriv, horizon=horizon)
+    val = _assemble_from_sweep(C, alpha)
+    if check_convergence:
+        fine = CoefficientQuadrature(half_width=quad.grid.half_width, panels=quad.panels,
+                                     nodes_per_panel=quad.npp,
+                                     time_points=quad.time_points * 2,
+                                     grading=quad.grading)
+        val2 = _coefficient(name, alpha, t, x, u0, fine, deriv, epsilon)
+        if abs(val - val2) > max(convergence_tol, convergence_tol * abs(val2)):
+            raise ValueError(f"{name} did not converge on mesh refinement: "
+                             f"{val} vs {val2}")
+        val = val2
+    return val
 
 
 def cs_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
                    quad: CoefficientQuadrature | None = None) -> float:
     """Solution-field coefficient u_alpha(t, x) by simplex quadrature of the
     iterated-kernel formula; the (0)-coefficient is the plain heat semigroup."""
-    if t <= 0:
-        raise ValueError("cs_coefficient needs t > 0")
-    quad = quad or CoefficientQuadrature()
-    if alpha == ZERO_INDEX:
-        return float(apply_heat_semigroup(u0, t, x, quad.grid))
-    n = alpha.degree()
-    J = len(alpha.entries)
-    C = _level_sweep(n, t, x, u0, J, quad, deriv=False)
-    return _assemble_from_sweep(C, alpha)
+    return _coefficient("cs_coefficient", alpha, t, x, u0, quad, deriv=False)
 
 
 def dx_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
@@ -182,27 +204,6 @@ def dx_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
     ValueError is raised if the two differ by more than ``convergence_tol``
     (relative, floored at the absolute tolerance).
     """
-    if t <= 0:
-        raise ValueError("dx_coefficient needs t > 0")
-    if epsilon < 0 or epsilon >= t:
-        raise ValueError("epsilon must lie in [0, t)")
-    quad = quad or CoefficientQuadrature()
-    if alpha == ZERO_INDEX:
-        return float(apply_heat_semigroup_dx(u0, t, x, quad.grid))
-    n = alpha.degree()
-    J = len(alpha.entries)
-    horizon = None if epsilon == 0.0 else t - epsilon
-    C = _level_sweep(n, t, x, u0, J, quad, deriv=True, horizon=horizon)
-    val = _assemble_from_sweep(C, alpha)
-    if check_convergence:
-        fine = CoefficientQuadrature(half_width=quad.grid.half_width, panels=quad.panels,
-                                     nodes_per_panel=quad.npp,
-                                     time_points=quad.time_points * 2,
-                                     grading=quad.grading)
-        C2 = _level_sweep(n, t, x, u0, J, fine, deriv=True, horizon=horizon)
-        val2 = _assemble_from_sweep(C2, alpha)
-        if abs(val - val2) > max(convergence_tol, convergence_tol * abs(val2)):
-            raise ValueError(f"dx_coefficient did not converge on mesh refinement: "
-                             f"{val} vs {val2}")
-        val = val2
-    return val
+    return _coefficient("dx_coefficient", alpha, t, x, u0, quad, deriv=True, epsilon=epsilon,
+                        check_convergence=check_convergence,
+                        convergence_tol=convergence_tol)

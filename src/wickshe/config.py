@@ -13,6 +13,8 @@ import difflib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .kernels import covers, initial_condition_from_tag
+
 __all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULTS"]
 
 
@@ -44,7 +46,6 @@ class RunConfig:
         return self.mc_delta_a_factor * self.mc_dt ** 0.5
 
     def initial_condition(self):
-        from .kernels import initial_condition_from_tag
         return initial_condition_from_tag(self.ic_tag, amplitude=self.ic_amplitude)
 
 
@@ -165,7 +166,7 @@ def _validate(cfg: RunConfig):
     for (t, x) in cfg.probes:
         if t <= 0:
             raise ConfigError(f"probes: time {t} must be positive")
-        if abs(x) + 6.0 * t ** 0.5 > cfg.quadrature_half_width:
+        if not covers(cfg.quadrature_half_width, t, x):
             raise ConfigError(f"probes: ({t}, {x}) needs |x| + 6 sqrt(t) <= quadrature.L "
                               f"= {cfg.quadrature_half_width}")
 

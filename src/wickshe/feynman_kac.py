@@ -124,15 +124,13 @@ class NoiseRealization:
     """One white-noise sample in its two views.
 
     ``grid_increments`` are dW over the level bins (variance da each);
-    ``mode_coords`` hold W_{e_j} = sum_i e_j(a_i) dW_i.  ``provenance``
-    records which view was sampled ("grid" here; a mode-first realization
-    only determines the grid view inside the sampled mode span).
+    ``mode_coords`` hold W_{e_j} = sum_i e_j(a_i) dW_i, accumulated from the
+    same increments.
     """
 
     level_grid: np.ndarray
     grid_increments: np.ndarray
     mode_coords: GaussianCoordinates
-    provenance: str = "grid"
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,7 @@ def sample_noise(levels: np.ndarray, stream: np.random.Generator,
     else:
         modes = np.zeros(0)
     return NoiseRealization(level_grid=levels, grid_increments=dW,
-                            mode_coords=GaussianCoordinates(modes), provenance="grid")
+                            mode_coords=GaussianCoordinates(modes))
 
 
 def psi_sample(profile: LocalTimeProfile, noise: NoiseRealization) -> PsiSample:

@@ -29,6 +29,7 @@ __all__ = [
     "graded_panels",
     "tensor_rule",
     "simplex_from_unit",
+    "increments",
     "InitialCondition",
     "constant_ic",
     "sine_ic",
@@ -37,6 +38,7 @@ __all__ = [
     "initial_condition_from_tag",
     "apply_heat_semigroup",
     "apply_heat_semigroup_dx",
+    "covers",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -210,17 +212,6 @@ class HeatOperator:
             w = w / w.sum()
         return sl, w
 
-    def point_eval(self, V: np.ndarray, x: float, deriv: int = 0):
-        """v(x) or its derivative of order ``deriv`` from the grid values of
-        each grid function in the rows of V, by interpolation on the panel
-        containing x."""
-        sl, w = self._interp(x)
-        block = np.asarray(V)[..., sl]
-        for _ in range(deriv):
-            block = block @ self.D1.T
-        out = block @ w
-        return float(out) if out.ndim == 0 else out
-
     def row(self, tau, x: float, deriv: int = 0) -> np.ndarray:
         """The quadrature row r with [P(tau) v](x) = r . v, or with the
         x-derivative of P(tau) v for ``deriv`` = 1; an array of tau gives one
@@ -253,15 +244,13 @@ class InitialCondition:
     """Bounded initial datum with optional derivative.
 
     ``evaluator`` must be vectorized over numpy arrays.  ``sup_norm`` bounds
-    |u0|; ``lipschitz_constant`` is optional metadata used by regularity
-    experiments.
+    |u0|.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     sup_norm: float
     tag: str = "custom"
     derivative_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lipschitz_constant: Optional[float] = None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
@@ -280,14 +269,14 @@ def constant_ic(value: float = 1.0) -> InitialCondition:
     return InitialCondition(
         evaluator=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         derivative_evaluator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        sup_norm=abs(value), lipschitz_constant=0.0, tag="constant")
+        sup_norm=abs(value), tag="constant")
 
 
 def sine_ic(amplitude: float = 1.0) -> InitialCondition:
     return InitialCondition(
         evaluator=lambda x: amplitude * np.sin(x),
         derivative_evaluator=lambda x: amplitude * np.cos(x),
-        sup_norm=abs(amplitude), lipschitz_constant=abs(amplitude), tag="sine")
+        sup_norm=abs(amplitude), tag="sine")
 
 
 def gaussian_bump_ic(center: float = 0.0, width: float = 1.0, height: float = 1.0) -> InitialCondition:
@@ -299,16 +288,15 @@ def gaussian_bump_ic(center: float = 0.0, width: float = 1.0, height: float = 1.
     def df(x):
         return -height * (x - center) / w2 * np.exp(-(x - center) ** 2 / (2 * w2))
 
-    lip = abs(height) / width * math.exp(-0.5)
     return InitialCondition(evaluator=f, derivative_evaluator=df, sup_norm=abs(height),
-                            lipschitz_constant=lip, tag="gaussian_bump")
+                            tag="gaussian_bump")
 
 
 def tanh_ic(scale: float = 1.0) -> InitialCondition:
     return InitialCondition(
         evaluator=lambda x: np.tanh(scale * x),
         derivative_evaluator=lambda x: scale / np.cosh(scale * x) ** 2,
-        sup_norm=1.0, lipschitz_constant=abs(scale), tag="tanh")
+        sup_norm=1.0, tag="tanh")
 
 
 def initial_condition_from_tag(tag: str, amplitude: float = 1.0,
@@ -328,13 +316,10 @@ def initial_condition_from_tag(tag: str, amplitude: float = 1.0,
 # heat semigroup applications
 
 
-def _coverage_check(grid: QuadratureGrid, t: float, x: float):
-    # truncation tail of the kernel mass outside the grid
-    margin = grid.half_width - abs(x)
-    if margin <= 0 or margin / math.sqrt(t) < 6.0:
-        raise ValueError(
-            f"grid half-width {grid.half_width} insufficient for x = {x}, t = {t} "
-            f"(need |x| + 6 sqrt(t))")
+def covers(half_width: float, t: float, x: float) -> bool:
+    """Whether [-half_width, half_width] holds the heat kernel p(t, x - .)
+    out to six standard deviations: |x| + 6 sqrt(t) <= half_width."""
+    return abs(x) + 6.0 * math.sqrt(t) <= half_width
 
 
 def _semigroup_quadrature(kernel, u0: InitialCondition, t: float, x, grid: QuadratureGrid):
@@ -342,8 +327,11 @@ def _semigroup_quadrature(kernel, u0: InitialCondition, t: float, x, grid: Quadr
     if t <= 0:
         raise ValueError(f"the heat semigroup needs t > 0, got t = {t}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    for xv in xs:
-        _coverage_check(grid, t, float(xv))
+    for xv in xs.tolist():
+        if not covers(grid.half_width, t, xv):
+            raise ValueError(
+                f"grid half-width {grid.half_width} insufficient for x = {xv}, t = {t} "
+                f"(need |x| + 6 sqrt(t))")
     out = kernel(t, xs[:, None] - grid.nodes[None, :]) @ (u0(grid.nodes) * grid.weights)
     return out if np.ndim(x) else float(out[0])
 
@@ -441,6 +429,16 @@ def simplex_from_unit(U: np.ndarray, horizon: float | np.ndarray) -> tuple[np.nd
         V[:, k] = V[:, k + 1] * X[:, k]
         jac = jac * V[:, k + 1]
     return V, jac
+
+
+def increments(V: np.ndarray, first) -> np.ndarray:
+    """Along the last axis of V: ``first``, then the consecutive differences
+    V[..., k] - V[..., k - 1].  Turns ordered chain times into gaps and
+    visited points into steps."""
+    out = np.empty_like(V)
+    out[..., 0] = first
+    out[..., 1:] = V[..., 1:] - V[..., :-1]
+    return out
 
 
 def simplex_map(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientQuadrature
-from .kernels import InitialCondition, SimplexSpec, apply_heat_semigroup, simplex_map
+from .kernels import (InitialCondition, SimplexSpec, apply_heat_semigroup, increments,
+                      simplex_map)
 
 __all__ = [
     "WienerKernel",
@@ -75,40 +76,66 @@ class _ChainContext:
 
     def __init__(self, n: int, t: float, u0: InitialCondition,
                  quad: CoefficientQuadrature | None = None, time_points: int = 16):
-        self.n, self.t = n, t
+        self.t = t
         self.quad = quad or CoefficientQuadrature()
         self.u0_grid = u0(self.quad.grid.nodes)
         spec = SimplexSpec(order=n, horizon=t, points_per_axis=time_points, grading=2.0)
         self.w_nodes, self.w_weights = simplex_map(spec)
 
+    def integral(self, gaps: np.ndarray, steps: np.ndarray, tail_times: np.ndarray,
+                 tail_point: float) -> float:
+        """Simplex quadrature of prod_k p(gaps_k, steps_k) u_bar(tail_times, tail_point),
+        one row of gaps and one tail time per simplex node."""
+        with np.errstate(divide="ignore", over="ignore"):
+            log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
+        vals = np.exp(np.sum(log_vals, axis=1))
+        vals = np.where(np.isfinite(vals), vals, 0.0)  # zero-gap, non-zero-step limit
+        tail = self.quad.heat.row(tail_times, float(tail_point)) @ self.u0_grid
+        return float(np.dot(self.w_weights, vals * tail))
+
 
 def _forward_chain(ctx: _ChainContext, x: float, visits: np.ndarray) -> float:
-    """G(t, x; visits) -- forward chain through the given visit sequence."""
-    n, t = ctx.n, ctx.t
+    """G(t, x; visits) -- forward chain from (0, x) through the given visit
+    sequence, tail at (t - w_n, v_n)."""
     W = ctx.w_nodes  # (nodes, n), rows 0 <= w_1 <= ... <= w_n <= t
-    gaps = np.empty_like(W)
-    gaps[:, 0] = W[:, 0]
-    if n > 1:
-        gaps[:, 1:] = W[:, 1:] - W[:, :-1]
-    steps = np.empty(n)
-    steps[0] = visits[0] - x
-    if n > 1:
-        steps[1:] = visits[1:] - visits[:-1]
-    with np.errstate(divide="ignore", over="ignore"):
-        log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
-    vals = np.exp(np.sum(log_vals, axis=1))
-    vals = np.where(np.isfinite(vals), vals, 0.0)  # zero-gap, non-zero-step limit
-    tail = ctx.quad.heat.row(t - W[:, n - 1], float(visits[n - 1])) @ ctx.u0_grid
-    return float(np.dot(ctx.w_weights, vals * tail))
+    return ctx.integral(increments(W, W[:, 0]), increments(visits, visits[0] - x),
+                        ctx.t - W[:, -1], visits[-1])
 
 
-def _symmetrized(ctx: _ChainContext, x: float, y: np.ndarray) -> float:
-    """(1/n!) sum over canonical-order permutations of the forward chain."""
-    n = ctx.n
-    total = 0.0
-    for perm in permutations(range(n)):  # itertools order: fixed, lexicographic
-        total += _forward_chain(ctx, x, y[list(perm)])
-    return total / math.factorial(n)
+def _backward_chain(ctx: _ChainContext, x: float, y: np.ndarray) -> float:
+    """F_n^cs(t, x; y) -- backward chain from (t, x): leading gap t - s_n,
+    then s_{k+1} - s_k, tail at (s_1, y_1)."""
+    S = ctx.w_nodes  # rows 0 <= s_1 <= ... <= s_n <= t
+    return ctx.integral(increments(S, ctx.t - S[:, -1]), increments(y, x - y[-1]),
+                        S[:, 0], y[0])
+
+
+def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
+                  quad: CoefficientQuadrature | None, time_points: int, label: str,
+                  chain: Callable[[_ChainContext, float, np.ndarray], float],
+                  symmetrize: bool) -> WienerKernel:
+    """The order-n kernel of ``chain`` at (t, x); with ``symmetrize`` the
+    (1/n!) average over permutations of its arguments, in itertools' fixed
+    lexicographic order."""
+    if n < 0:
+        raise ValueError("kernel order must be >= 0")
+    if n > KERNEL_ORDER_CAP:
+        raise ValueError(f"kernel order {n} exceeds pointwise-quadrature cap {KERNEL_ORDER_CAP}")
+    if n == 0:
+        val = float(apply_heat_semigroup(u0, t, x, (quad or CoefficientQuadrature()).grid))
+        return WienerKernel(order=0, point=(t, x), label=label, evaluator=lambda y: val)
+    ctx = _ChainContext(n, t, u0, quad, time_points)
+
+    def evaluate(y) -> float:
+        y = np.asarray(y, dtype=float)
+        if not symmetrize:
+            return chain(ctx, x, y)
+        total = 0.0
+        for perm in permutations(range(n)):
+            total += chain(ctx, x, y[list(perm)])
+        return total / math.factorial(n)
+
+    return WienerKernel(order=n, point=(t, x), label=label, evaluator=evaluate)
 
 
 def fk_kernel(n: int, t: float, x: float, u0: InitialCondition,
@@ -116,12 +143,7 @@ def fk_kernel(n: int, t: float, x: float, u0: InitialCondition,
               time_points: int = 16) -> WienerKernel:
     """Order-n kernel in the path (forward-visit) parameterisation,
     symmetrized over the visit order of its arguments."""
-    _check_order(n)
-    if n == 0:
-        return _order_zero(t, x, u0, quad, "fk")
-    ctx = _ChainContext(n, t, u0, quad, time_points)
-    return WienerKernel(order=n, point=(t, x), label="fk",
-                        evaluator=lambda y: _symmetrized(ctx, x, np.asarray(y, dtype=float)))
+    return _chain_kernel(n, t, x, u0, quad, time_points, "fk", _forward_chain, True)
 
 
 # Order-n kernel in the mild-solution (backward-chain) parameterisation.  Each
@@ -143,63 +165,15 @@ def cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
             p(t-s_n, x-y_n) p(s_n-s_{n-1}, y_n-y_{n-1}) ... p(s_2-s_1, y_2-y_1)
             u_bar(s_1, y_1) ds,
 
-    a genuinely distinct code path from the forward kernels (different time
-    variables, different singular endpoints), used as their cross-check.
+    a genuinely distinct parameterisation from the forward kernels (different
+    time variables, different singular endpoints), used as their cross-check.
     """
-    _check_order(n)
-    if n == 0:
-        return _order_zero(t, x, u0, quad, "cs")
-    ctx = _ChainContext(n, t, u0, quad, time_points)
-
-    def evaluate(y: np.ndarray) -> float:
-        S = ctx.w_nodes           # rows 0 <= s_1 <= ... <= s_n <= t
-        gaps = np.empty_like(S)   # leading gap is t - s_n, then s_{k+1}-s_k
-        gaps[:, 0] = t - S[:, n - 1]
-        if n > 1:
-            gaps[:, 1:] = S[:, 1:] - S[:, :-1]
-        steps = np.empty(n)
-        steps[0] = x - y[n - 1]
-        if n > 1:
-            steps[1:] = y[1:] - y[:-1]
-        with np.errstate(divide="ignore", over="ignore"):
-            log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
-        vals = np.exp(np.sum(log_vals, axis=1))
-        vals = np.where(np.isfinite(vals), vals, 0.0)
-        tail = ctx.quad.heat.row(S[:, 0], float(y[0])) @ ctx.u0_grid
-        return float(np.dot(ctx.w_weights, vals * tail))
-
-    return WienerKernel(order=n, point=(t, x), label="cs",
-                        evaluator=lambda y: evaluate(np.asarray(y, dtype=float)))
+    return _chain_kernel(n, t, x, u0, quad, time_points, "cs", _backward_chain, False)
 
 
 def sym_cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
                   quad: CoefficientQuadrature | None = None,
                   time_points: int = 16) -> WienerKernel:
     """Symmetrization of the ordered chaos kernel, (1/n!) sum_sigma F_n^cs(y_sigma)."""
-    base = cs_kernel(n, t, x, u0, quad, time_points)
-    if n == 0:
-        return base
+    return _chain_kernel(n, t, x, u0, quad, time_points, "sym_cs", _backward_chain, True)
 
-    def evaluate(y: np.ndarray) -> float:
-        total = 0.0
-        for perm in permutations(range(n)):
-            total += base.evaluator(y[list(perm)])
-        return total / math.factorial(n)
-
-    return WienerKernel(order=n, point=(t, x), label="sym_cs",
-                        evaluator=lambda y: evaluate(np.asarray(y, dtype=float)))
-
-
-def _check_order(n: int):
-    if n < 0:
-        raise ValueError("kernel order must be >= 0")
-    if n > KERNEL_ORDER_CAP:
-        raise ValueError(f"kernel order {n} exceeds pointwise-quadrature cap {KERNEL_ORDER_CAP}")
-
-
-def _order_zero(t: float, x: float, u0: InitialCondition,
-                quad: CoefficientQuadrature | None, label: str) -> WienerKernel:
-    quad = quad or CoefficientQuadrature()
-    val = float(apply_heat_semigroup(u0, t, x, quad.grid))
-    return WienerKernel(order=0, point=(t, x), label=label,
-                        evaluator=lambda y, v=val: v)

@@ -175,6 +175,8 @@ class TestSampleXi:
     def test_support_exceeds_coordinates(self):
         with pytest.raises(ValueError):
             sample_xi(MultiIndex((0, 0, 1)), GaussianCoordinates(np.array([0.1, 0.2])))
+        with pytest.raises(ValueError, match="reaches mode 3"):
+            sample_xi_batch([MultiIndex((1,)), MultiIndex((0, 0, 1))], np.zeros((4, 2)))
 
     def test_monte_carlo_orthonormality(self):
         # sample covariance of the xi family is the identity to 3 stderr

@@ -141,6 +141,8 @@ class TestNormsAndSampling:
         F = table({(): 1.0})
         with pytest.raises(ValueError):
             sample_realization(F, GaussianCoordinates(np.zeros(2)))
+        with pytest.raises(ValueError, match="coordinates"):
+            sample_realization_batch(F, np.zeros((5, 2)))
 
     def test_truncation_key_guard(self):
         with pytest.raises(ValueError, match="truncation"):

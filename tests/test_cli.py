@@ -52,6 +52,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="positive"):
             parse_config(write_cfg(tmp_path, "seed = 1\nprobes = -0.5,0\n"))
 
+    def test_nan_probe_position_is_not_covered(self, tmp_path):
+        with pytest.raises(ConfigError, match="quadrature.L"):
+            parse_config(write_cfg(tmp_path, "seed = 1\nprobes = 0.5,nan\n"))
+
     def test_unknown_ic_tag(self, tmp_path):
         with pytest.raises(ConfigError, match="tag"):
             parse_config(write_cfg(tmp_path, "seed = 1\ninitial_condition.tag = box\n"))
@@ -213,6 +217,33 @@ class TestRunner:
         rows = (out / "fk_estimates.csv").read_text().splitlines()[1:]
         assert [tuple(r.split(",")[:4:3]) for r in rows] == [
             (str(p), str(k)) for p in range(2) for k in range(10)]
+
+    def test_dump_ensembles(self, tmp_path):
+        # the opt-in raw dumps: 50 paths at the first probe, each with its
+        # skeleton and its local-time profile, both hashed in the report
+        out = tmp_path / "out"
+        cfg_path = write_cfg(tmp_path, "seed = 5\nmc.n_paths = 100\nmc.n_noise = 10\n"
+                                       "mc.dt = 0.01\nmc.dump_ensembles = true\n"
+                                       f"probes = 0.25,0.1\noutput_dir = {out}\n")
+        assert main(["fk", "--config", str(cfg_path)]) == 0
+        cfg = parse_config(cfg_path)
+        report = (out / "report_fk.csv").read_text()
+        tables = {}
+        for name, header in (("fk_paths.csv", "path_id,t_i,B_i"),
+                             ("fk_local_times.csv", "path_id,a_k,L_k")):
+            raw = (out / name).read_bytes()
+            lines = raw.decode().splitlines()
+            assert lines[0] == header
+            assert hashlib.sha256(raw).hexdigest() in report
+            rows = [line.split(",") for line in lines[1:]]
+            tables[name] = rows
+            assert sorted({int(r[0]) for r in rows}) == list(range(min(50, cfg.mc_n_paths)))
+        occupation = {}
+        for pid, _, lk in tables["fk_local_times.csv"]:
+            occupation[pid] = occupation.get(pid, 0.0) + float(lk) * cfg.delta_a
+        assert all(abs(total - 0.25) <= 1e-12 for total in occupation.values())
+        starts = [r for r in tables["fk_paths.csv"] if float(r[1]) == 0.0]
+        assert len(starts) == 50 and all(float(r[2]) == 0.1 for r in starts)
 
     def test_localtime_rows_are_the_ensemble_statistics(self, tmp_path):
         # the fused pass writes local_time_ensemble_stats at the same seed

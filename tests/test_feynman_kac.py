@@ -180,7 +180,7 @@ class TestPsi:
         prof = local_time(p, levels)
         noise = sample_noise(levels, substream(7, "psi-noise"))
         zero = type(noise)(level_grid=levels, grid_increments=np.zeros_like(levels),
-                           mode_coords=noise.mode_coords, provenance="grid")
+                           mode_coords=noise.mode_coords)
         ps = psi_sample(prof, zero)
         assert ps.value() == -ps.quadratic_term < 0
 
@@ -220,7 +220,7 @@ class TestConditionalEstimate:
             levels = build_level_grid(t, 0.0, 0.05)
             zero = sample_noise(levels, substream(30, "z"))
             zero = type(zero)(level_grid=levels, grid_increments=np.zeros_like(levels),
-                              mode_coords=zero.mode_coords, provenance="grid")
+                              mode_coords=zero.mode_coords)
             est, se = fk_conditional_estimate(t, 0.0, constant_ic(), zero, 4000,
                                               stream_seed=31, dt=1e-3)
             vals[t] = (est, se)
