@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ __all__ = [
     "FORCING_CHUNK",
     "ForcingChunk",
     "LevelWiring",
+    "snapshot_steps",
+    "snapshot_at",
     "evaluate_sym_basis",
     "sample_xi",
 ]
@@ -110,6 +112,7 @@ class MultiIndex:
 
 
 ZERO_INDEX = MultiIndex(())
+ENUMERATION_CAP = 2_000_000  # memory guard on the number of enumerated indices
 
 
 @dataclass(frozen=True)
@@ -216,16 +219,16 @@ def hermite_function_table(j_max: int, x: np.ndarray) -> np.ndarray:
     return _hermite_rows(j_max, np.asarray(x, dtype=float))
 
 
-def enumerate_multiindices(spec: TruncationSpec, cap: int = 2_000_000) -> list[MultiIndex]:
+def enumerate_multiindices(spec: TruncationSpec) -> list[MultiIndex]:
     """All multi-indices with degree <= N and support in {1..J}, in graded
     lexicographic order (by degree, then descending lex on the entry tuples),
     duplicate-free and deterministic.
 
-    Raises if the enumeration would exceed ``cap`` entries (memory guard).
+    Raises if the enumeration would exceed ``ENUMERATION_CAP`` entries.
     """
     total = spec.count()
-    if total > cap:
-        raise ValueError(f"enumeration size {total} exceeds cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise ValueError(f"enumeration size {total} exceeds cap {ENUMERATION_CAP}")
     J = spec.max_mode
     out: list[MultiIndex] = []
 
@@ -320,6 +323,26 @@ class LevelWiring:
             np.multiply(weighted, term, out=term)
             out[rows] += term
         return out
+
+
+def snapshot_steps(times: Iterable[float], dt: float) -> dict[int, float]:
+    """Step index -> requested time, for the snapshot times of a sweep with step
+    dt; a time that is not a positive multiple of dt (to 1e-9) raises ValueError."""
+    steps = {}
+    for t in times:
+        k = round(t / dt)
+        if abs(k * dt - t) > 1e-9 or k <= 0:
+            raise ValueError(f"snapshot time {t} must be a positive multiple of dt = {dt}")
+        steps[k] = t
+    return steps
+
+
+def snapshot_at(snapshots: Mapping[float, np.ndarray], t: float) -> tuple[float, np.ndarray]:
+    """The stored time within 1e-9 of t and its snapshot (ValueError if none)."""
+    for ts, state in snapshots.items():
+        if abs(ts - t) < 1e-9:
+            return ts, state
+    raise ValueError(f"no snapshot at t={t}; stored: {sorted(snapshots)}")
 
 
 def _distinct_permutations(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

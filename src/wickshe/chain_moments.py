@@ -68,6 +68,7 @@ __all__ = [
 
 _TENSOR_AXIS_NODES = {1: 60, 2: 30}
 _AXIS_GRADING = 2.5  # panels graded toward 0, the singular chain endpoint
+_BOX_AXIS_NODES = 12  # ungraded nodes on the top time v_n in [t, t + h]
 _QMC_LOG2 = {3: 16, 4: 16}  # Sobol points at orders 3 and 4
 _PAIR_BLOCK = 1 << 18  # node pairs per block of a tensor-square rule
 CHAIN_ORDERS = (1, 2, 3, 4)  # the orders with a time-simplex rule above
@@ -302,8 +303,8 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
     return inc, mass
 
 
-def _time_region_nodes(n: int, t: float, h: float, U: np.ndarray | None,
-                       n_axis_box: int = 12) -> tuple[np.ndarray, np.ndarray, bool]:
+def _time_region_nodes(n: int, t: float, h: float,
+                       U: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, bool]:
     """One copy of the increment region: v_n in [t, t+h], inner simplex below.
 
     Tensor product for n <= 2; for deeper orders the Sobol set U of
@@ -311,7 +312,7 @@ def _time_region_nodes(n: int, t: float, h: float, U: np.ndarray | None,
     both copies.  Returns (times, weights, paired) where ``paired`` means rows
     already hold both copies.
     """
-    bx, bw = graded_panels(n_axis_box, 1.0, both_ends=False)
+    bx, bw = graded_panels(_BOX_AXIS_NODES, 1.0, both_ends=False)
     if n == 1:
         return (t + h * bx)[:, None], h * bw, False
 

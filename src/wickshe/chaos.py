@@ -21,7 +21,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from .basis import (GaussianCoordinates, MultiIndex, TruncationSpec, ZERO_INDEX,
-                    sample_xi_batch)
+                    enumerate_multiindices, sample_xi_batch)
 
 __all__ = [
     "ChaosCoefficients",
@@ -151,7 +151,6 @@ def stochastic_exponential_coefficients(psi_modes: Sequence[float],
     Its S-transform at phi is exp(<phi, psi>) up to truncation tail; used as a
     closed-form oracle for the S-transform identities.
     """
-    from .basis import enumerate_multiindices
     psi = np.asarray(psi_modes, dtype=float)
     vals: Dict[MultiIndex, float] = {}
     for a in enumerate_multiindices(spec):

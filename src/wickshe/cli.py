@@ -25,14 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import (MultiIndex, TruncationSpec, hermite_function, hermite_function_dx,
-                    hermite_function_table)
+                    hermite_function_table, snapshot_steps)
 from .chain_moments import CHAIN_ORDERS
 from .chaos import s_transform_chaos, s_transform_tail_estimate, second_moment
 from .coefficients import CoefficientQuadrature, dx_level_coefficients
 from .config import ConfigError, RunConfig, config_items, parse_config
 from .feynman_kac import (EnsembleMemoryError, build_level_grid, fk_conditional_estimate,
                           local_time, ordered_map, psi_law_stats, sample_noise,
-                          s_transform_ensemble_mc, simulate_path)
+                          s_transform_ensemble_mc, simulate_path, standard_error)
 from .kernels import apply_heat_semigroup, build_line_grid, constant_ic, covers, sine_ic
 from .regularity import (exact_increment_curve, fit_exponent, local_time_profile_checks,
                          local_time_temporal_increment_check)
@@ -78,29 +78,20 @@ def encode_alpha(alpha: MultiIndex) -> str:
     return ";".join(f"{j}:{alpha.entry(j)}" for j in alpha.support())
 
 
-def _spectral_dt(probes: Sequence[tuple[float, float]]) -> float:
-    # snapshot times must land on the step grid
-    dt = 1.0 / 512.0
-    for (t, _) in probes:
-        if abs(round(t / dt) * dt - t) > 1e-9:
-            raise ConfigError(f"probe time {t} is not a multiple of the engine step "
-                              f"1/512; choose dyadic probe times")
-    return dt
-
-
 def _spectral_field(cfg: RunConfig) -> SpectralChaosField:
     spec = TruncationSpec(cfg.truncation_order, cfg.truncation_modes)
-    dt = _spectral_dt(cfg.probes)
-    try:
-        f = SpectralChaosField(spec, cfg.initial_condition(), dt=dt)
-    except ValueError as exc:  # non-periodizable initial condition, state over budget
+    times = sorted({t for (t, _) in cfg.probes})
+    try:  # non-periodizable initial condition, state over budget, off-step probe time
+        f = SpectralChaosField(spec, cfg.initial_condition())
+        snapshot_steps(times, f.dt)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for (t, x) in cfg.probes:
         # beyond the periodic domain the engine would answer for an image point
         if not covers(f.L, t, x):
             raise ConfigError(f"probes: ({t}, {x}) needs |x| + 6 sqrt(t) <= {f.L:.6g}, "
                               f"the half-width of the spectral engine's periodic domain")
-    f.run(sorted({t for (t, _) in cfg.probes}))
+    f.run(times)
     return f
 
 
@@ -188,7 +179,7 @@ def run_fk(cfg: RunConfig, out: Path, report: RunReport):
             rows.append((pi, t, x, k, est, se))
             ests[k] = est
         mean = float(ests.mean())
-        sem = float(ests.std(ddof=1) / math.sqrt(ests.size))
+        sem = standard_error(ests)
         target = float(apply_heat_semigroup(u0, t, x, grid))
         z = (mean - target) / sem if sem > 0 else 0.0
         ok &= abs(z) <= 3.0
@@ -229,10 +220,9 @@ def _dump_ensembles(cfg: RunConfig, out: Path, report: RunReport):
                                       ("path_id", "a_k", "L_k"), lt_rows))
 
 
-def _phi_cases(cfg: RunConfig):
+def _phi_cases():
     """Test functions for the S-transform comparison: zero, a scaled first
     Hermite mode, and a Gaussian bump expanded in Hermite modes."""
-    J = cfg.truncation_modes
     zero = ("zero", lambda y: np.zeros_like(y), lambda y: np.zeros_like(y), 0.0)
     e1 = ("half_e1",
           lambda y: 0.5 * hermite_function(1, y),
@@ -265,7 +255,7 @@ def run_stransform_compare(cfg: RunConfig, out: Path, report: RunReport):
     u0 = cfg.initial_condition()
     rows = []
     ok = True
-    cases = _phi_cases(cfg)
+    cases = _phi_cases()
     phi_modes = [_phi_modes(phi, cfg.truncation_modes) for _, phi, _, _ in cases]
     for (t, x) in cfg.probes:
         c_u = fld.coefficients_at(t, x)

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 QUADRATURE_ORDER_CAP = 3  # cost is (time nodes)^n (m^2) per level sweep
+CONVERGENCE_TOL = 1e-3  # refined-mesh check, relative floored at absolute
 
 
 class CoefficientQuadrature:
@@ -129,10 +130,9 @@ def _assemble_from_sweep(C: np.ndarray, alpha: MultiIndex) -> float:
 
 def _level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
                         spec: TruncationSpec, quad: CoefficientQuadrature | None,
-                        deriv: bool, epsilon: float = 0.0) -> Dict[MultiIndex, float]:
+                        deriv: bool) -> Dict[MultiIndex, float]:
     quad = quad or CoefficientQuadrature()
-    horizon = None if epsilon == 0.0 else t - epsilon
-    C = _level_sweep(n, t, x, u0, spec.max_mode, quad, deriv=deriv, horizon=horizon)
+    C = _level_sweep(n, t, x, u0, spec.max_mode, quad, deriv=deriv)
     out: Dict[MultiIndex, float] = {}
     for alpha in enumerate_multiindices(spec):
         if alpha.degree() == n:
@@ -149,15 +149,14 @@ def cs_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
 
 def dx_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
                           spec: TruncationSpec,
-                          quad: CoefficientQuadrature | None = None,
-                          epsilon: float = 0.0) -> Dict[MultiIndex, float]:
+                          quad: CoefficientQuadrature | None = None) -> Dict[MultiIndex, float]:
     """All derivative-field coefficients of degree n at (t, x) in one sweep."""
-    return _level_coefficients(n, t, x, u0, spec, quad, deriv=True, epsilon=epsilon)
+    return _level_coefficients(n, t, x, u0, spec, quad, deriv=True)
 
 
 def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
                  quad: CoefficientQuadrature | None, deriv: bool, epsilon: float = 0.0,
-                 check_convergence: bool = False, convergence_tol: float = 1e-3) -> float:
+                 check_convergence: bool = False) -> float:
     """One coefficient of u (or of its x-derivative); ``name`` heads the errors."""
     if t <= 0:
         raise ValueError(f"{name} needs t > 0")
@@ -178,7 +177,7 @@ def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCo
                                      time_points=quad.time_points * 2,
                                      grading=quad.grading)
         val2 = _coefficient(name, alpha, t, x, u0, fine, deriv, epsilon)
-        if abs(val - val2) > max(convergence_tol, convergence_tol * abs(val2)):
+        if abs(val - val2) > max(CONVERGENCE_TOL, CONVERGENCE_TOL * abs(val2)):
             raise ValueError(f"{name} did not converge on mesh refinement: "
                              f"{val} vs {val2}")
         val = val2
@@ -195,15 +194,13 @@ def cs_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
 def dx_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
                    epsilon: float = 0.0,
                    quad: CoefficientQuadrature | None = None,
-                   check_convergence: bool = False,
-                   convergence_tol: float = 1e-3) -> float:
+                   check_convergence: bool = False) -> float:
     """Derivative-field coefficient K_alpha^eps(t, x).
 
     eps = 0 integrates up to the singular endpoint on the graded mesh; with
     ``check_convergence`` the value is recomputed on a refined mesh and a
-    ValueError is raised if the two differ by more than ``convergence_tol``
+    ValueError is raised if the two differ by more than ``CONVERGENCE_TOL``
     (relative, floored at the absolute tolerance).
     """
     return _coefficient("dx_coefficient", alpha, t, x, u0, quad, deriv=True, epsilon=epsilon,
-                        check_convergence=check_convergence,
-                        convergence_tol=convergence_tol)
+                        check_convergence=check_convergence)

@@ -101,8 +101,6 @@ def _parse_probes(text: str, key: str) -> tuple[tuple[float, float], ...]:
             t, x = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"{key}: non-numeric probe '{chunk}'") from exc
-        if t <= 0:
-            raise ConfigError(f"{key}: probe time must be positive, got {t}")
         out.append((t, x))
     if not out:
         raise ConfigError(f"{key}: no probe points given")

@@ -58,6 +58,7 @@ __all__ = [
     "build_level_grid",
     "sample_noise",
     "local_time_ensemble_stats",
+    "standard_error",
     "psi_law_stats",
     "path_ensemble",
     "ordered_map",
@@ -312,13 +313,11 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
     return ordered_map(one_block, range(-(-n_paths // DEFAULT_BLOCK)), threads)
 
 
-def _jackknife_se(values: np.ndarray) -> float:
-    n = values.size
-    if n < 2:
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the sample mean, std(ddof=1) / sqrt(n); NaN below two values."""
+    if values.size < 2:
         return float("nan")
-    mean = values.mean()
-    # delete-one jackknife of the sample mean
-    return float(np.sqrt((n - 1) / n * np.sum(((mean * n - values) / (n - 1) - mean) ** 2)))
+    return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
@@ -327,7 +326,7 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
                             stream_label: str = "fk-paths") -> tuple[float, float]:
     """Path average of u0(B_t^x) exp(Psi) at a fixed noise realization.
 
-    Returns (estimate, jackknife standard error).  This is one sample of the
+    Returns (estimate, standard error).  This is one sample of the
     random field at (t, x); averaging estimates over independent noise draws
     converges to the heat-semigroup mean.
     """
@@ -344,7 +343,7 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
                                         threads, reduce, levels))
     if n_paths > 1 and float(vals.std()) == 0.0:
         raise RuntimeError("degenerate path ensemble: all samples identical")
-    return float(vals.mean()), _jackknife_se(vals)
+    return float(vals.mean()), standard_error(vals)
 
 
 def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
@@ -395,7 +394,7 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
 
     def estimate(i: int, field: int) -> tuple[float, float]:
         vals = np.concatenate([p[i][field] for p in parts])
-        return float(vals.mean()), _jackknife_se(vals)
+        return float(vals.mean()), standard_error(vals)
 
     return [(estimate(i, 0), None if phi_prime is None else estimate(i, 1))
             for i, (_, phi_prime, _) in enumerate(phis)]
@@ -437,7 +436,6 @@ def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
 
 def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
                               stream_seed: int, x: float = 0.0, threads: int = 1,
-                              stream_label: str = "localtime",
                               profile_reduce: Optional[Callable[[np.ndarray], object]] = None
                               ) -> dict:
     """Ensemble means of the occupation histogram at level x, of the
@@ -458,16 +456,16 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
         return (prof[:, j0].copy(), delta_a * np.einsum("ij,ij->i", prof, prof), mass_err,
                 extra)
 
-    parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads,
+    parts = path_ensemble(t, x, dt, n_paths, stream_seed, "localtime", threads,
                           reduce, levels)
     L0 = np.concatenate([p[0] for p in parts])
     Q = np.concatenate([p[1] for p in parts])
     mass_defect = max(p[2] for p in parts)
     stats = {
         "mean_L_at_start": float(L0.mean()),
-        "se_L_at_start": float(L0.std(ddof=1) / math.sqrt(L0.size)),
+        "se_L_at_start": standard_error(L0),
         "mean_int_L2": float(Q.mean()),
-        "se_int_L2": float(Q.std(ddof=1) / math.sqrt(Q.size)),
+        "se_int_L2": standard_error(Q),
         "mass_identity_defect": float(mass_defect),
         "bias_budget_L": math.sqrt(2.0 * dt / math.pi) + delta_a * delta_a,
         "bias_budget_L2": math.sqrt(dt) + 0.5 * delta_a,
@@ -514,5 +512,5 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
         "conditional_var_se": float(s * s * math.sqrt(2.0 / (n_noise - 1))),
         "skewness": skew, "skew_se": math.sqrt(6.0 / n_noise),
         "exp_mean": float(ew.mean()),
-        "exp_se": float(ew.std(ddof=1) / math.sqrt(ew.size)),
+        "exp_se": standard_error(ew),
     }

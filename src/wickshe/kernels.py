@@ -105,13 +105,19 @@ def build_line_grid(half_width: float, panels: int = 48, nodes_per_panel: int = 
     singular endpoints; ``panels`` controls the resolvable kernel width
     (roughly sqrt(t) down to ~ (2L/panels/4)^2).
     """
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(-half_width, half_width, panels + 1)
+    nodes, weights = _panel_rule(edges, nodes_per_panel)
+    return QuadratureGrid(half_width=half_width, nodes=nodes, weights=weights)
+
+
+def _panel_rule(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule, ``nodes_per_panel`` nodes per panel between edges."""
+    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
     nodes = np.concatenate([0.5 * (hi - lo) * gx + 0.5 * (hi + lo)
                             for lo, hi in zip(edges[:-1], edges[1:])])
     weights = np.concatenate([0.5 * (hi - lo) * gw
                               for lo, hi in zip(edges[:-1], edges[1:])])
-    return QuadratureGrid(half_width=half_width, nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def _bary_weights(xs: np.ndarray) -> np.ndarray:
@@ -156,9 +162,8 @@ class HeatOperator:
         self.q = nodes_per_panel
         self.width = 2.0 * half_width / panels
         self.tau_res = (self.width / 5.0) ** 2
-        gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-        self.local_nodes = 0.5 * self.width * gx     # about the panel centre
-        self.local_weights = 0.5 * self.width * gw
+        self.local_nodes, self.local_weights = _panel_rule(  # about the panel centre
+            np.array([-0.5, 0.5]) * self.width, nodes_per_panel)
         self.bary = _bary_weights(self.local_nodes)
         self.D1 = _lagrange_diff(self.local_nodes)
         self.D2 = self.D1 @ self.D1
@@ -299,14 +304,13 @@ def tanh_ic(scale: float = 1.0) -> InitialCondition:
         sup_norm=1.0, tag="tanh")
 
 
-def initial_condition_from_tag(tag: str, amplitude: float = 1.0,
-                               center: float = 0.0, width: float = 1.0) -> InitialCondition:
+def initial_condition_from_tag(tag: str, amplitude: float = 1.0) -> InitialCondition:
     if tag == "constant":
         return constant_ic(amplitude)
     if tag == "sine":
         return sine_ic(amplitude)
     if tag == "gaussian_bump":
-        return gaussian_bump_ic(center=center, width=width, height=amplitude)
+        return gaussian_bump_ic(height=amplitude)
     if tag == "tanh":
         return tanh_ic(scale=amplitude)
     raise ValueError(f"unknown initial condition tag '{tag}'")
@@ -389,12 +393,7 @@ def graded_panels(n_points: int, grading: float,
     else:
         n_panels = max(1, round(n_points / per_panel))
         edges = np.linspace(0.0, 1.0, n_panels + 1) ** grading
-    gx, gw = np.polynomial.legendre.leggauss(per_panel)
-    xs = np.concatenate([0.5 * (hi - lo) * gx + 0.5 * (hi + lo)
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    ws = np.concatenate([0.5 * (hi - lo) * gw
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    return xs, ws
+    return _panel_rule(edges, per_panel)
 
 
 def tensor_rule(xs: np.ndarray, ws: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,8 @@ is built in place in the level's rows of the next state, and a single banded
 solve overwrites it with the level's coefficients.  Forcings and states
 live in buffers allocated once per sweep; a state (plus the plan) over
 ``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the indices are
-enumerated.
+enumerated.  A snapshot time must be a positive multiple of the step dt (to
+within 1e-9, ``basis.snapshot_steps``); any other time is refused.
 
 Dirichlet values at the lattice ends: level 0 takes heat-semigroup values of
 the initial datum, all higher levels take zero (their forcings decay like
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
-                    hermite_function_table)
+                    hermite_function_table, snapshot_at, snapshot_steps)
 from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
 from .kernels import InitialCondition, apply_heat_semigroup, build_line_grid
@@ -44,24 +45,15 @@ __all__ = ["PropagatorGrid", "PropagatorSolution", "propagator_oracle"]
 
 @dataclass(frozen=True)
 class PropagatorGrid:
-    """Uniform space-time lattice for the coefficient sweep.
-
-    ``explicit`` switches to the forward-Euler stencil, which requires the
-    CFL bound dt <= dx^2 / 2 (validated here); the default implicit scheme
-    is unconditionally stable.
-    """
+    """Uniform space-time lattice for the coefficient sweep."""
 
     dt: float = 0.0025
     dx: float = 0.025
     half_width: float = 12.0
-    explicit: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.dx <= 0 or self.half_width <= 0:
             raise ValueError("dt, dx and half_width must be positive")
-        if self.explicit and self.dt > self.dx * self.dx / 2.0 + 1e-15:
-            raise ValueError(f"explicit scheme violates CFL: dt={self.dt} > dx^2/2="
-                             f"{self.dx * self.dx / 2.0}")
 
     @property
     def x(self) -> np.ndarray:
@@ -80,23 +72,16 @@ class PropagatorSolution:
 
     def coefficients_at(self, t: float, x: float) -> ChaosCoefficients:
         """Coefficient table at a lattice node (raises off-lattice)."""
-        ts = self._match_time(t)
+        ts, state = snapshot_at(self.snapshots, t)
         xs = self.grid.x
         i = int(round((x + self.grid.half_width) / self.grid.dx))
         if not (0 <= i < xs.size) or abs(xs[i] - x) > 1e-9:
             raise ValueError(f"x={x} is not a lattice node (dx={self.grid.dx})")
-        vals = {a: float(self.snapshots[ts][k, i]) for k, a in enumerate(self.indices)}
+        vals = {a: float(state[k, i]) for k, a in enumerate(self.indices)}
         return ChaosCoefficients(point=(ts, x), spec=self.spec, values=vals)
 
     def lattice_values(self, t: float, alpha: MultiIndex) -> np.ndarray:
-        ts = self._match_time(t)
-        return self.snapshots[ts][self.indices.index(alpha)]
-
-    def _match_time(self, t: float) -> float:
-        for ts in self.snapshots:
-            if abs(ts - t) < 1e-9:
-                return ts
-        raise ValueError(f"no snapshot stored at t={t}; have {sorted(self.snapshots)}")
+        return snapshot_at(self.snapshots, t)[1][self.indices.index(alpha)]
 
 
 def _tridiagonal_banded(n: int, lam: float) -> np.ndarray:
@@ -120,12 +105,14 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
 
     ``mode_functions(j, x)`` overrides the forcing basis e_j (test hook: with
     the basis switched off every |alpha| >= 1 coefficient stays identically
-    zero).  Snapshot times are rounded to the nearest step.
+    zero).  Each snapshot time must be a positive multiple of ``grid.dt``.
     """
     grid = grid or PropagatorGrid()
     x = grid.x
     nx = x.size
     J = spec.max_mode
+    steps_of = snapshot_steps(snapshot_times, grid.dt)
+    n_steps = max(steps_of)
     check_array_budget((spec.count() + spec.lowerings()) * nx,
                        f"the propagator state and forcing plan of {spec.count()} "
                        f"indices x {nx} lattice nodes")
@@ -135,14 +122,6 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
     else:
         E = np.stack([np.asarray(mode_functions(j, x), dtype=float) for j in range(1, J + 1)])
     wiring = LevelWiring(indices, E)
-
-    steps_of = {}
-    for t_req in snapshot_times:
-        k = int(round(t_req / grid.dt))
-        if k <= 0:
-            raise ValueError(f"snapshot time {t_req} is not after the initial time")
-        steps_of[k] = t_req
-    n_steps = max(steps_of)
 
     # boundary values of the level-0 field (heat semigroup of u0)
     bgrid = build_line_grid(grid.half_width + 8.0, panels=64)
@@ -159,31 +138,28 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
 
     lam = grid.dt / (4.0 * grid.dx * grid.dx)  # (dt/2) * (1/2) / dx^2
     ab = _tridiagonal_banded(nx, lam)
-    # explicit: (U + 2 lam S) + dt f_old; implicit: (U + lam S) + (dt/2)(f_old + f_new)
-    stencil_w, forcing_w = (2.0 * lam, grid.dt) if grid.explicit else (lam, 0.5 * grid.dt)
 
     sol = PropagatorSolution(grid=grid, spec=spec, indices=indices)
     for k in range(1, n_steps + 1):
         for n, sl in enumerate(wiring.slices):
             for chunk in wiring.chunks[n]:  # lower levels already advanced
                 wiring.force(chunk, U_new, f_new[chunk.block])
-            # the right-hand side is built in U_new[sl] and solved in place
+            # the right-hand side (U + lam S) + (dt/2)(f_old + f_new) is built in
+            # U_new[sl] and solved in place, so the assignment below copies nothing
             u, rhs = U[sl], U_new[sl]
             inner = rhs[:, 1:-1]  # S = (U[:-2] - 2 U[1:-1]) + U[2:]
             np.multiply(2.0, u[:, 1:-1], out=inner)
             np.subtract(u[:, :-2], inner, out=inner)
             inner += u[:, 2:]
-            inner *= stencil_w
+            inner *= lam
             inner += u[:, 1:-1]
             f = f_old[sl]
-            if not grid.explicit:
-                f += f_new[sl]
-            f *= forcing_w
+            f += f_new[sl]
+            f *= 0.5 * grid.dt
             inner += f[:, 1:-1]
             rhs[:, 0] = bc_lo[k - 1] if n == 0 else 0.0
             rhs[:, -1] = bc_hi[k - 1] if n == 0 else 0.0
-            if not grid.explicit:  # solved in place, so the assignment copies nothing
-                U_new[sl] = solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T
+            U_new[sl] = solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T
         U, U_new = U_new, U
         f_old, f_new = f_new, f_old
         if not np.all(np.isfinite(U)):

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 TAIL_SHARE_GATE = 0.05
+LOW_R2 = 0.98  # fits with a smaller r^2 are flagged ``low_r2``
 
 
 class TruncationTailError(ValueError):
@@ -80,8 +81,7 @@ class ExponentEstimate:
 def increment_moments(field: Callable[[float, float], ChaosCoefficients],
                       base: tuple[float, float],
                       direction: Literal["space", "time"],
-                      lags: Sequence[float],
-                      tail_gate: float = TAIL_SHARE_GATE) -> IncrementMomentCurve:
+                      lags: Sequence[float]) -> IncrementMomentCurve:
     """Moment curve from a per-point coefficient supplier.
 
     ``field(t, x)`` must return coefficient tables on one shared truncation.
@@ -105,9 +105,9 @@ def increment_moments(field: Callable[[float, float], ChaosCoefficients],
         share = order_norm(c, spec.max_order) / total if total > 0 else 0.0
         worst_share = max(worst_share, share)
         tables[(t, x)] = c
-    if worst_share > tail_gate:
+    if worst_share > TAIL_SHARE_GATE:
         raise TruncationTailError(
-            f"top-order mass share {worst_share:.3%} exceeds the {tail_gate:.0%} gate; "
+            f"top-order mass share {worst_share:.3%} exceeds the {TAIL_SHARE_GATE:.0%} gate; "
             "raise the truncation order before fitting slopes")
     base_c = tables[points[0]]
     moments = []
@@ -171,7 +171,7 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
                                 tail_share=share, monotone=monotone)
 
 
-def fit_exponent(curve: IncrementMomentCurve, r2_flag: float = 0.98) -> ExponentEstimate:
+def fit_exponent(curve: IncrementMomentCurve) -> ExponentEstimate:
     """Least-squares slope of log2(moment) against log2(lag).
 
     Fitting log2 ratios against the first point makes the slope invariant
@@ -197,7 +197,7 @@ def fit_exponent(curve: IncrementMomentCurve, r2_flag: float = 0.98) -> Exponent
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return ExponentEstimate(slope=slope, stderr=stderr, r_squared=r2,
                             fit_range=(float(curve.lags[0]), float(curve.lags[-1])),
-                            n_points=n, low_r2=r2 < r2_flag)
+                            n_points=n, low_r2=r2 < LOW_R2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +290,14 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
     cuts = [int(round((t_hi - h) / dt)) for h in lags]
 
     def reduce(b, steps, pos, prof) -> np.ndarray:
+        # L_a(t) - L_a(t - h) is the occupation of the steps after the cut alone
         out = np.zeros(lags.size)
         for i, cut in enumerate(cuts):
-            D = prof - occupation_profiles(pos[:, :cut], steps[:cut], levels)
+            D = occupation_profiles(pos[:, cut:], steps[cut:], levels)
             out[i] = float(np.sum(D * D) * delta_a)
         return out
 
+    # the levels are passed so that the block budget counts them
     parts = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,
                           reduce, levels)
     moments = sum(parts) / n_paths

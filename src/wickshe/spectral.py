@@ -14,7 +14,8 @@ transform and the update all write into buffers reused across steps, and two
 state buffers are swapped instead of allocated.  The top level forces
 nothing, so its real-space values are never transformed back.  A state (plus
 the plan) over ``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the
-indices are enumerated.
+indices are enumerated.  A snapshot time must be a positive multiple of the
+step dt (to within 1e-9, ``basis.snapshot_steps``); any other time is refused.
 
 The domain is [-L, L) periodic with L = 4 pi by default: the sine initial
 datum is exactly periodic there and Hermite-function mass beyond |x| = 4 pi
@@ -31,7 +32,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .basis import (FORCING_CHUNK, LevelWiring, TruncationSpec, enumerate_multiindices,
-                    hermite_function_table)
+                    hermite_function_table, snapshot_at, snapshot_steps)
 from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
 from .kernels import InitialCondition
@@ -84,13 +85,7 @@ class SpectralChaosField:
     # -- time stepping -------------------------------------------------------
 
     def run(self, snapshot_times: Iterable[float]) -> "SpectralChaosField":
-        wanted: Dict[int, float] = {}
-        for t_req in snapshot_times:
-            k = round(t_req / self.dt)
-            if abs(k * self.dt - t_req) > 1e-9 or k <= 0:
-                raise ValueError(f"snapshot time {t_req} must be a positive multiple "
-                                 f"of dt = {self.dt}")
-            wanted[k] = t_req
+        wanted = snapshot_steps(snapshot_times, self.dt)
         n_steps = max(wanted)
         N = self.spec.max_order
         wiring, m = self.wiring, self.m
@@ -137,16 +132,10 @@ class SpectralChaosField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _state(self, t: float) -> np.ndarray:
-        for ts, state in self.snapshots.items():
-            if abs(ts - t) < 1e-9:
-                return state
-        raise ValueError(f"no snapshot at t={t}; stored: {sorted(self.snapshots)}")
-
     def values_at(self, t: float, xs, deriv: bool = False) -> np.ndarray:
         """(n_indices, n_points) coefficient values of the solution field (or
         its exact spatial derivative) at arbitrary points."""
-        state = self._state(t)
+        _, state = snapshot_at(self.snapshots, t)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         outside = xs[~((xs >= -self.L) & (xs < self.L))]
         if outside.size:

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 KERNEL_ORDER_CAP = 3  # pointwise quadrature cost grows as (time nodes)^n
+TIME_POINTS = 16  # simplex nodes per time axis of the chain integrals
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,11 @@ class _ChainContext:
     applied to that datum, one row per time node."""
 
     def __init__(self, n: int, t: float, u0: InitialCondition,
-                 quad: CoefficientQuadrature | None = None, time_points: int = 16):
+                 quad: CoefficientQuadrature | None = None):
         self.t = t
         self.quad = quad or CoefficientQuadrature()
         self.u0_grid = u0(self.quad.grid.nodes)
-        spec = SimplexSpec(order=n, horizon=t, points_per_axis=time_points, grading=2.0)
+        spec = SimplexSpec(order=n, horizon=t, points_per_axis=TIME_POINTS, grading=2.0)
         self.w_nodes, self.w_weights = simplex_map(spec)
 
     def integral(self, gaps: np.ndarray, steps: np.ndarray, tail_times: np.ndarray,
@@ -111,7 +112,7 @@ def _backward_chain(ctx: _ChainContext, x: float, y: np.ndarray) -> float:
 
 
 def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
-                  quad: CoefficientQuadrature | None, time_points: int, label: str,
+                  quad: CoefficientQuadrature | None, label: str,
                   chain: Callable[[_ChainContext, float, np.ndarray], float],
                   symmetrize: bool) -> WienerKernel:
     """The order-n kernel of ``chain`` at (t, x); with ``symmetrize`` the
@@ -124,7 +125,7 @@ def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
     if n == 0:
         val = float(apply_heat_semigroup(u0, t, x, (quad or CoefficientQuadrature()).grid))
         return WienerKernel(order=0, point=(t, x), label=label, evaluator=lambda y: val)
-    ctx = _ChainContext(n, t, u0, quad, time_points)
+    ctx = _ChainContext(n, t, u0, quad)
 
     def evaluate(y) -> float:
         y = np.asarray(y, dtype=float)
@@ -139,11 +140,10 @@ def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
 
 
 def fk_kernel(n: int, t: float, x: float, u0: InitialCondition,
-              quad: CoefficientQuadrature | None = None,
-              time_points: int = 16) -> WienerKernel:
+              quad: CoefficientQuadrature | None = None) -> WienerKernel:
     """Order-n kernel in the path (forward-visit) parameterisation,
     symmetrized over the visit order of its arguments."""
-    return _chain_kernel(n, t, x, u0, quad, time_points, "fk", _forward_chain, True)
+    return _chain_kernel(n, t, x, u0, quad, "fk", _forward_chain, True)
 
 
 # Order-n kernel in the mild-solution (backward-chain) parameterisation.  Each
@@ -155,8 +155,7 @@ mw_kernel = fk_kernel
 
 
 def cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
-              quad: CoefficientQuadrature | None = None,
-              time_points: int = 16) -> WienerKernel:
+              quad: CoefficientQuadrature | None = None) -> WienerKernel:
     """Ordered (unsymmetrized) chaos kernel F_n^cs.
 
     Quadratured in the backward parameterisation directly:
@@ -168,12 +167,11 @@ def cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
     a genuinely distinct parameterisation from the forward kernels (different
     time variables, different singular endpoints), used as their cross-check.
     """
-    return _chain_kernel(n, t, x, u0, quad, time_points, "cs", _backward_chain, False)
+    return _chain_kernel(n, t, x, u0, quad, "cs", _backward_chain, False)
 
 
 def sym_cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
-                  quad: CoefficientQuadrature | None = None,
-                  time_points: int = 16) -> WienerKernel:
+                  quad: CoefficientQuadrature | None = None) -> WienerKernel:
     """Symmetrization of the ordered chaos kernel, (1/n!) sum_sigma F_n^cs(y_sigma)."""
-    return _chain_kernel(n, t, x, u0, quad, time_points, "sym_cs", _backward_chain, True)
+    return _chain_kernel(n, t, x, u0, quad, "sym_cs", _backward_chain, True)
 

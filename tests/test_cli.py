@@ -149,6 +149,15 @@ class TestRunner:
         assert err.startswith("config error:") and "periodic domain" in err
         assert not (tmp_path / "out").exists()
 
+    def test_off_step_probe_time_is_a_config_error(self, tmp_path, capsys):
+        # t = 0.3 is not a multiple of the spectral engine's step 1/512
+        cfg = write_cfg(tmp_path, "seed = 1\ntruncation.N = 2\ntruncation.J = 2\n"
+                                  f"probes = 0.3,0.0\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["chaos", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "0.3" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_truncation_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # N = 5, J = 40 passes the parser and the enumeration cap
         # (1,221,759 indices), but one spectral state would take 3.5 GiB

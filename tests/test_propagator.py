@@ -55,20 +55,12 @@ class TestCrankNicolson:
             if a.degree() >= 1:
                 assert np.all(sol.lattice_values(0.5, a) == 0.0)
 
-    def test_cfl_guard_for_explicit(self):
-        with pytest.raises(ValueError, match="CFL"):
-            PropagatorGrid(dt=0.01, dx=0.025, explicit=True)
-
-    def test_explicit_scheme_agrees(self):
-        expl = propagator_oracle(TruncationSpec(1, 2), constant_ic(),
-                                 PropagatorGrid(dt=0.0003, dx=0.025, explicit=True),
-                                 snapshot_times=[0.3])
-        impl = propagator_oracle(TruncationSpec(1, 2), constant_ic(),
-                                 PropagatorGrid(dt=0.0003, dx=0.025),
-                                 snapshot_times=[0.3])
-        for a in expl.indices:
-            np.testing.assert_allclose(expl.lattice_values(0.3, a),
-                                       impl.lattice_values(0.3, a), atol=2e-5)
+    def test_off_step_snapshot_time_rejected(self):
+        # t = 0.014 lies between the steps 0.01 and 0.02; a rounded snapshot
+        # would return the t = 0.01 field labelled as t = 0.014
+        with pytest.raises(ValueError, match="multiple"):
+            propagator_oracle(TruncationSpec(0, 1), sine_ic(), PropagatorGrid(dt=0.01),
+                              snapshot_times=[0.014])
 
     def test_off_lattice_probe_rejected(self, cn_const):
         with pytest.raises(ValueError, match="lattice"):
