@@ -244,10 +244,10 @@ def _pair_nodes_space(n: int, t: float, rng_seed: int
     return np.concatenate([V, W], axis=1), wts, True
 
 
-def _accumulate_space(n: int, t: float, lags: np.ndarray, deriv: bool,
-                      rng_seed: int) -> tuple[np.ndarray, float]:
-    """(increment masses per lag, field mass) for one chaos order."""
-    nodes, wts, paired = _pair_nodes_space(n, t, rng_seed)
+def _accumulate(n: int, nodes: np.ndarray, wts: np.ndarray, paired: bool,
+                lags: np.ndarray, deriv: bool) -> tuple[np.ndarray, float]:
+    """(increment masses per lag, field mass) for one chaos order over the
+    given double-simplex nodes; an empty lag ladder gives the mass alone."""
     neg_lags_sq = -lags[:, None] ** 2
     buffers: dict = {}
 
@@ -273,20 +273,12 @@ def _accumulate_space(n: int, t: float, lags: np.ndarray, deriv: bool,
     return inc, mass
 
 
-def _mass_term(deriv: bool):
-    """Pairing term of the field mass alone: sum w A (u) or sum w A / S (dx u)."""
-    def term(A, S, w):
-        return (float(np.dot(w, A / S if deriv else A)),)
-    return term
-
-
 def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
                        rng_seed: int = 10103) -> Dict[int, float]:
     """sum_{|alpha| = n} F_alpha(t, x)^2 per order (x-independent here)."""
     out: Dict[int, float] = {}
     for n in _check_orders(orders):
-        nodes, wts, paired = _pair_nodes_space(n, t, rng_seed)
-        out[n], = _pairing_sums(n, _pair_blocks(n, nodes, wts, paired), _mass_term(deriv))
+        _, out[n] = _accumulate(n, *_pair_nodes_space(n, t, rng_seed), np.zeros(0), deriv)
     return out
 
 
@@ -299,7 +291,7 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
     inc: Dict[int, np.ndarray] = {}
     mass: Dict[int, float] = {}
     for n in _check_orders(orders):
-        inc[n], mass[n] = _accumulate_space(n, t, lags, deriv, rng_seed)
+        inc[n], mass[n] = _accumulate(n, *_pair_nodes_space(n, t, rng_seed), lags, deriv)
     return inc, mass
 
 
@@ -373,8 +365,7 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
         masses = np.zeros(lags.size)
         U = _sobol_pairs(n, rng_seed) if n >= 3 else None
         for li, h in enumerate(lags):
-            nodes, wfull, paired = _time_region_nodes(n, t, float(h), U)
-            masses[li], = _pairing_sums(n, _pair_blocks(n, nodes, wfull, paired),
-                                        _mass_term(deriv))
+            _, masses[li] = _accumulate(n, *_time_region_nodes(n, t, float(h), U),
+                                        np.zeros(0), deriv)
         out[n] = masses
     return out, field_order_masses(t + float(lags[top]), orders, deriv, rng_seed)

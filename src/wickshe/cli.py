@@ -398,7 +398,7 @@ def run_regularity(cfg: RunConfig, out: Path, report: RunReport):
         else:
             passed = abs(est.slope - target) <= tol
             detail = f"slope {est.slope:.3f} target {target} +- {tol}"
-        passed = passed and est.r_squared >= 0.98
+        passed = passed and not est.low_r2
         report.add_check(f"slope_{fname}_{direction}", passed,
                          detail + f", R2 = {est.r_squared:.4f}")
     report.add_check("local_time_temporal_slope", abs(lt_est.slope - 1.5) <= 0.2,

@@ -17,8 +17,9 @@ Every ensemble routine is a reducer on ``path_ensemble``, the one blocked
 loop: it streams paths in blocks of ``DEFAULT_BLOCK``, each block draws from
 its own counter-based substream, and the per-block results come back in
 block order, so estimates are bit-identical no matter how many worker
-threads ran them.  A block whose position or profile array would exceed
-``ARRAY_BUDGET_BYTES`` is refused before anything is allocated.  Blocks go
+threads ran them.  A reducer gets its block's positions and bins any
+occupation profile it reads; a block whose position or profile array would
+exceed ``ARRAY_BUDGET_BYTES`` is refused before anything is drawn.  Blocks go
 through ``ordered_map``, which runs a single item inline; a caller with many
 one-block ensembles (the fk double average) maps them over the workers
 instead, each ensemble on one thread.
@@ -187,11 +188,16 @@ def local_time(path: BrownianPath, levels: np.ndarray) -> LocalTimeProfile:
 
 def occupation_functional(path: BrownianPath, phi: Callable[[np.ndarray], np.ndarray]) -> float:
     """Left-endpoint Riemann sum of int_0^t phi(B_s) ds."""
-    steps = np.diff(path.t_grid)
-    vals = np.asarray(phi(path.positions[:-1]), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    return float(_occupation_sums(path.positions[None, :-1], np.diff(path.t_grid), phi)[0])
+
+
+def _occupation_sums(left: np.ndarray, steps: np.ndarray, phi: Callable) -> np.ndarray:
+    """int_0^t phi(B_s) ds as the left-endpoint sum phi(left) @ steps, one per
+    row of left endpoints; a sum is non-finite whenever a value is."""
+    sums = np.asarray(phi(left), dtype=float) @ steps
+    if not np.all(np.isfinite(sums)):
         raise ValueError("phi returned non-finite values along the path")
-    return float(np.dot(vals, steps))
+    return sums
 
 
 def sample_noise(levels: np.ndarray, stream: np.random.Generator,
@@ -288,14 +294,14 @@ def ordered_map(fn: Callable[[object], object], items: Sequence, threads: int) -
 
 def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
                   stream_label: str, threads: int,
-                  reduce: Callable[[int, np.ndarray, np.ndarray, Optional[np.ndarray]], object],
+                  reduce: Callable[[int, np.ndarray, np.ndarray], object],
                   levels: Optional[np.ndarray] = None) -> list:
-    """Map ``reduce(b, steps, pos, prof)`` over blocks of ``DEFAULT_BLOCK`` paths
+    """Map ``reduce(b, steps, pos)`` over blocks of ``DEFAULT_BLOCK`` paths
     started at x; the last block may be short.
 
     Block b draws from ``substream(stream_seed, stream_label, b)``.  ``steps``
-    are the time steps, ``pos`` the (paths, steps) positions at t_1..t_M and
-    ``prof`` the occupation profiles on ``levels`` (None without levels).
+    are the time steps and ``pos`` the (paths, steps) positions at t_1..t_M.
+    ``levels`` enters only the block budget; a reducer bins what it reads.
     Results come back in block order for any thread count.
     """
     n_steps = math.ceil(t / dt - 1e-12)
@@ -307,8 +313,7 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
     def one_block(b: int):
         nb = min(DEFAULT_BLOCK, n_paths - b * DEFAULT_BLOCK)
         pos = _positions(nb, steps, x, substream(stream_seed, stream_label, b))
-        prof = None if levels is None else occupation_profiles(pos, steps, levels)
-        return reduce(b, steps, pos, prof)
+        return reduce(b, steps, pos)
 
     return ordered_map(one_block, range(-(-n_paths // DEFAULT_BLOCK)), threads)
 
@@ -335,13 +340,14 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
     levels = noise.level_grid
     da = float(levels[1] - levels[0])
 
-    def reduce(b, steps, pos, prof) -> np.ndarray:
+    def reduce(b, steps, pos) -> np.ndarray:
+        prof = occupation_profiles(pos, steps, levels)
         psi = prof @ noise.grid_increments - 0.5 * da * np.einsum("ij,ij->i", prof, prof)
         return u0(pos[:, -1]) * np.exp(psi)
 
     vals = np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
                                         threads, reduce, levels))
-    if n_paths > 1 and float(vals.std()) == 0.0:
+    if float(vals.std()) == 0.0:
         raise RuntimeError("degenerate path ensemble: all samples identical")
     return float(vals.mean()), standard_error(vals)
 
@@ -372,7 +378,7 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
         if phi_sup is not None and phi_sup * t > 50.0:
             raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
 
-    def reduce(b, steps, pos, prof) -> list:
+    def reduce(b, steps, pos) -> list:
         # left endpoints: start point x plus all but the last position
         left = np.concatenate([np.full((pos.shape[0], 1), x), pos[:, :-1]], axis=1)
         end = pos[:, -1]
@@ -380,12 +386,12 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
         du_end = u0.derivative(end) if need_dx else None
         out = []
         for phi, phi_prime, _ in phis:
-            grow = np.exp(np.asarray(phi(left), dtype=float) @ steps)
+            grow = np.exp(_occupation_sums(left, steps, phi))
             u = u_end * grow
             dx = None
             if phi_prime is not None:
                 # u0'(B_t) e^{int phi} + u0(B_t) e^{int phi} int phi'
-                occ_prime = np.asarray(phi_prime(left), dtype=float) @ steps
+                occ_prime = _occupation_sums(left, steps, phi_prime)
                 dx = du_end * grow + u * occ_prime
             out.append((u, dx))
         return out
@@ -449,7 +455,8 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
     levels = build_level_grid(t, x, delta_a)
     j0 = int(np.argmin(np.abs(levels - x)))
 
-    def reduce(b, steps, pos, prof):
+    def reduce(b, steps, pos):
+        prof = occupation_profiles(pos, steps, levels)
         mass_err = np.abs(delta_a * prof.sum(axis=1) - t).max()
         extra = None if profile_reduce is None else profile_reduce(prof)
         # copy the column: a view would keep the whole block's profiles alive
@@ -497,7 +504,8 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     skew = float(np.mean(((psi - m) / s) ** 3))
 
     # unconditional E exp(Psi) over fresh (path, noise) pairs
-    def reduce(b, steps, pos, profs):
+    def reduce(b, steps, pos):
+        profs = occupation_profiles(pos, steps, levels)
         dWb = substream(stream_seed, "psi-pairs-noise", b).standard_normal(profs.shape)
         dWb *= math.sqrt(da)
         return np.exp(np.einsum("ij,ij->i", profs, dWb)

@@ -251,9 +251,11 @@ def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int
     h >= 2 delta_a; h = 0 is allowed and returns exactly 0.
     """
     shifts = _increment_shifts(h_values, delta_a)
+    levels = build_level_grid(t, x, delta_a)
     parts = path_ensemble(t, x, dt, n_paths, stream_seed, "lt-increments", threads,
-                          lambda b, steps, pos, prof: _increment_sums(prof, shifts, delta_a),
-                          build_level_grid(t, x, delta_a))
+                          lambda b, steps, pos: _increment_sums(
+                              occupation_profiles(pos, steps, levels), shifts, delta_a),
+                          levels)
     return _increment_table(h_values, parts, n_paths)
 
 
@@ -289,7 +291,7 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
     levels = build_level_grid(t_hi, x, delta_a)
     cuts = [int(round((t_hi - h) / dt)) for h in lags]
 
-    def reduce(b, steps, pos, prof) -> np.ndarray:
+    def reduce(b, steps, pos) -> np.ndarray:
         # L_a(t) - L_a(t - h) is the occupation of the steps after the cut alone
         out = np.zeros(lags.size)
         for i, cut in enumerate(cuts):
@@ -297,7 +299,6 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
             out[i] = float(np.sum(D * D) * delta_a)
         return out
 
-    # the levels are passed so that the block budget counts them
     parts = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,
                           reduce, levels)
     moments = sum(parts) / n_paths

@@ -1,0 +1,16 @@
+"""Demos run end to end against the sources, in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_feynman_kac_sampling_demo_runs(tmp_path):
+    # simulate_path, local_time, psi_sample, sample_noise, fk_conditional_estimate
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_feynman_kac_sampling.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr

@@ -305,6 +305,15 @@ class TestSTransformMC:
             assert out == s_transform_ensemble_mc(0.5, 0.0, sine_ic(), [phi], 2500, 25,
                                                   stream_label="crn")[0]
 
+    def test_nonfinite_phi_refused(self):
+        # phi is infinite at the start point, so every path's integral is too
+        inf_near_0 = lambda y: np.where(np.abs(y) < 0.05, np.inf, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            s_transform_mc(0.1, 0.0, constant_ic(), inf_near_0, 200, 5)
+        with pytest.raises(ValueError, match="non-finite"):
+            s_transform_dx_mc(0.1, 0.0, sine_ic(), lambda y: np.zeros_like(y), inf_near_0,
+                              200, 5)
+
     def test_shared_ensemble_guards(self):
         from wickshe.kernels import InitialCondition
         bare = InitialCondition(evaluator=lambda x: np.ones_like(x), sup_norm=1.0)
@@ -382,22 +391,18 @@ class TestPathEnsemble:
     def test_blocks_in_order_with_short_tail(self):
         levels = build_level_grid(0.1, 0.0, 0.05)
         seen = path_ensemble(0.1, 0.0, 1e-3, 4500, 5, "pe", 2,
-                             lambda b, steps, pos, prof: (b, pos.shape, prof.shape,
-                                                          steps.sum()), levels)
+                             lambda b, steps, pos: (b, pos.shape,
+                                                    occupation_profiles(pos, steps, levels).shape,
+                                                    steps.sum()), levels)
         assert [r[0] for r in seen] == [0, 1, 2]
         assert [r[1] for r in seen] == [(2000, 100), (2000, 100), (500, 100)]
         assert seen[2][2] == (500, levels.size)
         assert seen[0][3] == pytest.approx(0.1, abs=1e-12)
 
-    def test_no_levels_gives_no_profiles(self):
-        out = path_ensemble(0.1, 0.0, 1e-3, 100, 5, "pe", 1,
-                            lambda b, steps, pos, prof: prof)
-        assert out == [None]
-
     def test_matches_single_path_simulation(self):
         # one block of one path draws the same numbers as simulate_path
         (pos,) = path_ensemble(0.3, 0.4, 1e-3, 1, 5, "pe", 1,
-                               lambda b, steps, pos, prof: pos[0])
+                               lambda b, steps, pos: pos[0])
         p = simulate_path(0.3, 1e-3, 0.4, substream(5, "pe", 0))
         assert np.array_equal(p.positions[1:], pos)
 
@@ -409,6 +414,18 @@ class TestPathEnsemble:
         monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 2000 * 8 * 999)
         with pytest.raises(EnsembleMemoryError, match="2000 paths x 1000 steps"):
             path_ensemble(1.0, 0.0, 1e-3, 100, 5, "pe", 1, lambda *a: None)
+
+    def test_budget_counts_levels_wider_than_the_steps(self, monkeypatch):
+        # the loop bins nothing, yet a level grid wider than the step count
+        # sizes the block budget and is refused before any draw
+        def no_draw(*args):
+            raise AssertionError("a substream was drawn")
+
+        monkeypatch.setattr(feynman_kac, "substream", no_draw)
+        monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 2000 * 8 * 999)
+        levels = 0.01 * (np.arange(1000) + 0.5)
+        with pytest.raises(EnsembleMemoryError, match="1000 levels"):
+            path_ensemble(0.1, 0.0, 1e-3, 100, 5, "pe", 1, lambda *a: None, levels)
 
     def test_psi_law_budget(self, monkeypatch):
         def no_draw(*args):

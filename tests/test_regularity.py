@@ -6,12 +6,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from wickshe import chain_moments
+from wickshe import chain_moments, feynman_kac, regularity
 from wickshe.basis import MultiIndex, TruncationSpec
 from wickshe.chain_moments import (_Pairing, _Side, field_order_masses,
-                                   time_increment_masses)
+                                   space_increment_masses, time_increment_masses)
 from wickshe.chaos import ChaosCoefficients, sample_realization_batch
-from wickshe.feynman_kac import local_time_ensemble_stats
+from wickshe.feynman_kac import local_time_ensemble_stats, occupation_profiles
 from wickshe.kernels import constant_ic
 from wickshe.regularity import (IncrementMomentCurve,
                                 TruncationTailError, exact_increment_curve,
@@ -342,13 +342,12 @@ class TestPairingKernel:
 
 
 def test_field_order_masses_equal_the_space_pass_masses():
-    # the mass-only pairing term returns the mass that the space increment
-    # pass computes beside its increments, bit for bit
+    # the mass-only accumulation (an empty lag ladder) returns the mass that
+    # the space increment pass computes beside its increments, bit for bit
     for deriv in (False, True):
         masses = field_order_masses(0.7, [1, 2, 3], deriv, rng_seed=5)
-        for n in (1, 2, 3):
-            _, ref = chain_moments._accumulate_space(n, 0.7, np.asarray([1.0]), deriv, 5)
-            assert masses[n] == ref
+        _, ref = space_increment_masses(0.7, [1.0], [1, 2, 3], deriv, rng_seed=5)
+        assert masses == ref
 
 
 class TestLocalTimeIncrements:
@@ -397,6 +396,22 @@ class TestLocalTimeIncrements:
         assert stats == local_time_ensemble_stats(1.0, 2e-3, 0.05, 4500, 59)
         assert [h for h, _ in table] == [0.0, 0.1, 0.2] and table[0][1] == 0.0
         assert 3.0 <= table[1][1] <= 4.4 and table[2][1] < table[1][1]
+
+    def test_temporal_check_bins_only_tail_windows(self, monkeypatch):
+        # no occupation histogram of the temporal check covers all M steps
+        # of a block: each lag bins only the steps after its cut
+        widths = []
+
+        def recording(pos, steps, levels):
+            widths.append(pos.shape[1])
+            return occupation_profiles(pos, steps, levels)
+
+        monkeypatch.setattr(feynman_kac, "occupation_profiles", recording)
+        monkeypatch.setattr(regularity, "occupation_profiles", recording)
+        local_time_temporal_increment_check(1.0, [0.05, 0.1, 0.15, 0.2, 0.3, 0.4], 2500, 3,
+                                            dt=1e-3, delta_a=0.05)
+        assert sorted(set(widths)) == [50, 100, 150, 200, 300, 400]
+        assert len(widths) == 2 * 6  # two blocks, one window per lag
 
     def test_temporal_increment_slope(self):
         curve = local_time_temporal_increment_check(
