@@ -37,9 +37,11 @@ Only time-simplex quadrature remains: graded tensor rules up to order 2,
 scrambled Sobol points at orders 3 and 4, all mapped onto the simplex by the
 warped nested substitution; the axis rules, their tensor products and that
 map are those of ``kernels`` (``graded_panels``, ``tensor_rule``,
-``simplex_from_unit``).  The (A, S) tables are independent
-of the lag, so a whole lag ladder costs one assembly; spatial increments
-evaluate
+``simplex_from_unit``).  The Sobol points (Joe-Kuo direction numbers,
+linear matrix scrambling and a digital shift) are generated here, bit for
+bit those of ``scipy.stats.qmc.Sobol``, without importing scipy.  The (A, S)
+tables are independent of the lag, so a whole lag ladder costs one
+assembly; spatial increments evaluate
 
     K-field: (2A/S) [1 - e^{-z}(1 - 2z)],   u-field: 2A [1 - e^{-z}],
 
@@ -52,6 +54,7 @@ chain endpoint and push every measured space slope toward 2.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, NamedTuple, Sequence
 
@@ -70,6 +73,12 @@ _TENSOR_AXIS_NODES = {1: 60, 2: 30}
 _AXIS_GRADING = 2.5  # panels graded toward 0, the singular chain endpoint
 _BOX_AXIS_NODES = 12  # ungraded nodes on the top time v_n in [t, t + h]
 _QMC_LOG2 = {3: 16, 4: 16}  # Sobol points at orders 3 and 4
+_SOBOL_BITS = 30
+# primitive polynomials (bits high to low, leading term included) and initial
+# m_j of the first 8 Sobol dimensions, which cover d = 2n <= 8
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+_SOBOL_INIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13),
+               (1, 1, 5, 5, 17))
 _PAIR_BLOCK = 1 << 18  # node pairs per block of a tensor-square rule
 CHAIN_ORDERS = (1, 2, 3, 4)  # the orders with a time-simplex rule above
 
@@ -220,12 +229,57 @@ def _pairing_sums(n: int, blocks, term) -> tuple:
     return totals
 
 
+def _sobol_direction_numbers(d: int) -> np.ndarray:
+    """(d, 30) Sobol direction numbers of the first d dimensions (Joe & Kuo
+    2008): m_j from each primitive polynomial's recurrence, shifted to v_j =
+    m_j 2^(29 - j); the first dimension is van der Corput's, all m_j = 1."""
+    V = np.empty((d, _SOBOL_BITS), dtype=np.uint32)
+    for k in range(d):
+        poly, init = _SOBOL_POLY[k], _SOBOL_INIT[k]
+        deg = len(init)
+        m = list(init) if deg else [1] * _SOBOL_BITS
+        for j in range(len(m), _SOBOL_BITS):
+            new = m[j - deg] ^ (m[j - deg] << deg)
+            for i in range(1, deg):
+                if (poly >> (deg - i)) & 1:
+                    new ^= m[j - i] << i
+            m.append(new)
+        V[k] = [x << (_SOBOL_BITS - 1 - j) for j, x in enumerate(m)]
+    return V
+
+
+def _scrambled_sobol(d: int, log2_points: int, seed: int) -> np.ndarray:
+    """The first 2^log2_points points of the d-dimensional Sobol sequence with
+    linear matrix scrambling and a digital shift, bit for bit those of
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2``:
+    the same draws from ``default_rng(seed)`` (the shift's bits, then the
+    lower-triangular scrambling matrices with unit diagonal), the same
+    scrambled direction numbers and the same Gray-code order."""
+    rng = np.random.default_rng(seed)
+    lsb_first = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = (rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32)
+             @ (np.uint32(1) << lsb_first))
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, lsb_first, lsb_first] = 1
+    # bit 29 - p of a scrambled number is the parity of matrix row p against
+    # the number's bits, most significant first
+    msb_first = lsb_first[::-1]
+    v_bits = (_sobol_direction_numbers(d)[:, :, None] >> msb_first) & 1
+    sv = (np.einsum("dpi,dji->djp", ltm, v_bits) & 1) @ (np.uint32(1) << msb_first)
+    i = np.arange(1, 1 << log2_points)
+    ctz = np.log2(i & -i).astype(np.intp)  # point i flips direction ctz(i)
+    steps = np.concatenate([shift[None, :], sv.T[ctz]])
+    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -_SOBOL_BITS
+
+
+@lru_cache(maxsize=8)
 def _sobol_pairs(n: int, rng_seed: int) -> np.ndarray:
     """Scrambled Sobol points in the 2n-cube, clipped into its interior: the
-    unit nodes of the order-n double rules (orders 3 and 4)."""
-    from scipy.stats import qmc  # loaded only for chain orders 3 and 4
-    sob = qmc.Sobol(d=2 * n, scramble=True, seed=rng_seed)
-    return _clip_unit(sob.random_base2(m=_QMC_LOG2[n]))
+    unit nodes of the order-n double rules (orders 3 and 4).  One read-only
+    set per (order, seed) serves every rule that asks for it."""
+    U = _clip_unit(_scrambled_sobol(2 * n, _QMC_LOG2[n], rng_seed))
+    U.flags.writeable = False
+    return U
 
 
 def _pair_nodes_space(n: int, t: float, rng_seed: int

@@ -66,7 +66,8 @@ class TestConfigParsing:
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats (~0.5 s) is only needed by the Sobol rule at chain orders 3-4
+    # no subcommand needs scipy.stats (~0.7 s); the chain engine's Sobol points
+    # are generated in the package
     src = str(Path(wickshe.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

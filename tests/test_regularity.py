@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+import wickshe
 from wickshe import chain_moments, feynman_kac, regularity
 from wickshe.basis import MultiIndex, TruncationSpec
-from wickshe.chain_moments import (_Pairing, _Side, field_order_masses,
+from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol,
+                                   _sobol_pairs, field_order_masses,
                                    space_increment_masses, time_increment_masses)
 from wickshe.chaos import ChaosCoefficients, sample_realization_batch
 from wickshe.feynman_kac import local_time_ensemble_stats, occupation_profiles
@@ -348,6 +355,41 @@ def test_field_order_masses_equal_the_space_pass_masses():
         masses = field_order_masses(0.7, [1, 2, 3], deriv, rng_seed=5)
         _, ref = space_increment_masses(0.7, [1.0], [1, 2, 3], deriv, rng_seed=5)
         assert masses == ref
+
+
+class TestSobolRule:
+    @pytest.mark.parametrize("seed", [7, 10103, 12345])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_scipy_sobol(self, n, seed):
+        ref = qmc.Sobol(d=2 * n, scramble=True, seed=seed).random_base2(16)
+        assert np.array_equal(_sobol_pairs(n, seed), _clip_unit(ref))
+
+    @pytest.mark.parametrize("seed", [7, 10103, 12345])
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_first_points_in_scipy_order(self, d, seed):
+        # eight points pin the first point (the digital shift) and the
+        # Gray-code order of the direction numbers
+        ref = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(3)
+        assert np.array_equal(_scrambled_sobol(d, 3, seed), ref)
+
+    def test_one_read_only_set_per_order_and_seed(self):
+        U = _sobol_pairs(3, 7)
+        assert _sobol_pairs(3, 7) is U
+        assert not U.flags.writeable
+        assert _sobol_pairs(3, 12345) is not U
+
+    def test_orders_3_and_4_do_not_load_scipy_stats(self):
+        src = str(Path(wickshe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys\n"
+                "from wickshe.chain_moments import space_increment_masses, time_increment_masses\n"
+                "space_increment_masses(1.0, [0.125], [3, 4], True)\n"
+                "time_increment_masses(1.0, [0.125], [3, 4], True)\n"
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestLocalTimeIncrements:
