@@ -18,23 +18,22 @@ Module map:
 """
 
 from .basis import (GaussianCoordinates, MultiIndex, TruncationSpec,
-                    enumerate_multiindices, evaluate_sym_basis, hermite_function,
-                    hermite_function_dx, hermite_poly, sample_xi)
-from .chaos import (ChaosCoefficients, order_norm, s_transform_chaos,
-                    sample_realization, second_moment, wick_product)
+                    enumerate_multiindices, hermite_function, hermite_function_dx,
+                    hermite_poly)
+from .chaos import ChaosCoefficients, order_norm, s_transform_chaos, second_moment, wick_product
 from .coefficients import (CoefficientQuadrature, cs_coefficient, cs_level_coefficients,
                            dx_coefficient, dx_level_coefficients)
 from .feynman_kac import (BrownianPath, LocalTimeProfile, NoiseRealization, PsiSample,
                           build_level_grid, fk_conditional_estimate, local_time,
-                          occupation_functional, psi_sample, sample_noise,
-                          simulate_path, s_transform_dx_mc, s_transform_mc)
+                          psi_sample, sample_noise, simulate_path, s_transform_dx_mc,
+                          s_transform_mc)
 from .kernels import (InitialCondition, QuadratureGrid, SimplexSpec, apply_heat_semigroup,
                       apply_heat_semigroup_dx, build_line_grid, constant_ic,
                       dxp_cross_inner, gaussian_bump_ic, heat_kernel, heat_kernel_dx,
                       simplex_quadrature, sine_ic, tanh_ic)
 from .propagator import PropagatorGrid, propagator_oracle
 from .regularity import (ExponentEstimate, IncrementMomentCurve, exact_increment_curve,
-                         fit_exponent, increment_moments, local_time_increment_check)
+                         fit_exponent, local_time_increment_check)
 from .spectral import SpectralChaosField
 from .wiener_kernels import WienerKernel, cs_kernel, fk_kernel, mw_kernel, sym_cs_kernel
 

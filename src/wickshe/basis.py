@@ -40,8 +40,6 @@ __all__ = [
     "LevelWiring",
     "snapshot_steps",
     "snapshot_at",
-    "evaluate_sym_basis",
-    "sample_xi",
 ]
 
 
@@ -362,71 +360,3 @@ def _distinct_permutations(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         pool[i], pool[j] = pool[j], pool[i]
         pool[i + 1:] = reversed(pool[i + 1:])
         yield tuple(pool)
-
-
-def evaluate_sym_basis(alpha: MultiIndex, y: Sequence[float]) -> float:
-    """Symmetric tensor basis element evaluated at one point of R^n:
-
-        e_alpha(y_1..y_n) = (n! alpha!)^{-1/2}
-                            sum_{sigma in P_n} e_{k_sigma(1)}(y_1) ... e_{k_sigma(n)}(y_n)
-
-    with k the characteristic vector of alpha.  The sum runs over distinct
-    arrangements of k weighted by their multiplicity (alpha! copies each), so
-    repeated modes cost far less than n! kernel products.
-    """
-    k = alpha.characteristic_vector()
-    n = len(k)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"point must have length |alpha| = {n}, got shape {y.shape}")
-    if n == 0:
-        return 1.0
-    jmax = max(k)
-    table = _hermite_rows(jmax, y)  # table[j-1, i] = e_j(y_i)
-    afact = alpha.factorial()
-    total = 0.0
-    for arrangement in _distinct_permutations(k):
-        prod = 1.0
-        for i, j in enumerate(arrangement):
-            prod *= table[j - 1, i]
-        total += prod
-    # each distinct arrangement stands for alpha! identical permutations
-    return float(total * afact / math.sqrt(math.factorial(n) * afact))
-
-
-def sample_xi(alpha: MultiIndex, g: GaussianCoordinates) -> float:
-    """Cameron-Martin basis variable xi_alpha = prod_j H_{alpha_j}(W_{e_j}) / sqrt(alpha_j!)
-    evaluated at the given coordinates (deterministic given g): the one-row
-    case of ``sample_xi_batch``."""
-    return float(sample_xi_batch([alpha], g.values)[0, 0])
-
-
-def sample_xi_batch(indices: list[MultiIndex], g_matrix: np.ndarray) -> np.ndarray:
-    """xi_alpha for every alpha in ``indices`` at every coordinate row of
-    ``g_matrix`` (draws, modes); returns (draws, len(indices)).
-
-    Shares the per-mode Hermite tables across indices; used by Monte Carlo
-    checks that need 1e5+ draws.
-    """
-    g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
-    n_draws, j_max = g_matrix.shape
-    reach = max((len(a.entries) for a in indices), default=0)
-    if reach > j_max:
-        raise ValueError(f"support of an index reaches mode {reach} but only "
-                         f"{j_max} coordinates were given")
-    max_deg = max((a.degree() for a in indices), default=0)
-    # H[d, draw, j] = H_d(g[draw, j]) / sqrt(d!)
-    H = np.empty((max_deg + 1, n_draws, j_max))
-    H[0] = 1.0
-    if max_deg >= 1:
-        H[1] = g_matrix
-    for d in range(1, max_deg):
-        H[d + 1] = g_matrix * H[d] - d * H[d - 1]
-    for d in range(2, max_deg + 1):
-        H[d] /= math.sqrt(math.factorial(d))
-    out = np.ones((n_draws, len(indices)))
-    for col, alpha in enumerate(indices):
-        for j, aj in enumerate(alpha.entries, start=1):
-            if aj:
-                out[:, col] *= H[aj, :, j - 1]
-    return out

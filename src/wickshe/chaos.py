@@ -1,6 +1,5 @@
 """Chaos-coefficient containers and the algebra on them: Wick product,
-chaos-side S-transform, weighted order norms, second moments, and sampling of
-realizations from a coefficient table.
+chaos-side S-transform, weighted order norms and second moments.
 
 A coefficient table is a sparse map alpha -> real attached to one point
 (t, x).  On the Cameron-Martin basis the Wick product is
@@ -20,19 +19,15 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .basis import (GaussianCoordinates, MultiIndex, TruncationSpec, ZERO_INDEX,
-                    enumerate_multiindices, sample_xi_batch)
+from .basis import MultiIndex, TruncationSpec, ZERO_INDEX
 
 __all__ = [
     "ChaosCoefficients",
     "second_moment",
     "order_norm",
-    "sample_realization",
-    "sample_realization_batch",
     "wick_product",
     "s_transform_chaos",
     "s_transform_tail_estimate",
-    "stochastic_exponential_coefficients",
 ]
 
 
@@ -81,24 +76,6 @@ def order_norm(coeffs: ChaosCoefficients, n: int, lam: float = 0.0) -> float:
     return float(math.exp(2.0 * lam * n) * mass)
 
 
-def sample_realization(coeffs: ChaosCoefficients, g: GaussianCoordinates) -> float:
-    """One realization sum_alpha F_alpha xi_alpha(g) of the truncated field:
-    the one-row case of ``sample_realization_batch``."""
-    return float(sample_realization_batch(coeffs, g.values)[0])
-
-
-def sample_realization_batch(coeffs: ChaosCoefficients, g_matrix: np.ndarray) -> np.ndarray:
-    """Realizations for every coordinate row of ``g_matrix`` (draws, modes)."""
-    g_matrix = np.atleast_2d(np.asarray(g_matrix, dtype=float))
-    if g_matrix.shape[1] < coeffs.spec.max_mode:
-        raise ValueError(f"need at least {coeffs.spec.max_mode} coordinates, "
-                         f"got {g_matrix.shape[1]}")
-    indices = list(coeffs.values.keys())
-    xi = sample_xi_batch(indices, g_matrix)
-    vals = np.array([coeffs.values[a] for a in indices])
-    return xi @ vals
-
-
 def wick_product(F: ChaosCoefficients, G: ChaosCoefficients) -> ChaosCoefficients:
     """Wick product on coefficient tables:
 
@@ -141,25 +118,6 @@ def s_transform_chaos(coeffs: ChaosCoefficients, phi_modes: Sequence[float]) -> 
                 term *= phi[j - 1] ** aj / math.sqrt(math.factorial(aj))
         total += term
     return float(total)
-
-
-def stochastic_exponential_coefficients(psi_modes: Sequence[float],
-                                        spec: TruncationSpec) -> ChaosCoefficients:
-    """Coefficients of the stochastic exponential of a function with the given
-    Hermite-mode coordinates: F_alpha = prod_j psi_j^{alpha_j} / sqrt(alpha_j!).
-
-    Its S-transform at phi is exp(<phi, psi>) up to truncation tail; used as a
-    closed-form oracle for the S-transform identities.
-    """
-    psi = np.asarray(psi_modes, dtype=float)
-    vals: Dict[MultiIndex, float] = {}
-    for a in enumerate_multiindices(spec):
-        term = 1.0
-        for j, aj in enumerate(a.entries, start=1):
-            if aj:
-                term *= psi[j - 1] ** aj / math.sqrt(math.factorial(aj))
-        vals[a] = term
-    return ChaosCoefficients(point=(0.0, 0.0), spec=spec, values=vals)
 
 
 def s_transform_tail_estimate(coeffs: ChaosCoefficients, phi_modes: Sequence[float]) -> float:

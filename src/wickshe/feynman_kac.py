@@ -50,7 +50,6 @@ __all__ = [
     "PsiSample",
     "simulate_path",
     "local_time",
-    "occupation_functional",
     "psi_sample",
     "fk_conditional_estimate",
     "s_transform_mc",
@@ -184,11 +183,6 @@ def local_time(path: BrownianPath, levels: np.ndarray) -> LocalTimeProfile:
     """
     vals = occupation_profiles(path.positions[None, 1:], np.diff(path.t_grid), levels)[0]
     return LocalTimeProfile(level_grid=levels, values=vals, elapsed=float(path.t_grid[-1]))
-
-
-def occupation_functional(path: BrownianPath, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Left-endpoint Riemann sum of int_0^t phi(B_s) ds."""
-    return float(_occupation_sums(path.positions[None, :-1], np.diff(path.t_grid), phi)[0])
 
 
 def _occupation_sums(left: np.ndarray, steps: np.ndarray, phi: Callable) -> np.ndarray:

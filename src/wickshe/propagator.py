@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
                     hermite_function_table, snapshot_at, snapshot_steps)
@@ -43,9 +42,18 @@ from .kernels import InitialCondition, apply_heat_semigroup, build_line_grid
 __all__ = ["PropagatorGrid", "PropagatorSolution", "propagator_oracle"]
 
 
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """``scipy.linalg.solve_banded``, imported on the first call: nothing else
+    in the package needs scipy, so importing ``wickshe`` does not load it."""
+    from scipy.linalg import solve_banded as banded
+    return banded(l_and_u, ab, b, **kwargs)
+
+
 @dataclass(frozen=True)
 class PropagatorGrid:
-    """Uniform space-time lattice for the coefficient sweep."""
+    """Uniform space-time lattice for the coefficient sweep.  The spacing dx
+    must divide the width 2 * half_width (to within 1e-9), so that the last
+    node is the Dirichlet end ``half_width``."""
 
     dt: float = 0.0025
     dx: float = 0.025
@@ -54,6 +62,10 @@ class PropagatorGrid:
     def __post_init__(self):
         if self.dt <= 0 or self.dx <= 0 or self.half_width <= 0:
             raise ValueError("dt, dx and half_width must be positive")
+        cells = 2 * self.half_width / self.dx
+        if abs(cells - round(cells)) > 1e-9:
+            raise ValueError(f"dx = {self.dx} does not divide the lattice width "
+                             f"2 * half_width = {2 * self.half_width}")
 
     @property
     def x(self) -> np.ndarray:
@@ -79,9 +91,6 @@ class PropagatorSolution:
             raise ValueError(f"x={x} is not a lattice node (dx={self.grid.dx})")
         vals = {a: float(state[k, i]) for k, a in enumerate(self.indices)}
         return ChaosCoefficients(point=(ts, x), spec=self.spec, values=vals)
-
-    def lattice_values(self, t: float, alpha: MultiIndex) -> np.ndarray:
-        return snapshot_at(self.snapshots, t)[1][self.indices.index(alpha)]
 
 
 def _tridiagonal_banded(n: int, lam: float) -> np.ndarray:

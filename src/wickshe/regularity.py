@@ -3,8 +3,7 @@ exponent fits, and the local-time increment laws.
 
 The fitted slope of E|F(p+h) - F(p)|^2 against the lag h is twice the
 moment-level Hoelder exponent (the Kolmogorov-criterion reading).  Moment
-curves are deterministic: they come either from a truncated coefficient
-supplier (any initial datum) or, for constant initial data, from the exact
+curves are deterministic: for constant initial data they come from the exact
 chain-pairing engine, which is free of mode truncation.  A truncation gate
 refuses curves whose top-order mass share exceeds 5% of the total second
 moment at any probed point, since order truncation biases slopes downward
@@ -15,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .chain_moments import CHAIN_ORDERS, space_increment_masses, time_increment_masses
-from .chaos import ChaosCoefficients, order_norm, second_moment
 from .feynman_kac import (build_level_grid, local_time_ensemble_stats, occupation_profiles,
                           path_ensemble)
 
@@ -28,7 +26,6 @@ __all__ = [
     "IncrementMomentCurve",
     "ExponentEstimate",
     "TruncationTailError",
-    "increment_moments",
     "exact_increment_curve",
     "fit_exponent",
     "local_time_increment_check",
@@ -76,50 +73,6 @@ class ExponentEstimate:
     fit_range: tuple[float, float]
     n_points: int
     low_r2: bool = False
-
-
-def increment_moments(field: Callable[[float, float], ChaosCoefficients],
-                      base: tuple[float, float],
-                      direction: Literal["space", "time"],
-                      lags: Sequence[float]) -> IncrementMomentCurve:
-    """Moment curve from a per-point coefficient supplier.
-
-    ``field(t, x)`` must return coefficient tables on one shared truncation.
-    The moments are exact at that truncation (no sampling noise enters).
-    """
-    lags = np.asarray(sorted(float(h) for h in lags))
-    t0, x0 = base
-    points = [(t0, x0)]
-    for h in lags:
-        points.append((t0 + h, x0) if direction == "time" else (t0, x0 + h))
-    tables = {}
-    worst_share = 0.0
-    spec = None
-    for (t, x) in points:
-        c = field(t, x)
-        if spec is None:
-            spec = c.spec
-        elif c.spec != spec:
-            raise ValueError("supplier changed truncation between probe points")
-        total = second_moment(c)
-        share = order_norm(c, spec.max_order) / total if total > 0 else 0.0
-        worst_share = max(worst_share, share)
-        tables[(t, x)] = c
-    if worst_share > TAIL_SHARE_GATE:
-        raise TruncationTailError(
-            f"top-order mass share {worst_share:.3%} exceeds the {TAIL_SHARE_GATE:.0%} gate; "
-            "raise the truncation order before fitting slopes")
-    base_c = tables[points[0]]
-    moments = []
-    for h, p in zip(lags, points[1:]):
-        c = tables[p]
-        keys = set(base_c.values) | set(c.values)
-        moments.append(sum((c.get(a) - base_c.get(a)) ** 2 for a in keys))
-    moments = np.asarray(moments)
-    monotone = bool(np.all(np.diff(moments) >= 0))
-    return IncrementMomentCurve(lags=lags, moments=moments, direction=direction,
-                                base_point=base, tail_share=worst_share,
-                                monotone=monotone)
 
 
 def exact_increment_curve(t: float, direction: Literal["space", "time"],

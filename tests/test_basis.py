@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wickshe.basis import (GaussianCoordinates, MultiIndex, TruncationSpec,
-                           enumerate_multiindices, evaluate_sym_basis,
-                           hermite_function, hermite_function_dx,
-                           hermite_function_table, hermite_poly, sample_xi,
-                           sample_xi_batch)
+                           enumerate_multiindices, hermite_function, hermite_function_dx,
+                           hermite_function_table, hermite_poly)
 from wickshe.streams import substream
+
+from oracles import sample_xi_batch
 
 
 class TestHermitePoly:
@@ -117,26 +117,6 @@ class TestMultiIndex:
 
 
 class TestSymBasis:
-    def test_single_mode(self):
-        assert evaluate_sym_basis(MultiIndex((1,)), [0.3]) == pytest.approx(
-            hermite_function(1, 0.3), abs=1e-14)
-
-    def test_repeated_mode_collapses(self):
-        a, b = 0.7, -0.2
-        val = evaluate_sym_basis(MultiIndex((2,)), [a, b])
-        assert val == pytest.approx(hermite_function(1, a) * hermite_function(1, b), abs=1e-14)
-
-    def test_mixed_modes(self):
-        a, b = 0.4, -0.9
-        val = evaluate_sym_basis(MultiIndex((1, 1)), [a, b])
-        ref = (hermite_function(1, a) * hermite_function(2, b)
-               + hermite_function(2, a) * hermite_function(1, b)) / math.sqrt(2)
-        assert val == pytest.approx(ref, abs=1e-14)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_sym_basis(MultiIndex((1, 1)), [0.0])
-
     @pytest.mark.parametrize("alpha", [
         MultiIndex((1,)), MultiIndex((2,)), MultiIndex((1, 1)),
         MultiIndex((3,)), MultiIndex((2, 1)), MultiIndex((1, 1, 1)),
@@ -169,12 +149,12 @@ class TestSymBasis:
 class TestSampleXi:
     def test_trivial_cases(self):
         g = GaussianCoordinates(np.array([0.4, -1.0]))
-        assert sample_xi(MultiIndex(()), g) == 1.0
-        assert sample_xi(MultiIndex((1,)), g) == pytest.approx(0.4)
+        assert sample_xi_batch([MultiIndex(())], g.values)[0, 0] == 1.0
+        assert sample_xi_batch([MultiIndex((1,))], g.values)[0, 0] == pytest.approx(0.4)
 
     def test_support_exceeds_coordinates(self):
         with pytest.raises(ValueError):
-            sample_xi(MultiIndex((0, 0, 1)), GaussianCoordinates(np.array([0.1, 0.2])))
+            sample_xi_batch([MultiIndex((0, 0, 1))], np.array([[0.1, 0.2]]))
         with pytest.raises(ValueError, match="reaches mode 3"):
             sample_xi_batch([MultiIndex((1,)), MultiIndex((0, 0, 1))], np.zeros((4, 2)))
 

@@ -8,14 +8,15 @@ from wickshe import feynman_kac
 from wickshe.basis import hermite_function, hermite_function_dx
 from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
                                  fk_conditional_estimate, local_time,
-                                 local_time_ensemble_stats, occupation_functional,
-                                 occupation_profiles, ordered_map, path_ensemble,
+                                 local_time_ensemble_stats, occupation_profiles, ordered_map, path_ensemble,
                                  psi_law_stats, psi_sample, sample_noise, simulate_path,
                                  s_transform_dx_mc, s_transform_ensemble_mc, s_transform_mc)
 from wickshe.kernels import constant_ic, sine_ic
 from wickshe.regularity import (local_time_increment_check, local_time_profile_checks,
                                 local_time_temporal_increment_check)
 from wickshe.streams import substream
+
+from oracles import occupation_functional
 
 
 class TestPaths:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.linalg import solve_banded
 
+import wickshe
 from wickshe.basis import (FORCING_CHUNK, LevelWiring, MultiIndex, TruncationSpec,
                            enumerate_multiindices, hermite_function_table)
 from wickshe.chaos import order_norm, second_moment
@@ -14,6 +19,8 @@ from wickshe.kernels import (apply_heat_semigroup, build_line_grid, constant_ic,
                              tanh_ic)
 from wickshe.propagator import PropagatorGrid, _tridiagonal_banded, propagator_oracle
 from wickshe.spectral import SpectralChaosField
+
+from oracles import lattice_values
 
 ZERO = MultiIndex(())
 
@@ -34,7 +41,7 @@ class TestCrankNicolson:
     def test_level_zero_eigenfunction(self):
         sol = propagator_oracle(TruncationSpec(0, 1), sine_ic(), PropagatorGrid(),
                                 snapshot_times=[0.5])
-        vals = sol.lattice_values(0.5, ZERO)
+        vals = lattice_values(sol, 0.5, ZERO)
         x = sol.grid.x
         ref = math.exp(-0.25) * np.sin(x)
         interior = (np.abs(x) < 10)
@@ -53,7 +60,7 @@ class TestCrankNicolson:
                                 mode_functions=lambda j, x: np.zeros_like(x))
         for a in sol.indices:
             if a.degree() >= 1:
-                assert np.all(sol.lattice_values(0.5, a) == 0.0)
+                assert np.all(lattice_values(sol, 0.5, a) == 0.0)
 
     def test_off_step_snapshot_time_rejected(self):
         # t = 0.014 lies between the steps 0.01 and 0.02; a rounded snapshot
@@ -65,6 +72,32 @@ class TestCrankNicolson:
     def test_off_lattice_probe_rejected(self, cn_const):
         with pytest.raises(ValueError, match="lattice"):
             cn_const.coefficients_at(1.0, 0.0123)
+
+    def test_scipy_linalg_loaded_on_the_first_solve(self):
+        # importing the propagator loads no scipy; its first banded solve does
+        src = str(Path(wickshe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys\n"
+                "from wickshe.basis import TruncationSpec\n"
+                "from wickshe.kernels import constant_ic\n"
+                "from wickshe.propagator import PropagatorGrid, propagator_oracle\n"
+                "print(any(m.startswith('scipy') for m in sys.modules))\n"
+                "propagator_oracle(TruncationSpec(1, 1), constant_ic(), PropagatorGrid(dt=0.01),\n"
+                "                  snapshot_times=[0.1])\n"
+                "print('scipy.linalg' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
+
+    def test_non_dividing_dx_rejected(self):
+        # 24 / 0.07 is not an integer: the last node would sit at 12.01, past
+        # the Dirichlet end at half_width where the boundary value is taken
+        with pytest.raises(ValueError, match="divide"):
+            PropagatorGrid(dx=0.07)
+        for dx in (0.025, 0.0125):
+            x = PropagatorGrid(dx=dx).x
+            assert x[0] == -12.0 and x[-1] == 12.0
 
 
 class TestSpectralEngine:

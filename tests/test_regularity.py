@@ -17,16 +17,17 @@ from wickshe.basis import MultiIndex, TruncationSpec
 from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol,
                                    _sobol_pairs, field_order_masses,
                                    space_increment_masses, time_increment_masses)
-from wickshe.chaos import ChaosCoefficients, sample_realization_batch
+from wickshe.chaos import ChaosCoefficients
 from wickshe.feynman_kac import local_time_ensemble_stats, occupation_profiles
 from wickshe.kernels import constant_ic
-from wickshe.regularity import (IncrementMomentCurve,
-                                TruncationTailError, exact_increment_curve,
-                                fit_exponent, increment_moments,
+from wickshe.regularity import (IncrementMomentCurve, TruncationTailError,
+                                exact_increment_curve, fit_exponent,
                                 local_time_increment_check, local_time_profile_checks,
                                 local_time_temporal_increment_check)
 from wickshe.spectral import SpectralChaosField
 from wickshe.streams import substream
+
+from oracles import increment_moments, sample_realization_batch
 
 LAGS6 = [2.0 ** -k for k in range(3, 9)]
 
