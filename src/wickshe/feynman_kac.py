@@ -24,6 +24,13 @@ through ``ordered_map``, which runs a single item inline; a caller with many
 one-block ensembles (the fk double average) maps them over the workers
 instead, each ensemble on one thread.
 
+Memory: the reducer holds the only reference to its block's positions, and
+the reducers that only bin them drop it right after binning, so a block's
+positions are freed before its increment or noise arrays exist.  Row work
+runs ``ROW_CHUNK`` rows at a time: the binning, the S-transform sums
+int phi(B_s) ds and the noise draws of the psi law, each bit for bit the
+whole-array result.
+
 Common random numbers: ``s_transform_ensemble_mc`` reduces one ensemble to
 the S-transform values of u and dx u for several test functions at once,
 and ``local_time_ensemble_stats`` can hand each block's profiles to a
@@ -68,7 +75,9 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK = 2000
-PROFILE_CHUNK = 128  # rows that occupation_profiles bins at a time
+# rows per chunk of the row-by-row block work: the occupation binning, the
+# S-transform sums and the psi-law noise draws
+ROW_CHUNK = 128
 ARRAY_BUDGET_BYTES = 1 << 30  # largest array an ensemble step or a coefficient state may take
 
 
@@ -248,7 +257,7 @@ def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
     """(n_paths, n_bins) occupation histograms; each step adds its dt to the bin
     of its right endpoint.  Raises if a path escapes the level grid.
 
-    Rows are binned ``PROFILE_CHUNK`` at a time through one reused bin-index
+    Rows are binned ``ROW_CHUNK`` at a time through one reused bin-index
     buffer and one tiled step-weight array, so the transient memory is a few
     chunk-sized arrays beside the output.  Every bin still sums the steps of
     its own row in step order, so the result does not depend on the chunking.
@@ -258,7 +267,7 @@ def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
     K = levels.size
     nb, m = pos.shape
     out = np.empty((nb, K))
-    rows = min(PROFILE_CHUNK, nb)
+    rows = min(ROW_CHUNK, nb)
     buf = np.empty((rows, m))
     weights = np.tile(steps, rows)
     offsets = K * np.arange(rows)[:, None]
@@ -306,8 +315,8 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
 
     def one_block(b: int):
         nb = min(DEFAULT_BLOCK, n_paths - b * DEFAULT_BLOCK)
-        pos = _positions(nb, steps, x, substream(stream_seed, stream_label, b))
-        return reduce(b, steps, pos)
+        # no reference here: the reducer holds the block's only one
+        return reduce(b, steps, _positions(nb, steps, x, substream(stream_seed, stream_label, b)))
 
     return ordered_map(one_block, range(-(-n_paths // DEFAULT_BLOCK)), threads)
 
@@ -362,6 +371,12 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
     ``s_transform_dx_mc`` on the same stream label.  ``phi_sup`` (when known)
     guards the exponent: sup|phi| * t > 50 would overflow far before Monte
     Carlo error matters.
+
+    Each block's left endpoints are formed, and every phi and phi_prime
+    evaluated on them, ``ROW_CHUNK`` rows at a time; the sums go into one
+    (paths,) array per callable, the same bits as ``phi(left) @ steps``
+    over the whole block, so a block holds its positions and chunk-sized
+    temporaries only.
     """
     need_dx = any(phi_prime is not None for _, phi_prime, _ in phis)
     if need_dx and not u0.has_derivative:
@@ -373,20 +388,30 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
             raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
 
     def reduce(b, steps, pos) -> list:
+        nb, m = pos.shape
+        fns = [f for phi, phi_prime, _ in phis for f in (phi, phi_prime) if f is not None]
+        occ = np.empty((len(fns), nb))
+        rows = min(ROW_CHUNK, nb)
         # left endpoints: start point x plus all but the last position
-        left = np.concatenate([np.full((pos.shape[0], 1), x), pos[:, :-1]], axis=1)
+        left = np.empty((rows, m))
+        left[:, 0] = x
+        for r0 in range(0, nb, rows):
+            n = min(rows, nb - r0)
+            left[:n, 1:] = pos[r0:r0 + n, :-1]
+            for k, f in enumerate(fns):
+                occ[k, r0:r0 + n] = _occupation_sums(left[:n], steps, f)
         end = pos[:, -1]
         u_end = u0(end)
         du_end = u0.derivative(end) if need_dx else None
+        sums = iter(occ)
         out = []
-        for phi, phi_prime, _ in phis:
-            grow = np.exp(_occupation_sums(left, steps, phi))
+        for _, phi_prime, _ in phis:
+            grow = np.exp(next(sums))
             u = u_end * grow
             dx = None
             if phi_prime is not None:
                 # u0'(B_t) e^{int phi} + u0(B_t) e^{int phi} int phi'
-                occ_prime = _occupation_sums(left, steps, phi_prime)
-                dx = du_end * grow + u * occ_prime
+                dx = du_end * grow + u * next(sums)
             out.append((u, dx))
         return out
 
@@ -451,6 +476,7 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
 
     def reduce(b, steps, pos):
         prof = occupation_profiles(pos, steps, levels)
+        del pos  # frees the block's positions before profile_reduce runs
         mass_err = np.abs(delta_a * prof.sum(axis=1) - t).max()
         extra = None if profile_reduce is None else profile_reduce(prof)
         # copy the column: a view would keep the whole block's profiles alive
@@ -483,6 +509,12 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     For one fixed path, Psi over noise draws is Gaussian with mean
     -(1/2) int L^2 and variance int L^2 (exact at the discrete level); over
     independent (path, noise) pairs, E exp(Psi) = 1 exactly in expectation.
+
+    The ``n_noise`` conditional draws come from the "psi-noise" substream
+    ``ROW_CHUNK`` rows at a time, the same numbers as one (n_noise, levels)
+    draw; only the n_noise Psi values are held.  The budget still counts
+    the n_noise x levels draws.  The pairs reducer drops each block's
+    positions once they are binned, before it draws that block's noise.
     """
     levels = build_level_grid(t, x, delta_a)
     check_array_budget(n_noise * levels.size, f"{n_noise} noise draws x {levels.size} levels")
@@ -491,15 +523,20 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     prof = local_time(path, levels)
     q = prof.quadratic()
 
-    dW = substream(stream_seed, "psi-noise").standard_normal((n_noise, levels.size))
-    dW *= math.sqrt(da)
-    psi = dW @ prof.values - 0.5 * q
+    noise = substream(stream_seed, "psi-noise")
+    psi = np.empty(n_noise)
+    for r0 in range(0, n_noise, ROW_CHUNK):
+        dW = noise.standard_normal((min(ROW_CHUNK, n_noise - r0), levels.size))
+        dW *= math.sqrt(da)
+        np.matmul(dW, prof.values, out=psi[r0:r0 + dW.shape[0]])
+    psi -= 0.5 * q
     m, s = psi.mean(), psi.std(ddof=1)
     skew = float(np.mean(((psi - m) / s) ** 3))
 
     # unconditional E exp(Psi) over fresh (path, noise) pairs
     def reduce(b, steps, pos):
         profs = occupation_profiles(pos, steps, levels)
+        del pos  # frees the block's positions before its noise is drawn
         dWb = substream(stream_seed, "psi-pairs-noise", b).standard_normal(profs.shape)
         dWb *= math.sqrt(da)
         return np.exp(np.einsum("ij,ij->i", profs, dWb)

@@ -205,10 +205,14 @@ def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int
     """
     shifts = _increment_shifts(h_values, delta_a)
     levels = build_level_grid(t, x, delta_a)
+
+    def reduce(b, steps, pos) -> dict:
+        prof = occupation_profiles(pos, steps, levels)
+        del pos  # frees the block's positions before the increments are formed
+        return _increment_sums(prof, shifts, delta_a)
+
     parts = path_ensemble(t, x, dt, n_paths, stream_seed, "lt-increments", threads,
-                          lambda b, steps, pos: _increment_sums(
-                              occupation_profiles(pos, steps, levels), shifts, delta_a),
-                          levels)
+                          reduce, levels)
     return _increment_table(h_values, parts, n_paths)
 
 
@@ -249,7 +253,8 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
         out = np.zeros(lags.size)
         for i, cut in enumerate(cuts):
             D = occupation_profiles(pos[:, cut:], steps[cut:], levels)
-            out[i] = float(np.sum(D * D) * delta_a)
+            D *= D
+            out[i] = float(np.sum(D) * delta_a)
         return out
 
     parts = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,

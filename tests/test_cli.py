@@ -122,8 +122,8 @@ class TestRunner:
         assert "GiB" in err and err.count("\n") == 1
 
     def test_psi_law_budget_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
-        # psi_law_stats gets 20000 noise draws x 347 levels (55 MB) at the
-        # defaults, while one path block stays at 8 MB
+        # psi_law_stats counts 20000 noise draws x 347 levels (55 MB) against
+        # the budget at the defaults, while one path block stays at 8 MB
         def no_sampling(*args, **kwargs):
             raise AssertionError("the fk loop ran")
 

@@ -1,16 +1,19 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from wickshe import feynman_kac
+from wickshe import feynman_kac, regularity
 from wickshe.basis import hermite_function, hermite_function_dx
+from wickshe.cli import _phi_cases
 from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
                                  fk_conditional_estimate, local_time,
                                  local_time_ensemble_stats, occupation_profiles, ordered_map, path_ensemble,
                                  psi_law_stats, psi_sample, sample_noise, simulate_path,
-                                 s_transform_dx_mc, s_transform_ensemble_mc, s_transform_mc)
+                                 s_transform_dx_mc, s_transform_ensemble_mc, s_transform_mc,
+                                 standard_error)
 from wickshe.kernels import constant_ic, sine_ic
 from wickshe.regularity import (local_time_increment_check, local_time_profile_checks,
                                 local_time_temporal_increment_check)
@@ -202,6 +205,20 @@ class TestPsi:
         assert abs(stats["skewness"]) <= 3 * stats["skew_se"]
         assert abs(stats["exp_mean"] - 1.0) <= 3 * stats["exp_se"]
 
+    def test_chunked_noise_matches_one_whole_draw(self):
+        # 1000 noise rows: seven full chunks and a short one
+        t, dt, x, seed, n_noise = 0.5, 1e-3, 0.1, 31, 1000
+        stats = psi_law_stats(t, dt, 0.05, 200, n_noise, seed, x=x)
+        levels = build_level_grid(t, x, 0.05)
+        prof = local_time(simulate_path(t, dt, x, substream(seed, "psi-path")), levels)
+        dW = substream(seed, "psi-noise").standard_normal((n_noise, levels.size))
+        dW *= math.sqrt(prof.delta_a)
+        psi = dW @ prof.values - 0.5 * prof.quadratic()
+        m, s = psi.mean(), psi.std(ddof=1)
+        assert stats["conditional_mean"] == float(m)
+        assert stats["conditional_var"] == float(s * s)
+        assert stats["skewness"] == float(np.mean(((psi - m) / s) ** 3))
+
     def test_mode_view_variance(self):
         # W_{e_j} accumulated from grid increments has unit variance
         levels = build_level_grid(1.0, 0.0, 0.05, mode_cover=3)
@@ -306,6 +323,41 @@ class TestSTransformMC:
             assert out == s_transform_ensemble_mc(0.5, 0.0, sine_ic(), [phi], 2500, 25,
                                                   stream_label="crn")[0]
 
+    def test_row_chunks_match_whole_block_sums(self):
+        # 2300 paths: a full block and a 300-row block, whose last chunk is short
+        t, x, n_paths, seed = 0.5, 0.2, 2300, 26
+        phis = [(phi, phi_dx, None) for _, phi, phi_dx, _ in _phi_cases()]
+        u0 = sine_ic()
+
+        def whole_block(b, steps, pos):
+            left = np.concatenate([np.full((pos.shape[0], 1), x), pos[:, :-1]], axis=1)
+            end = pos[:, -1]
+            out = []
+            for phi, phi_dx, _ in phis:
+                grow = np.exp(phi(left) @ steps)
+                u = u0(end) * grow
+                out.append((u, u0.derivative(end) * grow + u * (phi_dx(left) @ steps)))
+            return out
+
+        parts = path_ensemble(t, x, 1e-3, n_paths, seed, "chunks", 1, whole_block)
+        got = s_transform_ensemble_mc(t, x, u0, phis, n_paths, seed, stream_label="chunks")
+        for i, fields in enumerate(got):
+            for field, (est, se) in enumerate(fields):
+                vals = np.concatenate([p[i][field] for p in parts])
+                assert est == float(vals.mean())
+                assert se == standard_error(vals)
+
+    def test_block_peak_memory_near_its_positions(self):
+        # one 2000 x 1000 block: the positions (16 MB) and chunk-sized temporaries
+        phis = [(phi, phi_dx, None) for _, phi, phi_dx, _ in _phi_cases()]
+        tracemalloc.start()
+        try:
+            s_transform_ensemble_mc(1.0, 0.0, sine_ic(), phis, 2000, 27)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2000 * 1000 * 8
+
     def test_nonfinite_phi_refused(self):
         # phi is infinite at the start point, so every path's integral is too
         inf_near_0 = lambda y: np.where(np.abs(y) < 0.05, np.inf, 0.0)
@@ -406,6 +458,46 @@ class TestPathEnsemble:
                                lambda b, steps, pos: pos[0])
         p = simulate_path(0.3, 1e-3, 0.4, substream(5, "pe", 0))
         assert np.array_equal(p.positions[1:], pos)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reducer_holds_the_only_reference(self, threads):
+        def drop(b, steps, pos):
+            ref = weakref.ref(pos)
+            del pos
+            return ref() is None
+
+        assert path_ensemble(0.1, 0.0, 1e-3, 4500, 5, "pe", threads, drop) == [True] * 3
+
+    def test_binning_reducers_free_positions(self, monkeypatch):
+        # each block's positions are gone by the time the work after binning runs
+        refs, live = [], []
+        real_positions, real_substream = feynman_kac._positions, feynman_kac.substream
+        real_sums = regularity._increment_sums
+
+        def positions(*args):
+            pos = real_positions(*args)
+            refs.append(weakref.ref(pos))
+            return pos
+
+        def count_live():
+            live.append(sum(r() is not None for r in refs))
+
+        def substream_after_binning(seed, *labels):
+            if labels[0] == "psi-pairs-noise":
+                count_live()
+            return real_substream(seed, *labels)
+
+        def sums_after_binning(*args):
+            count_live()
+            return real_sums(*args)
+
+        monkeypatch.setattr(feynman_kac, "_positions", positions)
+        monkeypatch.setattr(feynman_kac, "substream", substream_after_binning)
+        monkeypatch.setattr(regularity, "_increment_sums", sums_after_binning)
+        local_time_profile_checks(0.2, [0.1], 4500, 5, delta_a=0.05)
+        local_time_increment_check(0.2, [0.1], 4500, 5, delta_a=0.05)
+        psi_law_stats(0.2, 1e-3, 0.05, 4500, 100, 5)
+        assert live == [0] * 9  # three blocks per routine
 
     def test_budget_refuses_before_drawing(self, monkeypatch):
         def no_draw(*args):
