@@ -95,12 +95,6 @@ class MultiIndex:
         ent[j - 1] = max(ent[j - 1] - 1, 0)
         return MultiIndex(ent)
 
-    def raised(self, j: int) -> "MultiIndex":
-        """alpha with entry j raised by one (alpha^+_(j))."""
-        ent = list(self.entries) + [0] * max(0, j - len(self.entries))
-        ent[j - 1] += 1
-        return MultiIndex(ent)
-
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         n = max(len(self.entries), len(other.entries))
         return MultiIndex(tuple(self.entry(j) + other.entry(j) for j in range(1, n + 1)))

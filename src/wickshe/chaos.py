@@ -59,9 +59,6 @@ class ChaosCoefficients:
         """The (0)-coefficient: E of the field at this point."""
         return self.values.get(ZERO_INDEX, 0.0)
 
-    def degrees(self) -> set[int]:
-        return {a.degree() for a in self.values}
-
 
 def second_moment(coeffs: ChaosCoefficients) -> float:
     """Truncated L^2 norm squared: sum of squared coefficients."""

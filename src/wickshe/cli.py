@@ -315,7 +315,11 @@ def run_equivalence(cfg: RunConfig, out: Path, report: RunReport):
 
 def run_localtime(cfg: RunConfig, out: Path, report: RunReport):
     t = 1.0
-    h = 4 * round(0.1 / cfg.delta_a / 4) * cfg.delta_a if cfg.delta_a <= 0.05 else 2 * cfg.delta_a
+    # a lag near 0.1 in whole 4 delta_a steps, at least one; 2 delta_a on coarse levels
+    if cfg.delta_a <= 0.05:
+        h = 4 * max(1, round(0.1 / cfg.delta_a / 4)) * cfg.delta_a
+    else:
+        h = 2 * cfg.delta_a
     # the statistics and the increment table come from one path ensemble
     stats, table = local_time_profile_checks(t, [h, 2 * h], cfg.mc_n_paths, cfg.seed,
                                              dt=cfg.mc_dt, delta_a=cfg.delta_a,
@@ -354,6 +358,12 @@ def run_regularity(cfg: RunConfig, out: Path, report: RunReport):
                           f"subcommand's chain engine handles orders "
                           f"{CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
     t = 1.0
+    lt_lags = [0.05, 0.1, 0.15, 0.2, 0.3, 0.4]
+    try:  # the local-time curve cuts its paths at t - h on the mc.dt grid
+        snapshot_steps([t, *lt_lags], cfg.mc_dt)
+    except ValueError as exc:
+        raise ConfigError(f"mc.dt = {cfg.mc_dt:g}: the regularity subcommand cuts its "
+                          f"local-time paths at t - h for h in {lt_lags} ({exc})") from exc
     # the time exponents are attained at the initial time; over lags far
     # below t = 1 both fields are smooth in time (slope ~2)
     base_t = {"space": t, "time": 0.0}
@@ -377,7 +387,7 @@ def run_regularity(cfg: RunConfig, out: Path, report: RunReport):
     # the 3/2 law of the local-time temporal increments (Monte Carlo,
     # supplementary)
     lt_curve = local_time_temporal_increment_check(
-        t, [0.05, 0.1, 0.15, 0.2, 0.3, 0.4], n_paths=min(cfg.mc_n_paths, 20000),
+        t, lt_lags, n_paths=min(cfg.mc_n_paths, 20000),
         stream_seed=cfg.seed, dt=cfg.mc_dt, delta_a=cfg.delta_a, threads=cfg.threads)
     lt_est = fit_exponent(lt_curve)
     for h, m in zip(lt_curve.lags, lt_curve.moments):

@@ -13,10 +13,12 @@ with u_bar(s, y) the heat semigroup of the initial datum.  The derivative
 field replaces the leading kernel p(t - s_n, x - y_n) by its x-derivative;
 the epsilon-regularized variant integrates s over [0, t - eps] only.
 
-Spatial integrals run on a composite Gauss-Legendre grid; transfer operators
-P(tau) between grid functions fall back to a panel-spectral Taylor
-I + (tau/2) D2 + (tau^2/8) D2^2 once tau is below the width the grid can
-resolve (per-coefficient integrands are regular there, the grid just cannot
+Spatial integrals run on a composite Gauss-Legendre grid, and every one of
+them goes through one transfer operator P(tau) between grid functions,
+held with the grid and the time-simplex settings by ``CoefficientQuadrature``:
+block-Toeplitz panel blocks, point rows, and below the width the grid can
+resolve a panel-spectral Taylor I + (tau/2) D2 + (tau^2/8) D2^2
+(per-coefficient integrands are regular there, the grid just cannot
 represent a near-delta kernel).  One level sweep assembles C for all mode
 tuples of the level at once, so computing every |alpha| = n coefficient
 costs barely more than one.
@@ -31,8 +33,9 @@ import numpy as np
 
 from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, _distinct_permutations,
                     enumerate_multiindices, hermite_function_table)
-from .kernels import (HeatOperator, InitialCondition, SimplexSpec, simplex_map,
-                      apply_heat_semigroup, apply_heat_semigroup_dx)
+from .kernels import (NODES_PER_PANEL, InitialCondition, SimplexSpec, _panel_rule,
+                      apply_heat_semigroup, apply_heat_semigroup_dx, build_line_grid,
+                      heat_kernel, heat_kernel_dx, simplex_map)
 
 __all__ = [
     "CoefficientQuadrature",
@@ -46,36 +49,127 @@ QUADRATURE_ORDER_CAP = 3  # cost is (time nodes)^n (m^2) per level sweep
 CONVERGENCE_TOL = 1e-3  # refined-mesh check, relative floored at absolute
 
 
+def _bary_weights(xs: np.ndarray) -> np.ndarray:
+    w = np.ones_like(xs)
+    for i in range(xs.size):
+        w[i] = 1.0 / np.prod(xs[i] - np.delete(xs, i))
+    return w
+
+
+def _lagrange_diff(xs: np.ndarray) -> np.ndarray:
+    """Spectral differentiation matrix on arbitrary distinct nodes."""
+    n = xs.size
+    bw = _bary_weights(xs)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = bw[j] / bw[i] / (xs[i] - xs[j])
+        D[i, i] = -np.sum(D[i])
+    return D
+
+
 class CoefficientQuadrature:
-    """Shared spatial grid, heat transfer operator and time-simplex settings."""
+    """The line grid of ``build_line_grid``, the transfer operator P(tau)
+    between grid functions on it, and the time-simplex settings.
+
+    Every panel is a translate of one local q-node rule (nodes g, weights
+    w), so P(tau) is block-Toeplitz in the panel offset d = p_out - p_in:
+
+        K_d[a, b] = p(tau, d * width + g_a - g_b) w_b,
+
+    2P - 1 distinct q x q blocks, of which only those with a non-zero entry
+    are kept.  Below the resolvable width tau_res the grid cannot represent
+    the near-delta kernel and P(tau) is the panel-spectral Taylor
+    I + (tau/2) D2 + (tau^2/8) D2^2, block-diagonal with one shared block.
+    No m x m array is ever formed.
+    """
 
     def __init__(self, half_width: float = 12.0, panels: int = 48,
-                 nodes_per_panel: int = 16, time_points: int = 12,
-                 grading: float = 2.0):
-        self.heat = HeatOperator(half_width, panels, nodes_per_panel)
-        self.grid = self.heat.grid
+                 time_points: int = 12, grading: float = 2.0):
+        self.grid = build_line_grid(half_width, panels)
         self.panels = panels
-        self.npp = nodes_per_panel
+        self.q = NODES_PER_PANEL
         self.time_points = time_points
         self.grading = grading
-        self.tau_res = self.heat.tau_res
+        self.width = 2.0 * half_width / panels
+        self.tau_res = (self.width / 5.0) ** 2
+        self.local_nodes, self.local_weights = _panel_rule(  # about the panel centre
+            np.array([-0.5, 0.5]) * self.width, self.q)
+        self.bary = _bary_weights(self.local_nodes)
+        self.D1 = _lagrange_diff(self.local_nodes)
+        self.D2 = self.D1 @ self.D1
+        self.D2sq = self.D2 @ self.D2
 
-    # -- transfer operators --------------------------------------------------
+    def _taylor(self, tau, M: np.ndarray) -> np.ndarray:
+        """M times the Taylor block I + (tau/2) D2 + (tau^2/8) D2^2, one
+        product per entry of tau (leading axes)."""
+        tau = np.reshape(tau, np.shape(tau) + (1,) * M.ndim)
+        return M + (tau / 2.0) * (M @ self.D2) + (tau * tau / 8.0) * (M @ self.D2sq)
 
     def kernel_matrix(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """P(tau) from grid functions to grid values (quadrature weights
-        included) as block-Toeplitz panel blocks; Taylor fallback below the
-        resolvable width."""
-        return self.heat.blocks(tau)
+        """P(tau) as (panel offsets d, blocks K_d of shape (len(d), q, q)),
+        quadrature weights included; the Taylor block below tau_res."""
+        if tau < self.tau_res:
+            return np.zeros(1, dtype=int), self._taylor(tau, np.eye(self.q))[None]
+        P = self.panels
+        d = np.arange(-(P - 1), P)
+        g = self.local_nodes
+        diff = (d * self.width)[:, None, None] + (g[:, None] - g[None, :])
+        K = heat_kernel(tau, diff) * self.local_weights
+        keep = np.any(K != 0.0, axis=(1, 2))
+        return d[keep], K[keep]
 
     def apply_P(self, tau: float, V: np.ndarray) -> np.ndarray:
-        """P(tau) applied to rows-last arrays of grid functions."""
-        return self.heat.apply(self.kernel_matrix(tau), V)
+        """P(tau) applied to rows-last arrays of grid functions, panel by panel."""
+        P, q = self.panels, self.q
+        V = np.asarray(V, dtype=float)
+        X = np.ascontiguousarray(V.reshape(-1, P, q).transpose(1, 0, 2))   # (P, rows, q)
+        rows = X.shape[1]
+        out = np.zeros_like(X)
+        offsets, blocks = self.kernel_matrix(tau)
+        for d, K in zip(offsets.tolist(), blocks):
+            # output panels lo..lo+k-1 collect K_d applied to input panel p - d
+            lo, k = max(d, 0), P - abs(d)
+            src = X[lo - d:lo - d + k].reshape(-1, q)
+            out[lo:lo + k] += (src @ K.T).reshape(k, rows, q)
+        return out.transpose(1, 0, 2).reshape(V.shape)
 
-    def u0_on_grid(self, u0: InitialCondition, s: float) -> np.ndarray:
-        """u_bar(s, .) on the grid (s = 0 allowed)."""
-        base = u0(self.grid.nodes)
-        return base if s <= 0.0 else self.apply_P(s, base)
+    def _interp(self, x: float) -> tuple[slice, np.ndarray]:
+        """The grid slice of the panel containing x and x's interpolation
+        weights on it."""
+        p = int(np.clip((x + self.grid.half_width) // self.width, 0, self.panels - 1))
+        sl = slice(p * self.q, (p + 1) * self.q)
+        xs = self.grid.nodes[sl]
+        if np.any(np.abs(xs - x) < 1e-14):
+            w = np.zeros(self.q)
+            w[int(np.argmin(np.abs(xs - x)))] = 1.0
+        else:
+            w = self.bary / (x - xs)
+            w = w / w.sum()
+        return sl, w
+
+    def row(self, tau, x: float, deriv: int = 0) -> np.ndarray:
+        """The quadrature row r with [P(tau) v](x) = r . v, or with the
+        x-derivative of P(tau) v for ``deriv`` = 1; an array of tau gives one
+        row per entry, shape (len(tau), m).
+
+        At or above tau_res r is the Gaussian kernel row times the grid
+        weights; below it, x's panel-interpolation weights times D1^deriv
+        times the Taylor block of ``kernel_matrix``.
+        """
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
+        small = taus < self.tau_res
+        out = np.zeros((taus.size, self.grid.nodes.size))
+        if not small.all():
+            kernel = heat_kernel_dx if deriv else heat_kernel
+            gauss = kernel(taus[~small, None], x - self.grid.nodes)
+            gauss *= self.grid.weights
+            out[~small] = gauss
+        if small.any():
+            sl, w = self._interp(x)
+            out[small, sl] = self._taylor(taus[small], w @ self.D1 if deriv else w)
+        return out if np.ndim(tau) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +196,18 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
                        grading=quad.grading)
     pts, wts = simplex_map(spec)
     E = hermite_function_table(J, quad.grid.nodes)      # (J, m)
+    base = u0(quad.grid.nodes)
     out = np.zeros((J,) * n)
     for idx in range(pts.shape[0]):
         s = pts[idx]
         w = wts[idx]
-        V = E * quad.u0_on_grid(u0, s[0])[None, :]       # (J, m): e_{m1} u_bar(s1)
+        V = E * quad.apply_P(s[0], base)[None, :]        # (J, m): e_{m1} u_bar(s1), s1 > 0
         shape = (J,)
         for k in range(1, n):
             V = quad.apply_P(s[k] - s[k - 1], V)
             V = (E[:, None, :] * V[None, ...]).reshape(-1, quad.grid.nodes.size)
             shape = (J,) + shape
-        lead = V @ quad.heat.row(t - s[n - 1], x, deriv)
+        lead = V @ quad.row(t - s[n - 1], x, deriv)
         out += w * lead.reshape(shape).T if n > 1 else w * lead
     return out
 
@@ -173,7 +268,6 @@ def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCo
     val = _assemble_from_sweep(C, alpha)
     if check_convergence:
         fine = CoefficientQuadrature(half_width=quad.grid.half_width, panels=quad.panels,
-                                     nodes_per_panel=quad.npp,
                                      time_points=quad.time_points * 2,
                                      grading=quad.grading)
         val2 = _coefficient(name, alpha, t, x, u0, fine, deriv, epsilon)

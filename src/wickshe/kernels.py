@@ -1,6 +1,7 @@
 """Gaussian heat kernel, its spatial derivative, closed-form cross-integrals,
-and the quadrature engines (spatial line, time simplex) shared by the
-deterministic solvers.
+and the quadrature rules (spatial line, time simplex) shared by the
+deterministic solvers.  The transfer operator P(tau) on the line grid is
+``coefficients.CoefficientQuadrature``.
 
 Domain truncation and mesh grading are artifact decisions: the spatial line
 is cut at [-L, L] with L large enough that both the kernel mass and the
@@ -22,7 +23,7 @@ __all__ = [
     "dxp_cross_inner",
     "QuadratureGrid",
     "build_line_grid",
-    "HeatOperator",
+    "NODES_PER_PANEL",
     "SimplexSpec",
     "simplex_quadrature",
     "simplex_map",
@@ -98,146 +99,26 @@ class QuadratureGrid:
             raise ValueError("weights do not integrate the constant 1 to 2L")
 
 
-def build_line_grid(half_width: float, panels: int = 48, nodes_per_panel: int = 16) -> QuadratureGrid:
-    """Uniform composite Gauss-Legendre panels on [-L, L].
+NODES_PER_PANEL = 16  # spectral accuracy on the smooth integrands between singular endpoints
 
-    16-node panels give spectral accuracy on the smooth integrands between
-    singular endpoints; ``panels`` controls the resolvable kernel width
-    (roughly sqrt(t) down to ~ (2L/panels/4)^2).
-    """
+
+def build_line_grid(half_width: float, panels: int = 48) -> QuadratureGrid:
+    """Uniform composite Gauss-Legendre panels of ``NODES_PER_PANEL`` nodes
+    on [-L, L]; ``panels`` controls the resolvable kernel width (roughly
+    sqrt(t) down to ~ (2L/panels/4)^2)."""
     edges = np.linspace(-half_width, half_width, panels + 1)
-    nodes, weights = _panel_rule(edges, nodes_per_panel)
+    nodes, weights = _panel_rule(edges, NODES_PER_PANEL)
     return QuadratureGrid(half_width=half_width, nodes=nodes, weights=weights)
 
 
-def _panel_rule(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule, ``nodes_per_panel`` nodes per panel between edges."""
-    gx, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+def _panel_rule(edges: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule, q nodes per panel between edges."""
+    gx, gw = np.polynomial.legendre.leggauss(q)
     nodes = np.concatenate([0.5 * (hi - lo) * gx + 0.5 * (hi + lo)
                             for lo, hi in zip(edges[:-1], edges[1:])])
     weights = np.concatenate([0.5 * (hi - lo) * gw
                               for lo, hi in zip(edges[:-1], edges[1:])])
     return nodes, weights
-
-
-def _bary_weights(xs: np.ndarray) -> np.ndarray:
-    w = np.ones_like(xs)
-    for i in range(xs.size):
-        w[i] = 1.0 / np.prod(xs[i] - np.delete(xs, i))
-    return w
-
-
-def _lagrange_diff(xs: np.ndarray) -> np.ndarray:
-    """Spectral differentiation matrix on arbitrary distinct nodes."""
-    n = xs.size
-    bw = _bary_weights(xs)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = bw[j] / bw[i] / (xs[i] - xs[j])
-        D[i, i] = -np.sum(D[i])
-    return D
-
-
-class HeatOperator:
-    """Transfer operator P(tau) between grid functions on the uniform
-    composite Gauss-Legendre grid of ``build_line_grid``.
-
-    Every panel is a translate of one local q-node rule (nodes g, weights
-    w), so P(tau) is block-Toeplitz in the panel offset d = p_out - p_in:
-
-        K_d[a, b] = p(tau, d * width + g_a - g_b) w_b,
-
-    2P - 1 distinct q x q blocks, of which only those with a non-zero entry
-    are kept.  Below the resolvable width tau_res the grid cannot represent
-    the near-delta kernel and P(tau) is the panel-spectral Taylor
-    I + (tau/2) D2 + (tau^2/8) D2^2, block-diagonal with one shared block.
-    No m x m array is ever formed.
-    """
-
-    def __init__(self, half_width: float, panels: int, nodes_per_panel: int):
-        self.grid = build_line_grid(half_width, panels, nodes_per_panel)
-        self.panels = panels
-        self.q = nodes_per_panel
-        self.width = 2.0 * half_width / panels
-        self.tau_res = (self.width / 5.0) ** 2
-        self.local_nodes, self.local_weights = _panel_rule(  # about the panel centre
-            np.array([-0.5, 0.5]) * self.width, nodes_per_panel)
-        self.bary = _bary_weights(self.local_nodes)
-        self.D1 = _lagrange_diff(self.local_nodes)
-        self.D2 = self.D1 @ self.D1
-        self.D2sq = self.D2 @ self.D2
-
-    def _taylor(self, tau, M: np.ndarray) -> np.ndarray:
-        """M times the Taylor block I + (tau/2) D2 + (tau^2/8) D2^2, one
-        product per entry of tau (leading axes)."""
-        tau = np.reshape(tau, np.shape(tau) + (1,) * M.ndim)
-        return M + (tau / 2.0) * (M @ self.D2) + (tau * tau / 8.0) * (M @ self.D2sq)
-
-    def blocks(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """P(tau) as (panel offsets d, blocks K_d of shape (len(d), q, q))."""
-        if tau < self.tau_res:
-            return np.zeros(1, dtype=int), self._taylor(tau, np.eye(self.q))[None]
-        P = self.panels
-        d = np.arange(-(P - 1), P)
-        g = self.local_nodes
-        diff = (d * self.width)[:, None, None] + (g[:, None] - g[None, :])
-        K = heat_kernel(tau, diff) * self.local_weights
-        keep = np.any(K != 0.0, axis=(1, 2))
-        return d[keep], K[keep]
-
-    def apply(self, band: tuple[np.ndarray, np.ndarray], V: np.ndarray) -> np.ndarray:
-        """The operator ``band`` (from ``blocks``) applied to rows-last grid
-        functions V, panel by panel."""
-        P, q = self.panels, self.q
-        V = np.asarray(V, dtype=float)
-        X = np.ascontiguousarray(V.reshape(-1, P, q).transpose(1, 0, 2))   # (P, rows, q)
-        rows = X.shape[1]
-        out = np.zeros_like(X)
-        offsets, blocks = band
-        for d, K in zip(offsets.tolist(), blocks):
-            # output panels lo..lo+k-1 collect K_d applied to input panel p - d
-            lo, k = max(d, 0), P - abs(d)
-            src = X[lo - d:lo - d + k].reshape(-1, q)
-            out[lo:lo + k] += (src @ K.T).reshape(k, rows, q)
-        return out.transpose(1, 0, 2).reshape(V.shape)
-
-    def _interp(self, x: float) -> tuple[slice, np.ndarray]:
-        """The grid slice of the panel containing x and x's interpolation
-        weights on it."""
-        p = int(np.clip((x + self.grid.half_width) // self.width, 0, self.panels - 1))
-        sl = slice(p * self.q, (p + 1) * self.q)
-        xs = self.grid.nodes[sl]
-        if np.any(np.abs(xs - x) < 1e-14):
-            w = np.zeros(self.q)
-            w[int(np.argmin(np.abs(xs - x)))] = 1.0
-        else:
-            w = self.bary / (x - xs)
-            w = w / w.sum()
-        return sl, w
-
-    def row(self, tau, x: float, deriv: int = 0) -> np.ndarray:
-        """The quadrature row r with [P(tau) v](x) = r . v, or with the
-        x-derivative of P(tau) v for ``deriv`` = 1; an array of tau gives one
-        row per entry, shape (len(tau), m).
-
-        At or above tau_res r is the Gaussian kernel row times the grid
-        weights; below it, x's panel-interpolation weights times D1^deriv
-        times the Taylor block of ``blocks``.
-        """
-        taus = np.atleast_1d(np.asarray(tau, dtype=float))
-        small = taus < self.tau_res
-        out = np.zeros((taus.size, self.grid.nodes.size))
-        if not small.all():
-            kernel = heat_kernel_dx if deriv else heat_kernel
-            gauss = kernel(taus[~small, None], x - self.grid.nodes)
-            gauss *= self.grid.weights
-            out[~small] = gauss
-        if small.any():
-            sl, w = self._interp(x)
-            out[small, sl] = self._taylor(taus[small], w @ self.D1 if deriv else w)
-        return out if np.ndim(tau) else out[0]
 
 
 # ---------------------------------------------------------------------------

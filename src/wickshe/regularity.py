@@ -18,6 +18,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from .basis import snapshot_steps
 from .chain_moments import CHAIN_ORDERS, space_increment_masses, time_increment_masses
 from .feynman_kac import (build_level_grid, local_time_ensemble_stats, occupation_profiles,
                           path_ensemble)
@@ -242,11 +243,16 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
 
     The local-time increments show the (t - s)^{3/2} scaling at every t; the
     solution field shows it only from t = 0 (see ``exact_increment_curve``)
-    and is smooth in time away from it.
+    and is smooth in time away from it.  t_hi and every lag must be positive
+    multiples of dt, and no lag may exceed t_hi (ValueError), so that each
+    increment is cut at exactly t_hi - h.
     """
     lags = np.asarray(sorted(float(h) for h in lags))
+    if np.any(lags > t_hi):
+        raise ValueError(f"lags {lags[lags > t_hi].tolist()} exceed t_hi = {t_hi}")
+    snapshot_steps([t_hi, *lags.tolist()], dt)
+    cuts = [round(t_hi / dt) - round(h / dt) for h in lags]
     levels = build_level_grid(t_hi, x, delta_a)
-    cuts = [int(round((t_hi - h) / dt)) for h in lags]
 
     def reduce(b, steps, pos) -> np.ndarray:
         # L_a(t) - L_a(t - h) is the occupation of the steps after the cut alone

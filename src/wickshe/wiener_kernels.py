@@ -72,7 +72,7 @@ class WienerKernel:
 
 class _ChainContext:
     """Precomputed simplex nodes and the initial datum on the line grid.  The
-    chains' tail u_bar(tau, xi) is the heat operator's row at (tau, xi)
+    chains' tail u_bar(tau, xi) is the quadrature's P(tau) row at (tau, xi)
     applied to that datum, one row per time node."""
 
     def __init__(self, n: int, t: float, u0: InitialCondition,
@@ -91,7 +91,7 @@ class _ChainContext:
             log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
         vals = np.exp(np.sum(log_vals, axis=1))
         vals = np.where(np.isfinite(vals), vals, 0.0)  # zero-gap, non-zero-step limit
-        tail = self.quad.heat.row(tail_times, float(tail_point)) @ self.u0_grid
+        tail = self.quad.row(tail_times, float(tail_point)) @ self.u0_grid
         return float(np.dot(self.w_weights, vals * tail))
 
 

@@ -6,12 +6,12 @@ from wickshe.kernels import build_line_grid
 
 @pytest.fixture(scope="session")
 def line_grid():
-    return build_line_grid(12.0, panels=30, nodes_per_panel=16)
+    return build_line_grid(12.0, panels=30)
 
 
 @pytest.fixture(scope="session")
 def wide_grid():
-    return build_line_grid(14.0, panels=56, nodes_per_panel=16)
+    return build_line_grid(14.0, panels=56)
 
 
 @pytest.fixture(scope="session")

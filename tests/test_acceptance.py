@@ -75,7 +75,7 @@ def lt_stats():
 
 def test_criterion_01_basis_health():
     with budget("1: basis health", 1.0) as rep:
-        grid = build_line_grid(12.0, panels=30, nodes_per_panel=16)  # 480 nodes
+        grid = build_line_grid(12.0, panels=30)  # 480 nodes
         E = hermite_function_table(8, grid.nodes)
         gram_defect = float(np.abs((E * grid.weights) @ E.T - np.eye(8)).max())
 

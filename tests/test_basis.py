@@ -126,7 +126,7 @@ class TestSymBasis:
         # int e_alpha^2 over R^n = 1; tensor composite-Gauss grid per axis
         from wickshe.kernels import build_line_grid
         n = alpha.degree()
-        g = build_line_grid(9.0, panels=12, nodes_per_panel=16)
+        g = build_line_grid(9.0, panels=12)
         nodes, wts = g.nodes, g.weights
         vals = np.zeros([nodes.size] * n)
         k = alpha.characteristic_vector()

@@ -112,6 +112,19 @@ class TestRunner:
         assert "truncation.N" in err and "1..4" in err
         assert not (tmp_path / "out").exists()
 
+    def test_regularity_rejects_mc_dt_off_the_lag_grid(self, tmp_path, capsys, monkeypatch):
+        # the local-time lags 0.05 ... 0.4 are not multiples of dt = 0.02: the
+        # run must stop before any chain curve runs
+        def no_engine(*args, **kwargs):
+            raise AssertionError("engine ran")
+
+        monkeypatch.setattr("wickshe.cli.exact_increment_curve", no_engine)
+        cfg = write_cfg(tmp_path, f"seed = 1\nmc.dt = 0.02\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["regularity", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "mc.dt" in err and "positive multiple of dt" in err
+        assert not (tmp_path / "out").exists()
+
     def test_memory_budget_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # a path block of 2000 paths x 1000 steps is 16 MB at the defaults
         monkeypatch.setattr("wickshe.feynman_kac.ARRAY_BUDGET_BYTES", 2 ** 20)
@@ -274,6 +287,21 @@ class TestRunner:
         rows = (tmp_path / "lt" / "localtime.csv").read_text().splitlines()
         assert rows[1:4] == [",".join(_fmt(v) for v in row) for row in want]
         assert [r.split(",")[0][:16] for r in rows[4:]] == ["increment_ratio_"] * 2
+
+    def test_localtime_lags_at_coarse_level_spacing(self, tmp_path):
+        # delta_a = 0.05 puts 0.1 / delta_a / 4 at 0.5, which rounds to 0:
+        # the lags must still be positive multiples of delta_a, >= 2 delta_a
+        cfg = write_cfg(tmp_path, "seed = 1\nmc.dt = 0.01\nmc.delta_a_factor = 0.5\n"
+                                  f"mc.n_paths = 4000\noutput_dir = {tmp_path / 'lt'}\n")
+        assert main(["localtime", "--config", str(cfg)]) in (0, 1)
+        delta_a = 0.5 * 0.01 ** 0.5
+        rows = (tmp_path / "lt" / "localtime.csv").read_text().splitlines()
+        lags = [float(r.split(",")[0].split("=")[1]) for r in rows
+                if r.startswith("increment_ratio_h=")]
+        assert len(lags) == 2
+        for h in lags:
+            k = round(h / delta_a)
+            assert k >= 2 and h == pytest.approx(k * delta_a, abs=1e-12)
 
     def test_env_thread_override(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "seed = 5\nmc.n_paths = 1000\nprobes = 0.5,0.0\n"

@@ -8,7 +8,7 @@ from scipy.integrate import dblquad
 from wickshe.basis import MultiIndex, TruncationSpec, hermite_function
 from wickshe.coefficients import (CoefficientQuadrature, cs_coefficient,
                                   cs_level_coefficients, dx_coefficient, dx_level_coefficients)
-from wickshe.kernels import constant_ic, heat_kernel, sine_ic
+from wickshe.kernels import SimplexSpec, constant_ic, heat_kernel, simplex_map, sine_ic
 
 ZERO = MultiIndex(())
 
@@ -104,10 +104,27 @@ class TestLevelSweeps:
         assert abs(lvl[MultiIndex((0, 0, 1))]) < 1e-10
         assert abs(lvl[MultiIndex((0, 0, 0, 1))]) > 1e-4
 
+    def test_sweep_reaches_P_only_through_kernel_matrix(self, coeff_quad, monkeypatch):
+        # the benchmark tracer times P(tau) by wrapping kernel_matrix: each
+        # simplex node's u_bar(s_1) and its one chain link must both call it
+        calls = []
+        inner = CoefficientQuadrature.kernel_matrix
+
+        def counting(self, tau):
+            calls.append(tau)
+            return inner(self, tau)
+
+        monkeypatch.setattr(CoefficientQuadrature, "kernel_matrix", counting)
+        cs_level_coefficients(2, 1.0, 0.0, constant_ic(), TruncationSpec(2, 2), coeff_quad)
+        pts, _ = simplex_map(SimplexSpec(order=2, horizon=1.0,
+                                         points_per_axis=coeff_quad.time_points,
+                                         grading=coeff_quad.grading))
+        assert len(calls) == 2 * pts.shape[0] == 288
+
 
 def _dense_panel_diff(quad: CoefficientQuadrature) -> np.ndarray:
     """Block-diagonal Lagrange differentiation on each panel's own nodes."""
-    nodes, q = quad.grid.nodes, quad.npp
+    nodes, q = quad.grid.nodes, quad.q
     D = np.zeros((nodes.size, nodes.size))
     for p in range(quad.panels):
         xs = nodes[p * q:(p + 1) * q]
@@ -160,7 +177,7 @@ class TestHeatOperator:
         offsets, blocks = coeff_quad.kernel_matrix(0.02)
         assert 0 < offsets.size < 2 * coeff_quad.panels - 1
         dense = _dense_P(coeff_quad, 0.02)
-        q, P = coeff_quad.npp, coeff_quad.panels
+        q, P = coeff_quad.q, coeff_quad.panels
         for d in range(-(P - 1), P):
             if d not in offsets:
                 assert not np.any(dense[max(d, 0) * q:(max(d, 0) + 1) * q,
@@ -177,17 +194,17 @@ class TestHeatOperator:
         # barycentric Lagrange interpolation on the panel containing x
         p = int((x + coeff_quad.grid.half_width) // (2 * coeff_quad.grid.half_width
                                                       / coeff_quad.panels))
-        sl = slice(p * coeff_quad.npp, (p + 1) * coeff_quad.npp)
+        sl = slice(p * coeff_quad.q, (p + 1) * coeff_quad.q)
         xs = nodes[sl]
         gap = xs[:, None] - xs[None, :]
         np.fill_diagonal(gap, 1.0)
         bw = 1.0 / gap.prod(axis=1)
         lw = bw / (x - xs)
         ref = float(lw @ dv[sl] / lw.sum())
-        row = coeff_quad.heat.row(0.0, x, deriv)
+        row = coeff_quad.row(0.0, x, deriv)
         got = float(row @ v)
         # rounding of a deriv-fold differentiation grows as |D|^deriv
-        norm_D = np.abs(coeff_quad.heat.D1).sum(axis=1).max()
+        norm_D = np.abs(coeff_quad.D1).sum(axis=1).max()
         tol = 1e-15 * norm_D ** deriv * np.abs(v[sl]).max()
         assert got == pytest.approx(ref, abs=tol)
         rows = np.stack([v, 2.0 * v]) @ row
@@ -198,30 +215,30 @@ class TestHeatOperator:
         # P(tau) exp(-x^2) = (1 + 2 tau)^{-1/2} exp(-x^2 / (1 + 2 tau)), on both
         # sides of the switch to the Taylor block at tau_res
         tau = factor * coeff_quad.tau_res
-        heat, nodes = coeff_quad.heat, coeff_quad.grid.nodes
+        nodes = coeff_quad.grid.nodes
         v = np.exp(-nodes * nodes)
         s = 1.0 + 2.0 * tau
         for x in (0.0, 0.37, -1.3, 2.1):
             exact = math.exp(-x * x / s) / math.sqrt(s)
-            assert heat.row(tau, x) @ v == pytest.approx(exact, abs=1e-5)
-            assert heat.row(tau, x, deriv=1) @ v == pytest.approx(-2.0 * x / s * exact, abs=1e-5)
+            assert coeff_quad.row(tau, x) @ v == pytest.approx(exact, abs=1e-5)
+            assert coeff_quad.row(tau, x, deriv=1) @ v == pytest.approx(-2.0 * x / s * exact,
+                                                                        abs=1e-5)
         np.testing.assert_allclose(coeff_quad.apply_P(tau, v),
                                    np.exp(-nodes * nodes / s) / math.sqrt(s), rtol=0.0, atol=1e-5)
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_row_block_is_rows_per_tau(self, deriv, coeff_quad):
         taus = coeff_quad.tau_res * np.array([50.0, 0.25, 1.01, 0.99])
-        rows = coeff_quad.heat.row(taus, 0.37, deriv)
+        rows = coeff_quad.row(taus, 0.37, deriv)
         assert rows.shape == (taus.size, coeff_quad.grid.nodes.size)
         for tau, r in zip(taus, rows):
-            np.testing.assert_array_equal(r, coeff_quad.heat.row(tau, 0.37, deriv))
+            np.testing.assert_array_equal(r, coeff_quad.row(tau, 0.37, deriv))
 
     def test_holds_no_dense_matrix(self, coeff_quad):
         m = coeff_quad.grid.nodes.size
-        for obj in (coeff_quad, coeff_quad.heat):
-            for value in vars(obj).values():
-                if isinstance(value, np.ndarray):
-                    assert value.size < m * m
+        for value in vars(coeff_quad).values():
+            if isinstance(value, np.ndarray):
+                assert value.size < m * m
 
     def test_fine_grid_in_bounded_memory(self):
         # one dense 8192 x 8192 array alone would take 537 MB

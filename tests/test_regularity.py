@@ -456,6 +456,19 @@ class TestLocalTimeIncrements:
         assert sorted(set(widths)) == [50, 100, 150, 200, 300, 400]
         assert len(widths) == 2 * 6  # two blocks, one window per lag
 
+    @pytest.mark.parametrize("t_hi, lags, dt", [(1.0, [0.05, 0.1], 0.02),
+                                                (1.0, [0.05, 0.1, 0.15, 0.2], 0.1),
+                                                (1.01, [0.1], 0.02)])
+    def test_temporal_check_refuses_times_off_the_dt_grid(self, t_hi, lags, dt):
+        # a cut rounded to the dt grid would measure another lag than its label
+        with pytest.raises(ValueError, match="positive multiple of dt"):
+            local_time_temporal_increment_check(t_hi, lags, 100, 1, dt=dt, delta_a=0.05)
+
+    def test_temporal_check_refuses_lag_beyond_t_hi(self):
+        with pytest.raises(ValueError, match="exceed t_hi"):
+            local_time_temporal_increment_check(0.2, [0.1, 0.3], 100, 1, dt=0.01,
+                                                delta_a=0.05)
+
     def test_temporal_increment_slope(self):
         curve = local_time_temporal_increment_check(
             1.0, [0.05, 0.1, 0.15, 0.2, 0.3, 0.4], 8000, 57, dt=1e-3, delta_a=0.025)

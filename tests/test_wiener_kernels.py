@@ -33,7 +33,7 @@ class TestSemigroupTail:
         ctx = _ChainContext(1, 1.0, sine_ic(), coeff_quad)
         tau = factor * coeff_quad.tau_res
         for xi in (1.0, -2.3):
-            assert (ctx.quad.heat.row(np.array([tau]), xi) @ ctx.u0_grid)[0] == pytest.approx(
+            assert (ctx.quad.row(np.array([tau]), xi) @ ctx.u0_grid)[0] == pytest.approx(
                 math.exp(-tau / 2.0) * math.sin(xi), rel=0.0, abs=1e-7)
 
 
