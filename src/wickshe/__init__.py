@@ -17,16 +17,13 @@ Module map:
 * ``cli``            the ``wickshe`` experiment runner.
 """
 
-from .basis import (GaussianCoordinates, MultiIndex, TruncationSpec,
-                    enumerate_multiindices, hermite_function, hermite_function_dx,
-                    hermite_poly)
+from .basis import (MultiIndex, TruncationSpec, enumerate_multiindices, hermite_function,
+                    hermite_function_dx, hermite_poly)
 from .chaos import ChaosCoefficients, order_norm, s_transform_chaos, second_moment, wick_product
 from .coefficients import (CoefficientQuadrature, cs_coefficient, cs_level_coefficients,
                            dx_coefficient, dx_level_coefficients)
-from .feynman_kac import (BrownianPath, LocalTimeProfile, NoiseRealization, PsiSample,
-                          build_level_grid, fk_conditional_estimate, local_time,
-                          psi_sample, sample_noise, simulate_path, s_transform_dx_mc,
-                          s_transform_mc)
+from .feynman_kac import (build_level_grid, fk_conditional_estimate, local_time, psi_sample,
+                          sample_noise, simulate_path, s_transform_dx_mc, s_transform_mc)
 from .kernels import (InitialCondition, QuadratureGrid, SimplexSpec, apply_heat_semigroup,
                       apply_heat_semigroup_dx, build_line_grid, constant_ic,
                       dxp_cross_inner, gaussian_bump_ic, heat_kernel, heat_kernel_dx,

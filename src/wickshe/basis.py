@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "MultiIndex",
     "TruncationSpec",
-    "GaussianCoordinates",
     "hermite_poly",
     "hermite_function",
     "hermite_function_dx",
@@ -135,19 +134,6 @@ class TruncationSpec:
 
     def contains(self, alpha: MultiIndex) -> bool:
         return alpha.degree() <= self.max_order and len(alpha.entries) <= self.max_mode
-
-
-@dataclass(frozen=True)
-class GaussianCoordinates:
-    """Sampled coordinates (W_{e_1}, ..., W_{e_J}) of a noise realization."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values, dtype=float)))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def hermite_poly(n: int, x) -> float | np.ndarray:
@@ -324,7 +310,7 @@ def snapshot_steps(times: Iterable[float], dt: float) -> dict[int, float]:
     for t in times:
         k = round(t / dt)
         if abs(k * dt - t) > 1e-9 or k <= 0:
-            raise ValueError(f"snapshot time {t} must be a positive multiple of dt = {dt}")
+            raise ValueError(f"time {t} must be a positive multiple of dt = {dt}")
         steps[k] = t
     return steps
 

@@ -162,8 +162,8 @@ def run_fk(cfg: RunConfig, out: Path, report: RunReport):
         # estimates run one per worker thread
         pi, k = task
         t, x = cfg.probes[pi]
-        noise = sample_noise(levels[pi], substream(cfg.seed, "fk-noise", pi, k))
-        return fk_conditional_estimate(t, x, u0, noise, n_paths, stream_seed=cfg.seed,
+        dW = sample_noise(levels[pi], substream(cfg.seed, "fk-noise", pi, k))
+        return fk_conditional_estimate(t, x, u0, levels[pi], dW, n_paths, stream_seed=cfg.seed,
                                        dt=cfg.mc_dt, threads=1,
                                        stream_label=f"fk-paths-{pi}-{k}")
 
@@ -210,10 +210,10 @@ def _dump_ensembles(cfg: RunConfig, out: Path, report: RunReport):
     n_dump = min(50, cfg.mc_n_paths)
     path_rows, lt_rows = [], []
     for pid in range(n_dump):
-        p = simulate_path(t, cfg.mc_dt, x, substream(cfg.seed, "dump", pid))
-        prof = local_time(p, levels)
-        path_rows.extend((pid, ti, bi) for ti, bi in zip(p.t_grid, p.positions))
-        lt_rows.extend((pid, ak, lk) for ak, lk in zip(prof.level_grid, prof.values))
+        t_grid, positions = simulate_path(t, cfg.mc_dt, x, substream(cfg.seed, "dump", pid))
+        L = local_time(t_grid, positions, levels)
+        path_rows.extend((pid, ti, bi) for ti, bi in zip(t_grid, positions))
+        lt_rows.extend((pid, ak, lk) for ak, lk in zip(levels, L))
     report.artifacts.append(write_csv(out / "fk_paths.csv",
                                       ("path_id", "t_i", "B_i"), path_rows))
     report.artifacts.append(write_csv(out / "fk_local_times.csv",

@@ -13,7 +13,7 @@ import difflib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .kernels import covers, initial_condition_from_tag
+from .kernels import INITIAL_CONDITIONS, covers, initial_condition_from_tag
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULTS"]
 
@@ -84,8 +84,6 @@ _RANGES = {
     "initial_condition.amplitude": (-100.0, 100.0),
     "threads": (1, 256),
 }
-
-_IC_TAGS = ("constant", "sine", "gaussian_bump", "tanh")
 
 
 def _parse_probes(text: str, key: str) -> tuple[tuple[float, float], ...]:
@@ -158,9 +156,9 @@ def _validate(cfg: RunConfig):
         val = getattr(cfg, attr)
         if not (lo <= val <= hi):
             raise ConfigError(f"{key}: value {val} outside [{lo}, {hi}]")
-    if cfg.ic_tag not in _IC_TAGS:
+    if cfg.ic_tag not in INITIAL_CONDITIONS:
         raise ConfigError(f"initial_condition.tag: unknown tag '{cfg.ic_tag}' "
-                          f"(choose from {', '.join(_IC_TAGS)})")
+                          f"(choose from {', '.join(INITIAL_CONDITIONS)})")
     for (t, x) in cfg.probes:
         if t <= 0:
             raise ConfigError(f"probes: time {t} must be positive")

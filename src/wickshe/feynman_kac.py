@@ -9,6 +9,10 @@ discretized on a uniform level grid as sum_i L_i dW_i - (da/2) sum_i L_i^2
 with dW_i ~ N(0, da).  The local-time profile is the occupation histogram of
 the discrete path skeleton, normalized so that da * sum_i L_i = t exactly.
 
+Everything here is a plain array: a path is its time grid and positions,
+a profile is the vector L on the level grid (bin centres), and a noise
+sample is the vector dW on that same grid.
+
 Estimator bias: the histogram carries O(da) binning bias and the skeleton
 O(sqrt(dt)) time-discretization bias; ensemble checks quote a stated budget
 of these orders next to the Monte Carlo error instead of hiding them.
@@ -41,20 +45,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basis import GaussianCoordinates, hermite_function_table
 from .kernels import InitialCondition
 from .streams import substream
 
 __all__ = [
-    "BrownianPath",
-    "LocalTimeProfile",
-    "NoiseRealization",
-    "PsiSample",
     "simulate_path",
     "local_time",
     "psi_sample",
@@ -86,112 +84,47 @@ class EnsembleMemoryError(ValueError):
     coefficient sweep, would exceed the budget."""
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """Discrete skeleton of a Brownian path started at x on a uniform grid
-    (the final step may be shorter so the grid ends exactly at t)."""
-
-    t_grid: np.ndarray
-    positions: np.ndarray
-    start: float
-
-    def __post_init__(self):
-        if self.t_grid.shape != self.positions.shape:
-            raise ValueError("time grid and positions must align")
-        if self.positions[0] != self.start or self.t_grid[0] != 0.0:
-            raise ValueError("path must start at (0, x)")
-
-
-@dataclass(frozen=True)
-class LocalTimeProfile:
-    """Occupation density on a uniform level grid (values are time/length)."""
-
-    level_grid: np.ndarray
-    values: np.ndarray
-    elapsed: float
-
-    def __post_init__(self):
-        if self.level_grid.shape != self.values.shape:
-            raise ValueError("level grid and values must align")
-        if np.any(self.values < 0):
-            raise ValueError("local time values must be non-negative")
-
-    @property
-    def delta_a(self) -> float:
-        return float(self.level_grid[1] - self.level_grid[0])
-
-    def total_mass(self) -> float:
-        """da * sum(values); equals the elapsed time by construction."""
-        return float(self.delta_a * self.values.sum())
-
-    def quadratic(self) -> float:
-        """Discrete int L^2 da."""
-        return float(self.delta_a * np.dot(self.values, self.values))
-
-
-@dataclass(frozen=True)
-class NoiseRealization:
-    """One white-noise sample in its two views.
-
-    ``grid_increments`` are dW over the level bins (variance da each);
-    ``mode_coords`` hold W_{e_j} = sum_i e_j(a_i) dW_i, accumulated from the
-    same increments.
-    """
-
-    level_grid: np.ndarray
-    grid_increments: np.ndarray
-    mode_coords: GaussianCoordinates
-
-
-@dataclass(frozen=True)
-class PsiSample:
-    stochastic_integral: float
-    quadratic_term: float
-
-    def value(self) -> float:
-        return self.stochastic_integral - self.quadratic_term
-
-
-def simulate_path(t: float, dt: float, x: float, stream: np.random.Generator) -> BrownianPath:
-    """Exact-law Gaussian skeleton of Brownian motion started at x."""
+def simulate_path(t: float, dt: float, x: float,
+                  stream: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-law Gaussian skeleton of Brownian motion started at x: the time
+    grid (uniform, the final step shortened so that it ends exactly at t) and
+    the positions on it, starting with x."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     t_grid = _time_grid(t, dt)
     positions = np.concatenate([[x], _positions(1, np.diff(t_grid), x, stream)[0]])
-    return BrownianPath(t_grid=t_grid, positions=positions, start=x)
+    return t_grid, positions
+
+
+def _step_count(t: float, dt: float) -> int:
+    """Steps of the time grid to t: the whole dt steps, plus a shortened last
+    one when t is not a multiple of dt (to 1e-12 relative)."""
+    n_full = int(math.floor(t / dt + 1e-12))
+    return n_full + (t - dt * n_full > 1e-12 * max(t, 1.0))
 
 
 def _time_grid(t: float, dt: float) -> np.ndarray:
-    n_full = int(math.floor(t / dt + 1e-12))
-    grid = dt * np.arange(n_full + 1)
-    if t - grid[-1] > 1e-12 * max(t, 1.0):
-        grid = np.append(grid, t)
+    grid = dt * np.arange(_step_count(t, dt) + 1)
     grid[-1] = t
     return grid
 
 
-def build_level_grid(t: float, x: float, delta_a: float,
-                     mode_cover: Optional[int] = None) -> np.ndarray:
+def build_level_grid(t: float, x: float, delta_a: float) -> np.ndarray:
     """Uniform level grid (bin centers) covering the +-6 sqrt(t) path range
-    around x, widened to the Hermite-mode support when a mode view up to
-    ``mode_cover`` is needed."""
+    around x."""
     lo, hi = x - 6.0 * math.sqrt(t), x + 6.0 * math.sqrt(t)
-    if mode_cover is not None:
-        reach = math.sqrt(2.0 * mode_cover + 1.0) + 4.0
-        lo, hi = min(lo, -reach), max(hi, reach)
     k_lo = math.floor(lo / delta_a) - 3
     k_hi = math.ceil(hi / delta_a) + 3
     return delta_a * (np.arange(k_lo, k_hi + 1) + 0.5)
 
 
-def local_time(path: BrownianPath, levels: np.ndarray) -> LocalTimeProfile:
-    """Occupation-density histogram of the path skeleton.
+def local_time(t_grid: np.ndarray, positions: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Occupation-density histogram L of one path skeleton on ``levels``.
 
     Each step contributes its dt to the bin of its right endpoint, so the
     identity da * sum L = t holds exactly (counting identity).
     """
-    vals = occupation_profiles(path.positions[None, 1:], np.diff(path.t_grid), levels)[0]
-    return LocalTimeProfile(level_grid=levels, values=vals, elapsed=float(path.t_grid[-1]))
+    return occupation_profiles(positions[None, 1:], np.diff(t_grid), levels)[0]
 
 
 def _occupation_sums(left: np.ndarray, steps: np.ndarray, phi: Callable) -> np.ndarray:
@@ -203,30 +136,18 @@ def _occupation_sums(left: np.ndarray, steps: np.ndarray, phi: Callable) -> np.n
     return sums
 
 
-def sample_noise(levels: np.ndarray, stream: np.random.Generator,
-                 max_mode: int = 0) -> NoiseRealization:
-    """Grid-first white-noise sample: dW_i ~ N(0, da) per bin, with the mode
-    view W_{e_j} accumulated from the same increments so the chaos and path
-    sides share one realization."""
+def sample_noise(levels: np.ndarray, stream: np.random.Generator) -> np.ndarray:
+    """White-noise increments dW_i ~ N(0, da) over the level bins."""
     da = float(levels[1] - levels[0])
-    dW = stream.standard_normal(levels.size) * math.sqrt(da)
-    if max_mode > 0:
-        E = hermite_function_table(max_mode, levels)
-        modes = E @ dW
-    else:
-        modes = np.zeros(0)
-    return NoiseRealization(level_grid=levels, grid_increments=dW,
-                            mode_coords=GaussianCoordinates(modes))
+    return stream.standard_normal(levels.size) * math.sqrt(da)
 
 
-def psi_sample(profile: LocalTimeProfile, noise: NoiseRealization) -> PsiSample:
-    """Psi = sum_i L_i dW_i - (da/2) sum_i L_i^2 for one path and one noise."""
-    if (profile.level_grid.size != noise.level_grid.size
-            or abs(profile.level_grid[0] - noise.level_grid[0]) > 1e-12):
+def psi_sample(L: np.ndarray, dW: np.ndarray, delta_a: float) -> float:
+    """Psi = sum_i L_i dW_i - (da/2) sum_i L_i^2 for one profile L and one
+    noise sample dW on the same level grid of spacing ``delta_a``."""
+    if L.shape != dW.shape:
         raise ValueError("noise grid does not match the profile grid")
-    stoch = float(np.dot(profile.values, noise.grid_increments))
-    quad = 0.5 * profile.quadratic()
-    return PsiSample(stochastic_integral=stoch, quadratic_term=quad)
+    return float(np.dot(L, dW)) - 0.5 * float(delta_a * np.dot(L, L))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +228,7 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
     ``levels`` enters only the block budget; a reducer bins what it reads.
     Results come back in block order for any thread count.
     """
-    n_steps = math.ceil(t / dt - 1e-12)
+    n_steps = _step_count(t, dt)
     n_levels = 0 if levels is None else levels.size
     width, unit = (n_steps, "steps") if n_steps >= n_levels else (n_levels, "levels")
     check_array_budget(DEFAULT_BLOCK * width, f"a block of {DEFAULT_BLOCK} paths x {width} {unit}")
@@ -329,10 +250,11 @@ def standard_error(values: np.ndarray) -> float:
 
 
 def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
-                            noise: NoiseRealization, n_paths: int,
+                            levels: np.ndarray, dW: np.ndarray, n_paths: int,
                             stream_seed: int, dt: float = 1e-3, threads: int = 1,
                             stream_label: str = "fk-paths") -> tuple[float, float]:
-    """Path average of u0(B_t^x) exp(Psi) at a fixed noise realization.
+    """Path average of u0(B_t^x) exp(Psi) at a fixed noise realization, the
+    increments ``dW`` over the bins of ``levels``.
 
     Returns (estimate, standard error).  This is one sample of the
     random field at (t, x); averaging estimates over independent noise draws
@@ -340,12 +262,14 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    levels = noise.level_grid
+    if dW.shape != levels.shape:
+        raise ValueError(f"noise increments of shape {dW.shape} do not match the "
+                         f"level grid of shape {levels.shape}")
     da = float(levels[1] - levels[0])
 
     def reduce(b, steps, pos) -> np.ndarray:
         prof = occupation_profiles(pos, steps, levels)
-        psi = prof @ noise.grid_increments - 0.5 * da * np.einsum("ij,ij->i", prof, prof)
+        psi = prof @ dW - 0.5 * da * np.einsum("ij,ij->i", prof, prof)
         return u0(pos[:, -1]) * np.exp(psi)
 
     vals = np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
@@ -353,7 +277,6 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
     if float(vals.std()) == 0.0:
         raise RuntimeError("degenerate path ensemble: all samples identical")
     return float(vals.mean()), standard_error(vals)
-
 
 def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
                             phis: Sequence[tuple[Callable[[np.ndarray], np.ndarray],
@@ -519,16 +442,15 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     levels = build_level_grid(t, x, delta_a)
     check_array_budget(n_noise * levels.size, f"{n_noise} noise draws x {levels.size} levels")
     da = float(levels[1] - levels[0])
-    path = simulate_path(t, dt, x, substream(stream_seed, "psi-path"))
-    prof = local_time(path, levels)
-    q = prof.quadratic()
+    L = local_time(*simulate_path(t, dt, x, substream(stream_seed, "psi-path")), levels)
+    q = float(da * np.dot(L, L))
 
     noise = substream(stream_seed, "psi-noise")
     psi = np.empty(n_noise)
     for r0 in range(0, n_noise, ROW_CHUNK):
         dW = noise.standard_normal((min(ROW_CHUNK, n_noise - r0), levels.size))
         dW *= math.sqrt(da)
-        np.matmul(dW, prof.values, out=psi[r0:r0 + dW.shape[0]])
+        np.matmul(dW, L, out=psi[r0:r0 + dW.shape[0]])
     psi -= 0.5 * q
     m, s = psi.mean(), psi.std(ddof=1)
     skew = float(np.mean(((psi - m) / s) ** 3))

@@ -36,6 +36,7 @@ __all__ = [
     "sine_ic",
     "gaussian_bump_ic",
     "tanh_ic",
+    "INITIAL_CONDITIONS",
     "initial_condition_from_tag",
     "apply_heat_semigroup",
     "apply_heat_semigroup_dx",
@@ -185,16 +186,20 @@ def tanh_ic(scale: float = 1.0) -> InitialCondition:
         sup_norm=1.0, tag="tanh")
 
 
+# the package's one list of initial-condition tags: tag -> constructor of the
+# condition at a given amplitude
+INITIAL_CONDITIONS: dict[str, Callable[[float], InitialCondition]] = {
+    "constant": constant_ic,
+    "sine": sine_ic,
+    "gaussian_bump": lambda amplitude: gaussian_bump_ic(height=amplitude),
+    "tanh": lambda amplitude: tanh_ic(scale=amplitude),
+}
+
+
 def initial_condition_from_tag(tag: str, amplitude: float = 1.0) -> InitialCondition:
-    if tag == "constant":
-        return constant_ic(amplitude)
-    if tag == "sine":
-        return sine_ic(amplitude)
-    if tag == "gaussian_bump":
-        return gaussian_bump_ic(height=amplitude)
-    if tag == "tanh":
-        return tanh_ic(scale=amplitude)
-    raise ValueError(f"unknown initial condition tag '{tag}'")
+    if tag not in INITIAL_CONDITIONS:
+        raise ValueError(f"unknown initial condition tag '{tag}'")
+    return INITIAL_CONDITIONS[tag](amplitude)
 
 
 # ---------------------------------------------------------------------------

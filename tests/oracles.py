@@ -13,7 +13,7 @@ import numpy as np
 
 from wickshe.basis import MultiIndex, TruncationSpec, enumerate_multiindices, snapshot_at
 from wickshe.chaos import ChaosCoefficients, order_norm, second_moment
-from wickshe.feynman_kac import BrownianPath, _occupation_sums
+from wickshe.feynman_kac import _occupation_sums
 from wickshe.propagator import PropagatorSolution
 from wickshe.regularity import TAIL_SHARE_GATE, IncrementMomentCurve, TruncationTailError
 
@@ -126,10 +126,12 @@ def increment_moments(field: Callable[[float, float], ChaosCoefficients],
                                 monotone=monotone)
 
 
-def occupation_functional(path: BrownianPath, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Left-endpoint Riemann sum of int_0^t phi(B_s) ds along one path: the
-    one-row case of the sum the path-side S-transforms use."""
-    return float(_occupation_sums(path.positions[None, :-1], np.diff(path.t_grid), phi)[0])
+def occupation_functional(t_grid: np.ndarray, positions: np.ndarray,
+                          phi: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Left-endpoint Riemann sum of int_0^t phi(B_s) ds along one path (its
+    time grid and positions): the one-row case of the sum the path-side
+    S-transforms use."""
+    return float(_occupation_sums(positions[None, :-1], np.diff(t_grid), phi)[0])
 
 
 def lattice_values(sol: PropagatorSolution, t: float, alpha: MultiIndex) -> np.ndarray:

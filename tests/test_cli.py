@@ -11,7 +11,7 @@ import wickshe
 from wickshe.cli import encode_alpha, main, run, write_csv
 from wickshe.basis import MultiIndex
 from wickshe.config import ConfigError, parse_config
-from wickshe.kernels import build_line_grid
+from wickshe.kernels import INITIAL_CONDITIONS, build_line_grid
 
 
 def write_cfg(tmp_path: Path, text: str) -> Path:
@@ -59,6 +59,11 @@ class TestConfigParsing:
     def test_unknown_ic_tag(self, tmp_path):
         with pytest.raises(ConfigError, match="tag"):
             parse_config(write_cfg(tmp_path, "seed = 1\ninitial_condition.tag = box\n"))
+
+    @pytest.mark.parametrize("tag", sorted(INITIAL_CONDITIONS))
+    def test_every_registered_ic_tag_parses(self, tmp_path, tag):
+        cfg = parse_config(write_cfg(tmp_path, f"seed = 1\ninitial_condition.tag = {tag}\n"))
+        assert cfg.initial_condition().tag == tag
 
     def test_comments_and_blank_lines(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, "# header\n\nseed = 3  # trailing\n"))

@@ -1,5 +1,7 @@
 """Demos run end to end against the sources, in a fresh interpreter."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -23,3 +25,19 @@ def test_regularity_slopes_demo_runs(tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_regularity_slopes.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_demo_import_from_wickshe_resolves():
+    # tier-1 runs only demos 04 and 06; this catches a public name that a
+    # demo imports and the package no longer has
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    missing = []
+    for demo in demos:
+        for node in ast.walk(ast.parse(demo.read_text(), filename=str(demo))):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "wickshe":
+                module = importlib.import_module(node.module)
+                missing += [f"{demo.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert not missing, missing

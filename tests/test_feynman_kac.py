@@ -24,15 +24,15 @@ from oracles import occupation_functional
 
 class TestPaths:
     def test_grid_and_start(self):
-        p = simulate_path(1.0, 1e-3, 0.5, substream(1, "p"))
-        assert p.t_grid[0] == 0.0 and p.t_grid[-1] == 1.0
-        assert p.positions[0] == 0.5
-        steps = np.diff(p.t_grid)
+        t_grid, positions = simulate_path(1.0, 1e-3, 0.5, substream(1, "p"))
+        assert t_grid[0] == 0.0 and t_grid[-1] == 1.0
+        assert positions[0] == 0.5
+        steps = np.diff(t_grid)
         assert steps.max() <= 1e-3 + 1e-15
 
     def test_last_step_shortened(self):
-        p = simulate_path(0.0025, 1e-3, 0.0, substream(1, "p"))
-        np.testing.assert_allclose(p.t_grid, [0.0, 1e-3, 2e-3, 2.5e-3])
+        t_grid, _ = simulate_path(0.0025, 1e-3, 0.0, substream(1, "p"))
+        np.testing.assert_allclose(t_grid, [0.0, 1e-3, 2e-3, 2.5e-3])
 
     def test_ensemble_moments(self):
         gen = substream(42, "path-moments")
@@ -53,14 +53,14 @@ class TestLocalTime:
     def test_mass_identity_exact(self):
         p = simulate_path(0.7, 1e-3, -0.4, substream(9, "lt"))
         levels = build_level_grid(0.7, -0.4, 0.05)
-        prof = local_time(p, levels)
-        assert prof.total_mass() == pytest.approx(0.7, abs=1e-12)
+        L = local_time(*p, levels)
+        assert float((levels[1] - levels[0]) * L.sum()) == pytest.approx(0.7, abs=1e-12)
 
     def test_coverage_guard(self):
         p = simulate_path(1.0, 1e-3, 0.0, substream(9, "lt2"))
         narrow = np.arange(-0.2, 0.2, 0.05)
         with pytest.raises(ValueError, match="cover"):
-            local_time(p, narrow)
+            local_time(*p, narrow)
 
     def test_mean_local_time_at_origin(self):
         stats = local_time_ensemble_stats(1.0, 1e-3, 0.025, 30_000, 1234)
@@ -139,23 +139,24 @@ class TestOrderedMap:
         assert ordered_map(lambda i: i + 1, [4], 8) == [5]
         assert ordered_map(lambda i: i + 1, [4, 5], 1) == [5, 6]
         # a one-block estimate runs without a pool at any thread count
-        noise = sample_noise(build_level_grid(0.2, 0.0, 0.05), substream(1, "n"))
-        fk_conditional_estimate(0.2, 0.0, constant_ic(), noise, 500, 1, threads=4)
+        levels = build_level_grid(0.2, 0.0, 0.05)
+        dW = sample_noise(levels, substream(1, "n"))
+        fk_conditional_estimate(0.2, 0.0, constant_ic(), levels, dW, 500, 1, threads=4)
 
 
 class TestOccupationFunctional:
     def test_constant_exact(self):
         p = simulate_path(0.8, 1e-3, 0.1, substream(5, "occ"))
-        assert occupation_functional(p, lambda y: np.full_like(y, 3.0)) == pytest.approx(
+        assert occupation_functional(*p, lambda y: np.full_like(y, 3.0)) == pytest.approx(
             2.4, abs=1e-12)
 
     def test_agrees_with_profile_sum(self):
         p = simulate_path(1.0, 1e-4, 0.0, substream(5, "occ2"))
         levels = build_level_grid(1.0, 0.0, 0.02)
-        prof = local_time(p, levels)
+        L = local_time(*p, levels)
         phi = lambda y: hermite_function(1, y)
-        occ = occupation_functional(p, phi)
-        via_profile = prof.delta_a * float(np.dot(prof.values, phi(prof.level_grid)))
+        occ = occupation_functional(*p, phi)
+        via_profile = float(levels[1] - levels[0]) * float(np.dot(L, phi(levels)))
         # O(da + sqrt(dt)) discretization gap, scaled by |phi'| and t
         assert abs(occ - via_profile) <= 2.0 * (0.02 + math.sqrt(1e-4))
 
@@ -166,7 +167,7 @@ class TestOccupationFunctional:
         vals = []
         for k in range(2000):
             p = simulate_path(t, 1e-4, x, substream(6, "occ3", k))
-            vals.append(occupation_functional(p, lambda y: hermite_function(1, y)))
+            vals.append(occupation_functional(*p, lambda y: hermite_function(1, y)))
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - t * hermite_function(1, x)) <= 3 * se + 5e-4
@@ -174,27 +175,25 @@ class TestOccupationFunctional:
     def test_nonfinite_guard(self):
         p = simulate_path(0.1, 1e-3, 0.0, substream(5, "occ4"))
         with pytest.raises(ValueError, match="non-finite"):
-            occupation_functional(p, lambda y: np.where(np.abs(y) < 10, np.inf, 1.0))
+            occupation_functional(*p, lambda y: np.where(np.abs(y) < 10, np.inf, 1.0))
 
 
 class TestPsi:
     def test_zero_noise_is_negative_quadratic(self):
         p = simulate_path(1.0, 1e-3, 0.0, substream(7, "psi"))
         levels = build_level_grid(1.0, 0.0, 0.05)
-        prof = local_time(p, levels)
-        noise = sample_noise(levels, substream(7, "psi-noise"))
-        zero = type(noise)(level_grid=levels, grid_increments=np.zeros_like(levels),
-                           mode_coords=noise.mode_coords)
-        ps = psi_sample(prof, zero)
-        assert ps.value() == -ps.quadratic_term < 0
+        L = local_time(*p, levels)
+        da = float(levels[1] - levels[0])
+        psi = psi_sample(L, np.zeros_like(levels), da)
+        assert psi == -0.5 * float(da * np.dot(L, L)) < 0
 
     def test_grid_mismatch_guard(self):
         p = simulate_path(1.0, 1e-3, 0.0, substream(7, "psi2"))
         levels = build_level_grid(1.0, 0.0, 0.05)
-        prof = local_time(p, levels)
+        L = local_time(*p, levels)
         other = sample_noise(build_level_grid(1.0, 0.0, 0.04), substream(7, "x"))
         with pytest.raises(ValueError, match="grid"):
-            psi_sample(prof, other)
+            psi_sample(L, other, float(levels[1] - levels[0]))
 
     def test_conditional_law_and_unit_mean(self):
         stats = psi_law_stats(1.0, 1e-3, 0.05, 20_000, 20_000, 77)
@@ -210,23 +209,15 @@ class TestPsi:
         t, dt, x, seed, n_noise = 0.5, 1e-3, 0.1, 31, 1000
         stats = psi_law_stats(t, dt, 0.05, 200, n_noise, seed, x=x)
         levels = build_level_grid(t, x, 0.05)
-        prof = local_time(simulate_path(t, dt, x, substream(seed, "psi-path")), levels)
+        L = local_time(*simulate_path(t, dt, x, substream(seed, "psi-path")), levels)
+        da = float(levels[1] - levels[0])
         dW = substream(seed, "psi-noise").standard_normal((n_noise, levels.size))
-        dW *= math.sqrt(prof.delta_a)
-        psi = dW @ prof.values - 0.5 * prof.quadratic()
+        dW *= math.sqrt(da)
+        psi = dW @ L - 0.5 * float(da * np.dot(L, L))
         m, s = psi.mean(), psi.std(ddof=1)
         assert stats["conditional_mean"] == float(m)
         assert stats["conditional_var"] == float(s * s)
         assert stats["skewness"] == float(np.mean(((psi - m) / s) ** 3))
-
-    def test_mode_view_variance(self):
-        # W_{e_j} accumulated from grid increments has unit variance
-        levels = build_level_grid(1.0, 0.0, 0.05, mode_cover=3)
-        draws = np.array([sample_noise(levels, substream(8, "nv", k), max_mode=3)
-                          .mode_coords.values for k in range(4000)])
-        v = draws.var(axis=0, ddof=1)
-        se = v * math.sqrt(2.0 / (draws.shape[0] - 1))
-        assert np.all(np.abs(v - 1.0) <= 4 * se + 0.01)
 
 
 class TestConditionalEstimate:
@@ -236,10 +227,8 @@ class TestConditionalEstimate:
         vals = {}
         for t in (0.25, 1.0):
             levels = build_level_grid(t, 0.0, 0.05)
-            zero = sample_noise(levels, substream(30, "z"))
-            zero = type(zero)(level_grid=levels, grid_increments=np.zeros_like(levels),
-                              mode_coords=zero.mode_coords)
-            est, se = fk_conditional_estimate(t, 0.0, constant_ic(), zero, 4000,
+            est, se = fk_conditional_estimate(t, 0.0, constant_ic(), levels,
+                                              np.zeros_like(levels), 4000,
                                               stream_seed=31, dt=1e-3)
             vals[t] = (est, se)
         assert vals[0.25][0] < 1.0 and vals[1.0][0] < 1.0
@@ -248,8 +237,9 @@ class TestConditionalEstimate:
         acc = []
         for k in range(2000):
             p = simulate_path(0.25, 1e-3, 0.0, substream(32, "bf", k))
-            prof = local_time(p, build_level_grid(0.25, 0.0, 0.05))
-            acc.append(math.exp(-0.5 * prof.quadratic()))
+            levels = build_level_grid(0.25, 0.0, 0.05)
+            L = local_time(*p, levels)
+            acc.append(math.exp(-0.5 * float((levels[1] - levels[0]) * np.dot(L, L))))
         acc = np.asarray(acc)
         se = acc.std(ddof=1) / math.sqrt(acc.size)
         assert abs(vals[0.25][0] - acc.mean()) <= 3 * (se + vals[0.25][1])
@@ -260,8 +250,8 @@ class TestConditionalEstimate:
         levels = build_level_grid(t, x, 0.05)
         ests = []
         for k in range(150):
-            noise = sample_noise(levels, substream(33, "avg", k))
-            est, _ = fk_conditional_estimate(t, x, sine_ic(), noise, 300,
+            dW = sample_noise(levels, substream(33, "avg", k))
+            est, _ = fk_conditional_estimate(t, x, sine_ic(), levels, dW, 300,
                                              stream_seed=34 + k, dt=2e-3)
             ests.append(est)
         ests = np.asarray(ests)
@@ -270,9 +260,19 @@ class TestConditionalEstimate:
 
     def test_path_count_guard(self):
         levels = build_level_grid(0.5, 0.0, 0.05)
-        noise = sample_noise(levels, substream(1, "g"))
+        dW = sample_noise(levels, substream(1, "g"))
         with pytest.raises(ValueError, match="n_paths"):
-            fk_conditional_estimate(0.5, 0.0, constant_ic(), noise, 10, stream_seed=1)
+            fk_conditional_estimate(0.5, 0.0, constant_ic(), levels, dW, 10, stream_seed=1)
+
+    def test_noise_off_the_level_grid_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a substream was drawn")
+
+        monkeypatch.setattr(feynman_kac, "substream", no_draw)
+        levels = build_level_grid(0.5, 0.0, 0.05)
+        with pytest.raises(ValueError, match="level grid"):
+            fk_conditional_estimate(0.5, 0.0, constant_ic(), levels, np.zeros(levels.size - 1),
+                                    500, stream_seed=1)
 
 
 class TestSTransformMC:
@@ -395,8 +395,9 @@ def _half_e1_dx(y):
 
 
 def _fk(threads):
-    noise = sample_noise(build_level_grid(0.5, 0.0, 0.05), substream(99, "noise"))
-    return fk_conditional_estimate(0.5, 0.0, sine_ic(), noise, 4500, 99, threads=threads)
+    levels = build_level_grid(0.5, 0.0, 0.05)
+    dW = sample_noise(levels, substream(99, "noise"))
+    return fk_conditional_estimate(0.5, 0.0, sine_ic(), levels, dW, 4500, 99, threads=threads)
 
 
 def _temporal(threads):
@@ -456,8 +457,8 @@ class TestPathEnsemble:
         # one block of one path draws the same numbers as simulate_path
         (pos,) = path_ensemble(0.3, 0.4, 1e-3, 1, 5, "pe", 1,
                                lambda b, steps, pos: pos[0])
-        p = simulate_path(0.3, 1e-3, 0.4, substream(5, "pe", 0))
-        assert np.array_equal(p.positions[1:], pos)
+        _, positions = simulate_path(0.3, 1e-3, 0.4, substream(5, "pe", 0))
+        assert np.array_equal(positions[1:], pos)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_reducer_holds_the_only_reference(self, threads):
@@ -507,6 +508,17 @@ class TestPathEnsemble:
         monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 2000 * 8 * 999)
         with pytest.raises(EnsembleMemoryError, match="2000 paths x 1000 steps"):
             path_ensemble(1.0, 0.0, 1e-3, 100, 5, "pe", 1, lambda *a: None)
+
+    def test_budget_counts_the_steps_of_the_time_grid(self, monkeypatch):
+        # a time a hair above one dt: the grid has one step, and the block
+        # budget counts that one step, not two
+        asked = []
+        monkeypatch.setattr(feynman_kac, "check_array_budget", lambda n, what: asked.append(n))
+        t = 0.001000000000003
+        steps = np.diff(feynman_kac._time_grid(t, 1e-3))
+        assert steps.size == 1
+        path_ensemble(t, 0.0, 1e-3, 100, 5, "pe", 1, lambda *a: None)
+        assert asked == [feynman_kac.DEFAULT_BLOCK * steps.size]
 
     def test_budget_counts_levels_wider_than_the_steps(self, monkeypatch):
         # the loop bins nothing, yet a level grid wider than the step count

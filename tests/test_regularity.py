@@ -464,6 +464,13 @@ class TestLocalTimeIncrements:
         with pytest.raises(ValueError, match="positive multiple of dt"):
             local_time_temporal_increment_check(t_hi, lags, 100, 1, dt=dt, delta_a=0.05)
 
+    def test_off_grid_lag_refusal_names_no_snapshot(self):
+        # the lag, not a snapshot of a sweep, is what is off the dt grid
+        with pytest.raises(ValueError, match="positive multiple of dt") as err:
+            local_time_temporal_increment_check(1.0, [0.05, 0.1], 100, 1, dt=0.02,
+                                                delta_a=0.05)
+        assert "snapshot" not in str(err.value)
+
     def test_temporal_check_refuses_lag_beyond_t_hi(self):
         with pytest.raises(ValueError, match="exceed t_hi"):
             local_time_temporal_increment_check(0.2, [0.1, 0.3], 100, 1, dt=0.01,
