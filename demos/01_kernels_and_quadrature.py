@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from wickshe import (SimplexSpec, apply_heat_semigroup, build_line_grid,
+from wickshe import (apply_heat_semigroup, build_line_grid,
                      dxp_cross_inner, heat_kernel, heat_kernel_dx, sine_ic,
                      simplex_quadrature)
 
@@ -33,6 +33,5 @@ print("semigroup on sin at (1, pi/2)        :", val, "vs", math.exp(-0.5))
 
 # the simplex rule digests (s2-s1)^{-1/2} (1-s2)^{-1/2}, whose exact
 # integral over the unit 2-simplex is pi
-spec = SimplexSpec(order=2, horizon=1.0, points_per_axis=24)
-sing = simplex_quadrature(spec, lambda s1, s2: (s2 - s1) ** -0.5 * (1 - s2) ** -0.5)
+sing = simplex_quadrature(2, 1.0, lambda s1, s2: (s2 - s1) ** -0.5 * (1 - s2) ** -0.5)
 print("singular simplex integral            :", sing, "vs", math.pi)

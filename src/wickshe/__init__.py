@@ -24,7 +24,7 @@ from .coefficients import (CoefficientQuadrature, cs_coefficient, cs_level_coeff
                            dx_coefficient, dx_level_coefficients)
 from .feynman_kac import (build_level_grid, fk_conditional_estimate, local_time, psi_sample,
                           sample_noise, simulate_path, s_transform_dx_mc, s_transform_mc)
-from .kernels import (InitialCondition, QuadratureGrid, SimplexSpec, apply_heat_semigroup,
+from .kernels import (InitialCondition, QuadratureGrid, apply_heat_semigroup,
                       apply_heat_semigroup_dx, build_line_grid, constant_ic,
                       dxp_cross_inner, gaussian_bump_ic, heat_kernel, heat_kernel_dx,
                       simplex_quadrature, sine_ic, tanh_ic)

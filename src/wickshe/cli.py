@@ -31,10 +31,11 @@ from .chaos import s_transform_chaos, s_transform_tail_estimate, second_moment
 from .coefficients import CoefficientQuadrature, dx_level_coefficients
 from .config import ConfigError, RunConfig, config_items, parse_config
 from .feynman_kac import (EnsembleMemoryError, build_level_grid, fk_conditional_estimate,
-                          local_time, ordered_map, psi_law_stats, sample_noise,
-                          s_transform_ensemble_mc, simulate_path, standard_error)
+                          local_time, local_time_ensemble_stats, ordered_map, psi_law_stats,
+                          sample_noise, s_transform_ensemble_mc, simulate_path,
+                          standard_error)
 from .kernels import apply_heat_semigroup, build_line_grid, constant_ic, covers, sine_ic
-from .regularity import (exact_increment_curve, fit_exponent, local_time_profile_checks,
+from .regularity import (exact_increment_curve, fit_exponent,
                          local_time_temporal_increment_check)
 from .spectral import SpectralChaosField
 from .streams import substream
@@ -321,9 +322,9 @@ def run_localtime(cfg: RunConfig, out: Path, report: RunReport):
     else:
         h = 2 * cfg.delta_a
     # the statistics and the increment table come from one path ensemble
-    stats, table = local_time_profile_checks(t, [h, 2 * h], cfg.mc_n_paths, cfg.seed,
-                                             dt=cfg.mc_dt, delta_a=cfg.delta_a,
-                                             threads=cfg.threads)
+    stats = local_time_ensemble_stats(t, cfg.mc_dt, cfg.delta_a, cfg.mc_n_paths, cfg.seed,
+                                      threads=cfg.threads, h_values=[h, 2 * h])
+    table = stats["increment_table"]
     rows = [("mass_identity_defect", stats["mass_identity_defect"], 0.0, 0.0),
             ("mean_L_at_start", stats["mean_L_at_start"], stats["se_L_at_start"],
              stats["bias_budget_L"]),

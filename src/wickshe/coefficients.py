@@ -33,7 +33,7 @@ import numpy as np
 
 from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, _distinct_permutations,
                     enumerate_multiindices, hermite_function_table)
-from .kernels import (NODES_PER_PANEL, InitialCondition, SimplexSpec, _panel_rule,
+from .kernels import (NODES_PER_PANEL, InitialCondition, _panel_rule,
                       apply_heat_semigroup, apply_heat_semigroup_dx, build_line_grid,
                       heat_kernel, heat_kernel_dx, simplex_map)
 
@@ -192,9 +192,7 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
     th = t if horizon is None else horizon
     if not 0 < th <= t:
         raise ValueError("horizon must lie in (0, t]")
-    spec = SimplexSpec(order=n, horizon=th, points_per_axis=quad.time_points,
-                       grading=quad.grading)
-    pts, wts = simplex_map(spec)
+    pts, wts = simplex_map(n, th, quad.time_points, quad.grading)
     E = hermite_function_table(J, quad.grid.nodes)      # (J, m)
     base = u0(quad.grid.nodes)
     out = np.zeros((J,) * n)

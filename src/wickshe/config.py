@@ -51,38 +51,24 @@ class RunConfig:
 
 DEFAULTS = RunConfig()
 
-_KEYMAP = {
-    "seed": ("seed", int),
-    "truncation.N": ("truncation_order", int),
-    "truncation.J": ("truncation_modes", int),
-    "quadrature.L": ("quadrature_half_width", float),
-    "quadrature.panels": ("quadrature_panels", int),
-    "quadrature.grading": ("quadrature_grading", float),
-    "mc.dt": ("mc_dt", float),
-    "mc.n_paths": ("mc_n_paths", int),
-    "mc.n_noise": ("mc_n_noise", int),
-    "mc.delta_a_factor": ("mc_delta_a_factor", float),
-    "mc.dump_ensembles": ("mc_dump_ensembles", "bool"),
-    "initial_condition.tag": ("ic_tag", str),
-    "initial_condition.amplitude": ("ic_amplitude", float),
-    "probes": ("probes", "probes"),
-    "output_dir": ("output_dir", str),
-    "threads": ("threads", int),
-}
-
-_RANGES = {
-    "seed": (0, 2 ** 64 - 1),
-    "truncation.N": (0, 40),
-    "truncation.J": (1, 64),
-    "quadrature.L": (4.0, 64.0),
-    "quadrature.panels": (8, 512),
-    "quadrature.grading": (1.0, 8.0),
-    "mc.dt": (1e-6, 0.1),
-    "mc.n_paths": (100, 10_000_000),
-    "mc.n_noise": (10, 1_000_000),
-    "mc.delta_a_factor": (0.05, 10.0),
-    "initial_condition.amplitude": (-100.0, 100.0),
-    "threads": (1, 256),
+# dotted key -> (RunConfig field, value type, closed range or None)
+_KEYS = {
+    "seed": ("seed", int, (0, 2 ** 64 - 1)),
+    "truncation.N": ("truncation_order", int, (0, 40)),
+    "truncation.J": ("truncation_modes", int, (1, 64)),
+    "quadrature.L": ("quadrature_half_width", float, (4.0, 64.0)),
+    "quadrature.panels": ("quadrature_panels", int, (8, 512)),
+    "quadrature.grading": ("quadrature_grading", float, (1.0, 8.0)),
+    "mc.dt": ("mc_dt", float, (1e-6, 0.1)),
+    "mc.n_paths": ("mc_n_paths", int, (100, 10_000_000)),
+    "mc.n_noise": ("mc_n_noise", int, (10, 1_000_000)),
+    "mc.delta_a_factor": ("mc_delta_a_factor", float, (0.05, 10.0)),
+    "mc.dump_ensembles": ("mc_dump_ensembles", "bool", None),
+    "initial_condition.tag": ("ic_tag", str, None),
+    "initial_condition.amplitude": ("ic_amplitude", float, (-100.0, 100.0)),
+    "probes": ("probes", "probes", None),
+    "output_dir": ("output_dir", str, None),
+    "threads": ("threads", int, (1, 256)),
 }
 
 
@@ -121,11 +107,11 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEYMAP:
-            hint = difflib.get_close_matches(key, _KEYMAP.keys(), n=1, cutoff=0.5)
+        if key not in _KEYS:
+            hint = difflib.get_close_matches(key, _KEYS.keys(), n=1, cutoff=0.5)
             suggestion = f"; did you mean '{hint[0]}'?" if hint else ""
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'{suggestion}")
-        attr, typ = _KEYMAP[key]
+        attr, typ, _ = _KEYS[key]
         if typ == "probes":
             values[attr] = _parse_probes(val, key)
         elif typ == "bool":
@@ -149,10 +135,10 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    for key, (attr, typ) in _KEYMAP.items():
-        if key not in _RANGES:
+    for key, (attr, _, bounds) in _KEYS.items():
+        if bounds is None:
             continue
-        lo, hi = _RANGES[key]
+        lo, hi = bounds
         val = getattr(cfg, attr)
         if not (lo <= val <= hi):
             raise ConfigError(f"{key}: value {val} outside [{lo}, {hi}]")
@@ -174,7 +160,7 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     (block reductions are order-fixed), and reports must stay byte-identical
     across worker counts.
     """
-    rev = {attr: key for key, (attr, _) in _KEYMAP.items()}
+    rev = {attr: key for key, (attr, _, _) in _KEYS.items()}
     rows = []
     for f in fields(cfg):
         if f.name == "threads":

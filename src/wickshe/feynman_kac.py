@@ -37,8 +37,9 @@ whole-array result.
 
 Common random numbers: ``s_transform_ensemble_mc`` reduces one ensemble to
 the S-transform values of u and dx u for several test functions at once,
-and ``local_time_ensemble_stats`` can hand each block's profiles to a
-further reduction (the local-time increment table) in the same pass.
+and ``local_time_ensemble_stats`` reduces one ensemble to the local-time
+statistics at the start and the spatial increment law, from the same
+per-block profiles.
 """
 
 from __future__ import annotations
@@ -205,6 +206,42 @@ def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
         counts = np.bincount(bins.ravel(), weights=weights[:n * m], minlength=n * K)
         np.divide(counts.reshape(n, K), da, out=out[r0:r0 + n])
     return out
+
+
+def _increment_shifts(h_values: Sequence[float], delta_a: float) -> dict[float, int]:
+    """Level shift per nonzero lag h; every h must be a multiple of delta_a
+    with h >= 2 delta_a."""
+    shifts = {}
+    for h in h_values:
+        if h == 0.0:
+            continue
+        s = round(h / delta_a)
+        if abs(s * delta_a - h) > 1e-9 or s < 2:
+            raise ValueError(f"h={h} must be a multiple of delta_a={delta_a} with h >= 2 delta_a")
+        shifts[float(h)] = s
+    return shifts
+
+
+def _increment_sums(prof: np.ndarray, shifts: dict[float, int], delta_a: float) -> dict:
+    """Per lag, the block sum of int (L_a - L_{a-h})^2 da over its paths."""
+    out = {}
+    for h, s in shifts.items():
+        D = prof[:, s:] - prof[:, :-s]
+        D *= D
+        out[h] = float(np.sum(D) * delta_a)
+    return out
+
+
+def _increment_table(h_values: Sequence[float], parts: Sequence[dict],
+                     n_paths: int) -> list[tuple[float, float]]:
+    table = []
+    for h in sorted(float(v) for v in h_values):
+        if h == 0.0:
+            table.append((0.0, 0.0))
+            continue
+        total = sum(p[h] for p in parts)
+        table.append((h, total / n_paths / h))
+    return table
 
 
 def ordered_map(fn: Callable[[object], object], items: Sequence, threads: int) -> list:
@@ -384,34 +421,42 @@ def s_transform_dx_mc(t: float, x: float, u0: InitialCondition,
 
 def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
                               stream_seed: int, x: float = 0.0, threads: int = 1,
-                              profile_reduce: Optional[Callable[[np.ndarray], object]] = None
-                              ) -> dict:
+                              h_values: Sequence[float] = (),
+                              stream_label: str = "localtime") -> dict:
     """Ensemble means of the occupation histogram at level x, of the
-    quadratic functional int L^2 da, and the exact mass-identity defect.
+    quadratic functional int L^2 da, the exact mass-identity defect, and the
+    spatial increment law of the same profiles.
 
     Returns means with standard errors plus the stated discretization-bias
-    budget (binning O(da^2) at the symmetric level, skeleton O(sqrt(dt))).
-    ``profile_reduce(prof)``, when given, runs on every block's profiles in
-    the same pass; its results come back in block order under
-    ``"profile_parts"`` and leave the statistics unchanged."""
+    budget: the skeleton's O(sqrt(dt)) and the binning's.  x sits on a bin
+    edge of ``build_level_grid``, where E L_a has a cusp, so the binning
+    bias of ``mean_L_at_start`` is first order in da; the da^2 term of
+    ``bias_budget_L`` does not cover it.
+
+    ``"increment_table"`` holds (h, E int (L_a - L_{a-h})^2 da / h) for each
+    lag of ``h_values`` in increasing order, [] when none is given; the
+    ratio approaches 4t as h decreases.  Every h must be a multiple of
+    delta_a with h >= 2 delta_a (checked before anything is drawn); h = 0
+    gives exactly 0.  The lags leave the statistics unchanged.
+    """
+    shifts = _increment_shifts(h_values, delta_a)
     levels = build_level_grid(t, x, delta_a)
     j0 = int(np.argmin(np.abs(levels - x)))
 
     def reduce(b, steps, pos):
         prof = occupation_profiles(pos, steps, levels)
-        del pos  # frees the block's positions before profile_reduce runs
+        del pos  # frees the block's positions before the increments are formed
         mass_err = np.abs(delta_a * prof.sum(axis=1) - t).max()
-        extra = None if profile_reduce is None else profile_reduce(prof)
         # copy the column: a view would keep the whole block's profiles alive
         return (prof[:, j0].copy(), delta_a * np.einsum("ij,ij->i", prof, prof), mass_err,
-                extra)
+                _increment_sums(prof, shifts, delta_a))
 
-    parts = path_ensemble(t, x, dt, n_paths, stream_seed, "localtime", threads,
+    parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads,
                           reduce, levels)
     L0 = np.concatenate([p[0] for p in parts])
     Q = np.concatenate([p[1] for p in parts])
     mass_defect = max(p[2] for p in parts)
-    stats = {
+    return {
         "mean_L_at_start": float(L0.mean()),
         "se_L_at_start": standard_error(L0),
         "mean_int_L2": float(Q.mean()),
@@ -419,10 +464,8 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
         "mass_identity_defect": float(mass_defect),
         "bias_budget_L": math.sqrt(2.0 * dt / math.pi) + delta_a * delta_a,
         "bias_budget_L2": math.sqrt(dt) + 0.5 * delta_a,
+        "increment_table": _increment_table(h_values, [p[3] for p in parts], n_paths),
     }
-    if profile_reduce is not None:
-        stats["profile_parts"] = [p[3] for p in parts]
-    return stats
 
 
 def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: int,
@@ -435,12 +478,15 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
 
     The ``n_noise`` conditional draws come from the "psi-noise" substream
     ``ROW_CHUNK`` rows at a time, the same numbers as one (n_noise, levels)
-    draw; only the n_noise Psi values are held.  The budget still counts
-    the n_noise x levels draws.  The pairs reducer drops each block's
-    positions once they are binned, before it draws that block's noise.
+    draw; only the n_noise Psi values and one chunk of draws are held, and
+    those two arrays are what the budget counts.  The pairs reducer drops
+    each block's positions once they are binned, before it draws that
+    block's noise.
     """
     levels = build_level_grid(t, x, delta_a)
-    check_array_budget(n_noise * levels.size, f"{n_noise} noise draws x {levels.size} levels")
+    rows = min(ROW_CHUNK, n_noise)
+    check_array_budget(n_noise, f"{n_noise} psi values")
+    check_array_budget(rows * levels.size, f"a chunk of {rows} noise draws x {levels.size} levels")
     da = float(levels[1] - levels[0])
     L = local_time(*simulate_path(t, dt, x, substream(stream_seed, "psi-path")), levels)
     q = float(da * np.dot(L, L))

@@ -24,7 +24,6 @@ __all__ = [
     "QuadratureGrid",
     "build_line_grid",
     "NODES_PER_PANEL",
-    "SimplexSpec",
     "simplex_quadrature",
     "simplex_map",
     "graded_panels",
@@ -240,30 +239,6 @@ def apply_heat_semigroup_dx(u0: InitialCondition, t: float, x, grid: QuadratureG
 # time-simplex quadrature
 
 
-@dataclass(frozen=True)
-class SimplexSpec:
-    """Quadrature spec for the ordered simplex {0 <= s_1 <= ... <= s_n <= t}.
-
-    ``grading`` >= 1 is the geometric mesh exponent pushing panel boundaries
-    toward the singular endpoints of each mapped axis.
-    """
-
-    order: int
-    horizon: float
-    points_per_axis: int = 24
-    grading: float = 2.0
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("simplex order must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
-        if self.grading < 1:
-            raise ValueError("grading must be >= 1")
-
-
 SIMPLEX_ORDER_CAP = 4  # cost grows as points^n; higher orders use other engines
 
 
@@ -326,30 +301,42 @@ def increments(V: np.ndarray, first) -> np.ndarray:
     return out
 
 
-def simplex_map(spec: SimplexSpec) -> tuple[np.ndarray, np.ndarray]:
+def simplex_map(order: int, horizon: float, points_per_axis: int = 24,
+                grading: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Tensor quadrature for the ordered simplex {0 <= s_1 <= ... <= s_n <= t}
-    through ``simplex_from_unit``.
+    of ``order`` n and ``horizon`` t, through ``simplex_from_unit``.
 
     Returns (points, weights): points has shape (n_nodes, n) with ordered
     rows; weights include the Jacobian.  Axes are double-graded so integrable
-    endpoint and consecutive-gap singularities converge.
+    endpoint and consecutive-gap singularities converge; ``grading`` >= 1 is
+    the geometric mesh exponent pushing panel boundaries toward the singular
+    endpoints of each mapped axis.
     """
-    U, w = tensor_rule(*graded_panels(spec.points_per_axis, spec.grading), spec.order)
-    S, jac = simplex_from_unit(U, spec.horizon)
+    if order < 1:
+        raise ValueError("simplex order must be >= 1")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if points_per_axis < 2:
+        raise ValueError("points_per_axis must be >= 2")
+    if grading < 1:
+        raise ValueError("grading must be >= 1")
+    U, w = tensor_rule(*graded_panels(points_per_axis, grading), order)
+    S, jac = simplex_from_unit(U, horizon)
     return S, jac * w
 
 
-def simplex_quadrature(spec: SimplexSpec, integrand: Callable[..., np.ndarray]) -> float:
+def simplex_quadrature(order: int, horizon: float, integrand: Callable[..., np.ndarray],
+                       points_per_axis: int = 24, grading: float = 2.0) -> float:
     """Integral of ``integrand(s_1, ..., s_n)`` over the ordered simplex.
 
     The integrand must accept equal-length numpy arrays (one per time
     variable) and may have integrable singularities at the endpoints or at
     coinciding arguments.  Non-finite samples are rejected.
     """
-    if spec.order > SIMPLEX_ORDER_CAP:
-        raise ValueError(f"simplex order {spec.order} exceeds cap {SIMPLEX_ORDER_CAP}")
-    pts, w = simplex_map(spec)
-    vals = np.asarray(integrand(*[pts[:, k] for k in range(spec.order)]), dtype=float)
+    if order > SIMPLEX_ORDER_CAP:
+        raise ValueError(f"simplex order {order} exceeds cap {SIMPLEX_ORDER_CAP}")
+    pts, w = simplex_map(order, horizon, points_per_axis, grading)
+    vals = np.asarray(integrand(*[pts[:, k] for k in range(order)]), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values on the open simplex")
     return float(np.dot(vals, w))

@@ -30,7 +30,6 @@ __all__ = [
     "exact_increment_curve",
     "fit_exponent",
     "local_time_increment_check",
-    "local_time_profile_checks",
     "local_time_temporal_increment_check",
 ]
 
@@ -158,42 +157,6 @@ def fit_exponent(curve: IncrementMomentCurve) -> ExponentEstimate:
 # local-time increment laws (Monte Carlo)
 
 
-def _increment_shifts(h_values: Sequence[float], delta_a: float) -> dict[float, int]:
-    """Level shift per nonzero lag h; every h must be a multiple of delta_a
-    with h >= 2 delta_a."""
-    shifts = {}
-    for h in h_values:
-        if h == 0.0:
-            continue
-        s = round(h / delta_a)
-        if abs(s * delta_a - h) > 1e-9 or s < 2:
-            raise ValueError(f"h={h} must be a multiple of delta_a={delta_a} with h >= 2 delta_a")
-        shifts[float(h)] = s
-    return shifts
-
-
-def _increment_sums(prof: np.ndarray, shifts: dict[float, int], delta_a: float) -> dict:
-    """Per lag, the block sum of int (L_a - L_{a-h})^2 da over its paths."""
-    out = {}
-    for h, s in shifts.items():
-        D = prof[:, s:] - prof[:, :-s]
-        D *= D
-        out[h] = float(np.sum(D) * delta_a)
-    return out
-
-
-def _increment_table(h_values: Sequence[float], parts: Sequence[dict],
-                     n_paths: int) -> list[tuple[float, float]]:
-    table = []
-    for h in sorted(float(v) for v in h_values):
-        if h == 0.0:
-            table.append((0.0, 0.0))
-            continue
-        total = sum(p[h] for p in parts)
-        table.append((h, total / n_paths / h))
-    return table
-
-
 def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int,
                                stream_seed: int, dt: float = 1e-3,
                                delta_a: float = 0.025, x: float = 0.0,
@@ -202,36 +165,13 @@ def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int
 
     The ratio approaches 4t as h decreases (linear local-time increment law).
     Every h must be a multiple of the level resolution delta_a with
-    h >= 2 delta_a; h = 0 is allowed and returns exactly 0.
+    h >= 2 delta_a; h = 0 is allowed and returns exactly 0.  This is the
+    ``"increment_table"`` of ``local_time_ensemble_stats`` on its own stream
+    label, "lt-increments".
     """
-    shifts = _increment_shifts(h_values, delta_a)
-    levels = build_level_grid(t, x, delta_a)
-
-    def reduce(b, steps, pos) -> dict:
-        prof = occupation_profiles(pos, steps, levels)
-        del pos  # frees the block's positions before the increments are formed
-        return _increment_sums(prof, shifts, delta_a)
-
-    parts = path_ensemble(t, x, dt, n_paths, stream_seed, "lt-increments", threads,
-                          reduce, levels)
-    return _increment_table(h_values, parts, n_paths)
-
-
-def local_time_profile_checks(t: float, h_values: Sequence[float], n_paths: int,
-                              stream_seed: int, dt: float = 1e-3, delta_a: float = 0.025,
-                              x: float = 0.0, threads: int = 1
-                              ) -> tuple[dict, list[tuple[float, float]]]:
-    """``local_time_ensemble_stats`` and the ``local_time_increment_check``
-    table from one path ensemble, on the stream label "localtime".
-
-    The statistics are those of ``local_time_ensemble_stats`` at the same
-    seed, bit for bit; the table is the increment law on those same paths.
-    """
-    shifts = _increment_shifts(h_values, delta_a)
-    stats = local_time_ensemble_stats(
-        t, dt, delta_a, n_paths, stream_seed, x=x, threads=threads,
-        profile_reduce=lambda prof: _increment_sums(prof, shifts, delta_a))
-    return stats, _increment_table(h_values, stats.pop("profile_parts"), n_paths)
+    return local_time_ensemble_stats(t, dt, delta_a, n_paths, stream_seed, x=x,
+                                     threads=threads, h_values=h_values,
+                                     stream_label="lt-increments")["increment_table"]
 
 
 def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],

@@ -32,8 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import CoefficientQuadrature
-from .kernels import (InitialCondition, SimplexSpec, apply_heat_semigroup, increments,
-                      simplex_map)
+from .kernels import InitialCondition, apply_heat_semigroup, increments, simplex_map
 
 __all__ = [
     "WienerKernel",
@@ -80,8 +79,7 @@ class _ChainContext:
         self.t = t
         self.quad = quad or CoefficientQuadrature()
         self.u0_grid = u0(self.quad.grid.nodes)
-        spec = SimplexSpec(order=n, horizon=t, points_per_axis=TIME_POINTS, grading=2.0)
-        self.w_nodes, self.w_weights = simplex_map(spec)
+        self.w_nodes, self.w_weights = simplex_map(n, t, TIME_POINTS)
 
     def integral(self, gaps: np.ndarray, steps: np.ndarray, tail_times: np.ndarray,
                  tail_point: float) -> float:

@@ -140,17 +140,17 @@ class TestRunner:
         assert "GiB" in err and err.count("\n") == 1
 
     def test_psi_law_budget_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
-        # psi_law_stats counts 20000 noise draws x 347 levels (55 MB) against
-        # the budget at the defaults, while one path block stays at 8 MB
+        # at the defaults psi_law_stats holds one chunk of 128 noise draws x
+        # 347 levels (355 kB), over a 256 KiB budget, beside 20000 psi values
         def no_sampling(*args, **kwargs):
             raise AssertionError("the fk loop ran")
 
-        monkeypatch.setattr("wickshe.feynman_kac.ARRAY_BUDGET_BYTES", 20 * 2 ** 20)
+        monkeypatch.setattr("wickshe.feynman_kac.ARRAY_BUDGET_BYTES", 2 ** 18)
         monkeypatch.setattr("wickshe.cli.fk_conditional_estimate", no_sampling)
         cfg = write_cfg(tmp_path, f"seed = 1\nprobes = 0.5,0.0\n"
                                   f"output_dir = {tmp_path / 'out'}\n")
         assert main(["fk", "--config", str(cfg)]) == 2
-        assert "20000 noise draws" in capsys.readouterr().err
+        assert "128 noise draws x 347 levels" in capsys.readouterr().err
 
     def test_uncovered_probe_is_a_config_error(self, tmp_path, capsys):
         # |x| + 6 sqrt(t) = 15.7 exceeds the default quadrature.L = 12

@@ -8,7 +8,7 @@ from scipy.integrate import dblquad
 from wickshe.basis import MultiIndex, TruncationSpec, hermite_function
 from wickshe.coefficients import (CoefficientQuadrature, cs_coefficient,
                                   cs_level_coefficients, dx_coefficient, dx_level_coefficients)
-from wickshe.kernels import SimplexSpec, constant_ic, heat_kernel, simplex_map, sine_ic
+from wickshe.kernels import constant_ic, heat_kernel, simplex_map, sine_ic
 
 ZERO = MultiIndex(())
 
@@ -116,9 +116,8 @@ class TestLevelSweeps:
 
         monkeypatch.setattr(CoefficientQuadrature, "kernel_matrix", counting)
         cs_level_coefficients(2, 1.0, 0.0, constant_ic(), TruncationSpec(2, 2), coeff_quad)
-        pts, _ = simplex_map(SimplexSpec(order=2, horizon=1.0,
-                                         points_per_axis=coeff_quad.time_points,
-                                         grading=coeff_quad.grading))
+        pts, _ = simplex_map(2, 1.0, points_per_axis=coeff_quad.time_points,
+                             grading=coeff_quad.grading)
         assert len(calls) == 2 * pts.shape[0] == 288
 
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wickshe import feynman_kac, regularity
+from wickshe import feynman_kac
 from wickshe.basis import hermite_function, hermite_function_dx
 from wickshe.cli import _phi_cases
 from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
@@ -15,8 +15,7 @@ from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
                                  s_transform_dx_mc, s_transform_ensemble_mc, s_transform_mc,
                                  standard_error)
 from wickshe.kernels import constant_ic, sine_ic
-from wickshe.regularity import (local_time_increment_check, local_time_profile_checks,
-                                local_time_temporal_increment_check)
+from wickshe.regularity import local_time_increment_check, local_time_temporal_increment_check
 from wickshe.streams import substream
 
 from oracles import occupation_functional
@@ -413,8 +412,8 @@ ENSEMBLE_ROUTINES = {
                                                 threads=th),
     "s_transform_dx_mc": lambda th: s_transform_dx_mc(0.5, 0.2, sine_ic(), _half_e1,
                                                       _half_e1_dx, 4500, 99, threads=th),
-    "local_time_ensemble_stats": lambda th: local_time_ensemble_stats(0.5, 1e-3, 0.05, 4500,
-                                                                      99, threads=th),
+    "local_time_ensemble_stats": lambda th: local_time_ensemble_stats(
+        0.5, 1e-3, 0.05, 4500, 99, threads=th, h_values=[0.1, 0.2]),
     "psi_law_stats": lambda th: psi_law_stats(0.5, 1e-3, 0.05, 4500, 1000, 99, threads=th),
     "local_time_increment_check": lambda th: local_time_increment_check(
         0.5, [0.1, 0.2], 4500, 99, delta_a=0.05, threads=th),
@@ -422,8 +421,6 @@ ENSEMBLE_ROUTINES = {
     "s_transform_ensemble_mc": lambda th: s_transform_ensemble_mc(
         0.5, 0.2, sine_ic(), [(_half_e1, _half_e1_dx, None), (_half_e1, None, None)],
         4500, 99, threads=th),
-    "local_time_profile_checks": lambda th: local_time_profile_checks(
-        0.5, [0.1, 0.2], 4500, 99, delta_a=0.05, threads=th),
 }
 
 
@@ -473,7 +470,7 @@ class TestPathEnsemble:
         # each block's positions are gone by the time the work after binning runs
         refs, live = [], []
         real_positions, real_substream = feynman_kac._positions, feynman_kac.substream
-        real_sums = regularity._increment_sums
+        real_sums = feynman_kac._increment_sums
 
         def positions(*args):
             pos = real_positions(*args)
@@ -494,8 +491,8 @@ class TestPathEnsemble:
 
         monkeypatch.setattr(feynman_kac, "_positions", positions)
         monkeypatch.setattr(feynman_kac, "substream", substream_after_binning)
-        monkeypatch.setattr(regularity, "_increment_sums", sums_after_binning)
-        local_time_profile_checks(0.2, [0.1], 4500, 5, delta_a=0.05)
+        monkeypatch.setattr(feynman_kac, "_increment_sums", sums_after_binning)
+        local_time_ensemble_stats(0.2, 1e-3, 0.05, 4500, 5, h_values=[0.1])
         local_time_increment_check(0.2, [0.1], 4500, 5, delta_a=0.05)
         psi_law_stats(0.2, 1e-3, 0.05, 4500, 100, 5)
         assert live == [0] * 9  # three blocks per routine
@@ -533,10 +530,21 @@ class TestPathEnsemble:
             path_ensemble(0.1, 0.0, 1e-3, 100, 5, "pe", 1, lambda *a: None, levels)
 
     def test_psi_law_budget(self, monkeypatch):
+        # the budget counts what is held: the n_noise psi values and one
+        # chunk of ROW_CHUNK noise draws x levels
         def no_draw(*args):
             raise AssertionError("a substream was drawn")
 
+        real_substream = feynman_kac.substream
         monkeypatch.setattr(feynman_kac, "substream", no_draw)
         monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 20 * 2 ** 20)
-        with pytest.raises(EnsembleMemoryError, match="20000 noise draws"):
-            psi_law_stats(1.0, 1e-3, 0.05, 200, 20_000, 77)
+        with pytest.raises(EnsembleMemoryError, match="3000000 psi values"):
+            psi_law_stats(1.0, 1e-3, 0.05, 200, 3_000_000, 77)
+        monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 2 ** 17)
+        with pytest.raises(EnsembleMemoryError, match="128 noise draws x 247 levels"):
+            psi_law_stats(1.0, 1e-3, 0.05, 200, 1000, 77)
+        # 20000 draws x 347 levels, 55 MB if held at once, run under 20 MiB
+        monkeypatch.setattr(feynman_kac, "substream", real_substream)
+        monkeypatch.setattr(feynman_kac, "ARRAY_BUDGET_BYTES", 20 * 2 ** 20)
+        stats = psi_law_stats(0.5, 1e-3, 0.79 * 1e-3 ** 0.5, 200, 20_000, 77)
+        assert stats["conditional_var"] > 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wickshe.kernels import (SimplexSpec, apply_heat_semigroup, apply_heat_semigroup_dx,
+from wickshe.kernels import (apply_heat_semigroup, apply_heat_semigroup_dx,
                              build_line_grid, constant_ic, dxp_cross_inner, graded_panels,
                              heat_kernel, heat_kernel_dx, initial_condition_from_tag,
                              simplex_from_unit, simplex_map, simplex_quadrature, sine_ic,
@@ -124,7 +124,7 @@ class TestSimplexQuadrature:
         # chain-pairing engine, both through simplex_from_unit
         t = 1.7
         if rule == "simplex_map":
-            pts, w = simplex_map(SimplexSpec(order=order, horizon=t, points_per_axis=24))
+            pts, w = simplex_map(order, t, points_per_axis=24)
         else:
             U, wq = tensor_rule(*graded_panels(30, 2.5, both_ends=False), order)
             pts, jac = simplex_from_unit(U, t)
@@ -135,8 +135,8 @@ class TestSimplexQuadrature:
 
     def test_singular_integrand_vs_adaptive(self):
         # (s2-s1)^{-1/2} (1-s2)^{-1/2} on the unit 2-simplex
-        spec = SimplexSpec(order=2, horizon=1.0, points_per_axis=40, grading=2.5)
-        val = simplex_quadrature(spec, lambda s1, s2: (s2 - s1) ** -0.5 * (1 - s2) ** -0.5)
+        val = simplex_quadrature(2, 1.0, lambda s1, s2: (s2 - s1) ** -0.5 * (1 - s2) ** -0.5,
+                                 points_per_axis=40, grading=2.5)
         ref = quad(lambda s2: quad(lambda s1: (s2 - s1) ** -0.5, 0, s2)[0] * (1 - s2) ** -0.5,
                    0, 1, limit=400)[0]
         assert val == pytest.approx(ref, abs=1e-4)
@@ -150,8 +150,7 @@ class TestSimplexQuadrature:
         def f_sym(a, b):
             return 0.5 * (f(a, b) + f(b, a))
 
-        spec = SimplexSpec(order=2, horizon=1.0, points_per_axis=24)
-        simplex_val = simplex_quadrature(spec, f_sym)
+        simplex_val = simplex_quadrature(2, 1.0, f_sym, points_per_axis=24)
         gx, gw = np.polynomial.legendre.leggauss(40)
         xs, ws = 0.5 * gx + 0.5, 0.5 * gw
         A, B = np.meshgrid(xs, xs, indexing="ij")
@@ -160,14 +159,19 @@ class TestSimplexQuadrature:
         assert simplex_val == pytest.approx(cube_val / math.factorial(2), abs=1e-8)
 
     def test_order_cap(self):
-        spec = SimplexSpec(order=5, horizon=1.0)
         with pytest.raises(ValueError, match="cap"):
-            simplex_quadrature(spec, lambda *s: np.ones_like(s[0]))
+            simplex_quadrature(5, 1.0, lambda *s: np.ones_like(s[0]))
+
+    @pytest.mark.parametrize("args, what", [((0, 1.0), "order"), ((1, 0.0), "horizon"),
+                                            ((1, 1.0, 1), "points_per_axis"),
+                                            ((1, 1.0, 24, 0.5), "grading")])
+    def test_rejects_bad_input(self, args, what):
+        with pytest.raises(ValueError, match=what):
+            simplex_map(*args)
 
     def test_nonfinite_rejected(self):
-        spec = SimplexSpec(order=1, horizon=1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            simplex_quadrature(spec, lambda s: 1.0 / (s - s))
+            simplex_quadrature(1, 1.0, lambda s: 1.0 / (s - s))
 
 
 class TestQuadratureGrid:

@@ -22,7 +22,7 @@ from wickshe.feynman_kac import local_time_ensemble_stats, occupation_profiles
 from wickshe.kernels import constant_ic
 from wickshe.regularity import (IncrementMomentCurve, TruncationTailError,
                                 exact_increment_curve, fit_exponent,
-                                local_time_increment_check, local_time_profile_checks,
+                                local_time_increment_check,
                                 local_time_temporal_increment_check)
 from wickshe.spectral import SpectralChaosField
 from wickshe.streams import substream
@@ -429,14 +429,17 @@ class TestLocalTimeIncrements:
         with pytest.raises(ValueError, match="delta_a"):
             local_time_increment_check(1.0, [0.03], 1000, 1, delta_a=0.025)
         with pytest.raises(ValueError, match="delta_a"):
-            local_time_profile_checks(1.0, [0.03], 1000, 1, delta_a=0.025)
+            local_time_ensemble_stats(1.0, 1e-3, 0.025, 1000, 1, h_values=[0.03])
 
     def test_fused_pass_keeps_the_ensemble_statistics(self):
-        # one pass on "localtime" gives local_time_ensemble_stats bit for bit
-        # and the increment table of those same paths
-        stats, table = local_time_profile_checks(1.0, [0.0, 0.1, 0.2], 4500, 59,
-                                                 dt=2e-3, delta_a=0.05, threads=2)
-        assert stats == local_time_ensemble_stats(1.0, 2e-3, 0.05, 4500, 59)
+        # the lags leave the statistics of the same seed unchanged, bit for
+        # bit, and add the increment table of those same paths
+        stats = local_time_ensemble_stats(1.0, 2e-3, 0.05, 4500, 59, threads=2,
+                                          h_values=[0.0, 0.1, 0.2])
+        table = stats.pop("increment_table")
+        plain = local_time_ensemble_stats(1.0, 2e-3, 0.05, 4500, 59)
+        assert plain.pop("increment_table") == []
+        assert stats == plain
         assert [h for h, _ in table] == [0.0, 0.1, 0.2] and table[0][1] == 0.0
         assert 3.0 <= table[1][1] <= 4.4 and table[2][1] < table[1][1]
 
