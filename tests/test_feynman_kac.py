@@ -412,8 +412,8 @@ ENSEMBLE_ROUTINES = {
                                                 threads=th),
     "s_transform_dx_mc": lambda th: s_transform_dx_mc(0.5, 0.2, sine_ic(), _half_e1,
                                                       _half_e1_dx, 4500, 99, threads=th),
-    "local_time_ensemble_stats": lambda th: local_time_ensemble_stats(
-        0.5, 1e-3, 0.05, 4500, 99, threads=th, h_values=[0.1, 0.2]),
+    "local_time_ensemble_stats": lambda th: local_time_ensemble_stats(0.5, 1e-3, 0.05, 4500,
+                                                                      99, threads=th),
     "psi_law_stats": lambda th: psi_law_stats(0.5, 1e-3, 0.05, 4500, 1000, 99, threads=th),
     "local_time_increment_check": lambda th: local_time_increment_check(
         0.5, [0.1, 0.2], 4500, 99, delta_a=0.05, threads=th),
@@ -421,6 +421,9 @@ ENSEMBLE_ROUTINES = {
     "s_transform_ensemble_mc": lambda th: s_transform_ensemble_mc(
         0.5, 0.2, sine_ic(), [(_half_e1, _half_e1_dx, None), (_half_e1, None, None)],
         4500, 99, threads=th),
+    # the localtime subcommand's profile checks: statistics and increment table in one pass
+    "local_time_profile_checks": lambda th: local_time_ensemble_stats(
+        0.5, 1e-3, 0.05, 4500, 99, threads=th, h_values=[0.1, 0.2]),
 }
 
 
