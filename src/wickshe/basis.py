@@ -322,21 +322,3 @@ def snapshot_at(snapshots: Mapping[float, np.ndarray], t: float) -> tuple[float,
             return ts, state
     raise ValueError(f"no snapshot at t={t}; stored: {sorted(snapshots)}")
 
-
-def _distinct_permutations(seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, lexicographically descending."""
-    pool = sorted(seq, reverse=True)
-    n = len(pool)
-    yield tuple(pool)
-    while True:
-        i = n - 2
-        while i >= 0 and pool[i] <= pool[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while pool[j] >= pool[i]:
-            j -= 1
-        pool[i], pool[j] = pool[j], pool[i]
-        pool[i + 1:] = reversed(pool[i + 1:])
-        yield tuple(pool)

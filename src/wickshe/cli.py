@@ -122,8 +122,7 @@ def run_derivative(cfg: RunConfig, out: Path, report: RunReport):
     fld = _spectral_field(cfg)
     spec2 = TruncationSpec(min(cfg.truncation_order, 2), cfg.truncation_modes)
     quad = CoefficientQuadrature(half_width=cfg.quadrature_half_width,
-                                 panels=cfg.quadrature_panels,
-                                 grading=cfg.quadrature_grading)
+                                 panels=cfg.quadrature_panels)
     u0 = cfg.initial_condition()
     rows = []
     worst = 0.0

@@ -15,24 +15,26 @@ the epsilon-regularized variant integrates s over [0, t - eps] only.
 
 Spatial integrals run on a composite Gauss-Legendre grid, and every one of
 them goes through one transfer operator P(tau) between grid functions,
-held with the grid and the time-simplex settings by ``CoefficientQuadrature``:
+held with the grid by ``CoefficientQuadrature``:
 block-Toeplitz panel blocks, point rows, and below the width the grid can
 resolve a panel-spectral Taylor I + (tau/2) D2 + (tau^2/8) D2^2
 (per-coefficient integrands are regular there, the grid just cannot
 represent a near-delta kernel).  One level sweep assembles C for all mode
 tuples of the level at once, so computing every |alpha| = n coefficient
-costs barely more than one.
+costs barely more than one.  The time simplex has one fixed rule,
+``TIME_POINTS`` per axis, shared with the chain kernels of ``wiener_kernels``.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from typing import Dict
 
 import numpy as np
 
-from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, _distinct_permutations,
-                    enumerate_multiindices, hermite_function_table)
+from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, enumerate_multiindices,
+                    hermite_function_table)
 from .kernels import (NODES_PER_PANEL, InitialCondition, _panel_rule,
                       apply_heat_semigroup, apply_heat_semigroup_dx, build_line_grid,
                       heat_kernel, heat_kernel_dx, simplex_map)
@@ -45,8 +47,10 @@ __all__ = [
     "dx_level_coefficients",
 ]
 
-QUADRATURE_ORDER_CAP = 3  # cost is (time nodes)^n (m^2) per level sweep
-CONVERGENCE_TOL = 1e-3  # refined-mesh check, relative floored at absolute
+# simplex nodes per time axis: two 6-node Gauss-Legendre panels split at 1/2,
+# so no mesh grading applies; the level sweep and the chain kernels share it
+TIME_POINTS = 12
+QUADRATURE_ORDER_CAP = 3  # cost grows as TIME_POINTS^n per sweep or kernel value
 
 
 def _bary_weights(xs: np.ndarray) -> np.ndarray:
@@ -70,8 +74,8 @@ def _lagrange_diff(xs: np.ndarray) -> np.ndarray:
 
 
 class CoefficientQuadrature:
-    """The line grid of ``build_line_grid``, the transfer operator P(tau)
-    between grid functions on it, and the time-simplex settings.
+    """The line grid of ``build_line_grid`` and the transfer operator P(tau)
+    between grid functions on it.
 
     Every panel is a translate of one local q-node rule (nodes g, weights
     w), so P(tau) is block-Toeplitz in the panel offset d = p_out - p_in:
@@ -85,13 +89,10 @@ class CoefficientQuadrature:
     No m x m array is ever formed.
     """
 
-    def __init__(self, half_width: float = 12.0, panels: int = 48,
-                 time_points: int = 12, grading: float = 2.0):
+    def __init__(self, half_width: float = 12.0, panels: int = 48):
         self.grid = build_line_grid(half_width, panels)
         self.panels = panels
         self.q = NODES_PER_PANEL
-        self.time_points = time_points
-        self.grading = grading
         self.width = 2.0 * half_width / panels
         self.tau_res = (self.width / 5.0) ** 2
         self.local_nodes, self.local_weights = _panel_rule(  # about the panel centre
@@ -192,7 +193,7 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
     th = t if horizon is None else horizon
     if not 0 < th <= t:
         raise ValueError("horizon must lie in (0, t]")
-    pts, wts = simplex_map(n, th, quad.time_points, quad.grading)
+    pts, wts = simplex_map(n, th, TIME_POINTS)
     E = hermite_function_table(J, quad.grid.nodes)      # (J, m)
     base = u0(quad.grid.nodes)
     out = np.zeros((J,) * n)
@@ -212,9 +213,9 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
 
 def _assemble_from_sweep(C: np.ndarray, alpha: MultiIndex) -> float:
     """(alpha!)^{-1/2} sum over permutations of C at the characteristic vector."""
-    k = alpha.characteristic_vector()
     total = 0.0
-    for arrangement in _distinct_permutations(tuple(k)):
+    # distinct arrangements, lexicographically descending: a fixed summation order
+    for arrangement in sorted(set(permutations(alpha.characteristic_vector())), reverse=True):
         total += float(C[tuple(m - 1 for m in arrangement)])
     afact = alpha.factorial()
     # each distinct arrangement stands for alpha! identical permutations
@@ -248,8 +249,7 @@ def dx_level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
 
 
 def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
-                 quad: CoefficientQuadrature | None, deriv: bool, epsilon: float = 0.0,
-                 check_convergence: bool = False) -> float:
+                 quad: CoefficientQuadrature | None, deriv: bool, epsilon: float = 0.0) -> float:
     """One coefficient of u (or of its x-derivative); ``name`` heads the errors."""
     if t <= 0:
         raise ValueError(f"{name} needs t > 0")
@@ -263,17 +263,7 @@ def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCo
     J = len(alpha.entries)
     horizon = None if epsilon == 0.0 else t - epsilon
     C = _level_sweep(n, t, x, u0, J, quad, deriv=deriv, horizon=horizon)
-    val = _assemble_from_sweep(C, alpha)
-    if check_convergence:
-        fine = CoefficientQuadrature(half_width=quad.grid.half_width, panels=quad.panels,
-                                     time_points=quad.time_points * 2,
-                                     grading=quad.grading)
-        val2 = _coefficient(name, alpha, t, x, u0, fine, deriv, epsilon)
-        if abs(val - val2) > max(CONVERGENCE_TOL, CONVERGENCE_TOL * abs(val2)):
-            raise ValueError(f"{name} did not converge on mesh refinement: "
-                             f"{val} vs {val2}")
-        val = val2
-    return val
+    return _assemble_from_sweep(C, alpha)
 
 
 def cs_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
@@ -285,14 +275,7 @@ def cs_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
 
 def dx_coefficient(alpha: MultiIndex, t: float, x: float, u0: InitialCondition,
                    epsilon: float = 0.0,
-                   quad: CoefficientQuadrature | None = None,
-                   check_convergence: bool = False) -> float:
-    """Derivative-field coefficient K_alpha^eps(t, x).
-
-    eps = 0 integrates up to the singular endpoint on the graded mesh; with
-    ``check_convergence`` the value is recomputed on a refined mesh and a
-    ValueError is raised if the two differ by more than ``CONVERGENCE_TOL``
-    (relative, floored at the absolute tolerance).
-    """
-    return _coefficient("dx_coefficient", alpha, t, x, u0, quad, deriv=True, epsilon=epsilon,
-                        check_convergence=check_convergence)
+                   quad: CoefficientQuadrature | None = None) -> float:
+    """Derivative-field coefficient K_alpha^eps(t, x); eps = 0 integrates up
+    to the singular endpoint t, which the warped simplex rule absorbs."""
+    return _coefficient("dx_coefficient", alpha, t, x, u0, quad, deriv=True, epsilon=epsilon)

@@ -29,7 +29,6 @@ class RunConfig:
     truncation_modes: int = 6          # truncation.J
     quadrature_half_width: float = 12.0   # quadrature.L
     quadrature_panels: int = 48
-    quadrature_grading: float = 2.0
     mc_dt: float = 1e-3
     mc_n_paths: int = 100_000
     mc_n_noise: int = 200
@@ -58,7 +57,6 @@ _KEYS = {
     "truncation.J": ("truncation_modes", int, (1, 64)),
     "quadrature.L": ("quadrature_half_width", float, (4.0, 64.0)),
     "quadrature.panels": ("quadrature_panels", int, (8, 512)),
-    "quadrature.grading": ("quadrature_grading", float, (1.0, 8.0)),
     "mc.dt": ("mc_dt", float, (1e-6, 0.1)),
     "mc.n_paths": ("mc_n_paths", int, (100, 10_000_000)),
     "mc.n_noise": ("mc_n_noise", int, (10, 1_000_000)),

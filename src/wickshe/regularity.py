@@ -51,10 +51,7 @@ class IncrementMomentCurve:
 
     lags: np.ndarray
     moments: np.ndarray
-    direction: Literal["space", "time"]
-    base_point: tuple[float, float]
     tail_share: float = 0.0
-    monotone: bool = True
 
     def __post_init__(self):
         if self.lags.size != self.moments.size:
@@ -64,6 +61,11 @@ class IncrementMomentCurve:
         if np.any(self.moments < 0):
             raise ValueError("moments must be non-negative")
 
+    @property
+    def monotone(self) -> bool:
+        """Whether the moments are non-decreasing along the lag ladder."""
+        return bool(np.all(np.diff(self.moments) >= 0))
+
 
 @dataclass(frozen=True)
 class ExponentEstimate:
@@ -71,7 +73,6 @@ class ExponentEstimate:
     stderr: float
     r_squared: float
     fit_range: tuple[float, float]
-    n_points: int
     low_r2: bool = False
 
 
@@ -117,11 +118,8 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
     if share > tail_gate:
         raise TruncationTailError(
             f"top-order mass share {share:.3%} exceeds the {tail_gate:.0%} gate")
-    moments = sum(inc.values())
-    monotone = bool(np.all(np.diff(moments) >= 0))
-    return IncrementMomentCurve(lags=lags, moments=np.asarray(moments),
-                                direction=direction, base_point=(t, 0.0),
-                                tail_share=share, monotone=monotone)
+    return IncrementMomentCurve(lags=lags, moments=np.asarray(sum(inc.values())),
+                                tail_share=share)
 
 
 def fit_exponent(curve: IncrementMomentCurve) -> ExponentEstimate:
@@ -150,7 +148,7 @@ def fit_exponent(curve: IncrementMomentCurve) -> ExponentEstimate:
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return ExponentEstimate(slope=slope, stderr=stderr, r_squared=r2,
                             fit_range=(float(curve.lags[0]), float(curve.lags[-1])),
-                            n_points=n, low_r2=r2 < LOW_R2)
+                            low_r2=r2 < LOW_R2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,4 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
 
     parts = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,
                           reduce, levels)
-    moments = sum(parts) / n_paths
-    return IncrementMomentCurve(lags=lags, moments=moments, direction="time",
-                                base_point=(t_hi, x), tail_share=0.0,
-                                monotone=bool(np.all(np.diff(moments) >= 0)))
+    return IncrementMomentCurve(lags=lags, moments=sum(parts) / n_paths)

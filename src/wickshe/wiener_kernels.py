@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientQuadrature
+from .coefficients import QUADRATURE_ORDER_CAP, TIME_POINTS, CoefficientQuadrature
 from .kernels import InitialCondition, apply_heat_semigroup, increments, simplex_map
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "cs_kernel",
     "sym_cs_kernel",
 ]
-
-KERNEL_ORDER_CAP = 3  # pointwise quadrature cost grows as (time nodes)^n
-TIME_POINTS = 16  # simplex nodes per time axis of the chain integrals
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,7 @@ class WienerKernel:
     """
 
     order: int
-    point: tuple[float, float]
     evaluator: Callable[[Sequence[float]], float]
-    label: str = ""
 
     def __call__(self, *ys: float) -> float:
         if self.order == 0:
@@ -70,9 +65,10 @@ class WienerKernel:
 
 
 class _ChainContext:
-    """Precomputed simplex nodes and the initial datum on the line grid.  The
-    chains' tail u_bar(tau, xi) is the quadrature's P(tau) row at (tau, xi)
-    applied to that datum, one row per time node."""
+    """The simplex nodes of the level sweep's time rule (``TIME_POINTS`` per
+    axis) and the initial datum on the line grid.  The chains' tail
+    u_bar(tau, xi) is the quadrature's P(tau) row at (tau, xi) applied to
+    that datum, one row per time node."""
 
     def __init__(self, n: int, t: float, u0: InitialCondition,
                  quad: CoefficientQuadrature | None = None):
@@ -110,7 +106,7 @@ def _backward_chain(ctx: _ChainContext, x: float, y: np.ndarray) -> float:
 
 
 def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
-                  quad: CoefficientQuadrature | None, label: str,
+                  quad: CoefficientQuadrature | None,
                   chain: Callable[[_ChainContext, float, np.ndarray], float],
                   symmetrize: bool) -> WienerKernel:
     """The order-n kernel of ``chain`` at (t, x); with ``symmetrize`` the
@@ -118,11 +114,12 @@ def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
     lexicographic order."""
     if n < 0:
         raise ValueError("kernel order must be >= 0")
-    if n > KERNEL_ORDER_CAP:
-        raise ValueError(f"kernel order {n} exceeds pointwise-quadrature cap {KERNEL_ORDER_CAP}")
+    if n > QUADRATURE_ORDER_CAP:
+        raise ValueError(f"kernel order {n} exceeds pointwise-quadrature cap "
+                         f"{QUADRATURE_ORDER_CAP}")
     if n == 0:
         val = float(apply_heat_semigroup(u0, t, x, (quad or CoefficientQuadrature()).grid))
-        return WienerKernel(order=0, point=(t, x), label=label, evaluator=lambda y: val)
+        return WienerKernel(order=0, evaluator=lambda y: val)
     ctx = _ChainContext(n, t, u0, quad)
 
     def evaluate(y) -> float:
@@ -134,14 +131,14 @@ def _chain_kernel(n: int, t: float, x: float, u0: InitialCondition,
             total += chain(ctx, x, y[list(perm)])
         return total / math.factorial(n)
 
-    return WienerKernel(order=n, point=(t, x), label=label, evaluator=evaluate)
+    return WienerKernel(order=n, evaluator=evaluate)
 
 
 def fk_kernel(n: int, t: float, x: float, u0: InitialCondition,
               quad: CoefficientQuadrature | None = None) -> WienerKernel:
     """Order-n kernel in the path (forward-visit) parameterisation,
     symmetrized over the visit order of its arguments."""
-    return _chain_kernel(n, t, x, u0, quad, "fk", _forward_chain, True)
+    return _chain_kernel(n, t, x, u0, quad, _forward_chain, True)
 
 
 # Order-n kernel in the mild-solution (backward-chain) parameterisation.  Each
@@ -165,11 +162,11 @@ def cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
     a genuinely distinct parameterisation from the forward kernels (different
     time variables, different singular endpoints), used as their cross-check.
     """
-    return _chain_kernel(n, t, x, u0, quad, "cs", _backward_chain, False)
+    return _chain_kernel(n, t, x, u0, quad, _backward_chain, False)
 
 
 def sym_cs_kernel(n: int, t: float, x: float, u0: InitialCondition,
                   quad: CoefficientQuadrature | None = None) -> WienerKernel:
     """Symmetrization of the ordered chaos kernel, (1/n!) sum_sigma F_n^cs(y_sigma)."""
-    return _chain_kernel(n, t, x, u0, quad, "sym_cs", _backward_chain, True)
+    return _chain_kernel(n, t, x, u0, quad, _backward_chain, True)
 

@@ -119,11 +119,8 @@ def increment_moments(field: Callable[[float, float], ChaosCoefficients],
         c = tables[p]
         keys = set(base_c.values) | set(c.values)
         moments.append(sum((c.get(a) - base_c.get(a)) ** 2 for a in keys))
-    moments = np.asarray(moments)
-    monotone = bool(np.all(np.diff(moments) >= 0))
-    return IncrementMomentCurve(lags=lags, moments=moments, direction=direction,
-                                base_point=base, tail_share=worst_share,
-                                monotone=monotone)
+    return IncrementMomentCurve(lags=lags, moments=np.asarray(moments),
+                                tail_share=worst_share)
 
 
 def occupation_functional(t_grid: np.ndarray, positions: np.ndarray,

@@ -101,6 +101,16 @@ class TestRunner:
         assert code == 2
         assert "mc.n_paths" in capsys.readouterr().err
 
+    def test_quadrature_grading_is_not_a_key(self, tmp_path, capsys):
+        # the time-simplex rule is the fixed coefficients.TIME_POINTS, so no
+        # key grades it; the parser's unknown-key path refuses the old one
+        cfg = write_cfg(tmp_path, "seed = 1\nquadrature.grading = 2.0\n"
+                                  f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["derivative", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'quadrature.grading'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("order", [0, 5])
     def test_regularity_rejects_unsupported_order(self, order, tmp_path, capsys,
                                                   monkeypatch):

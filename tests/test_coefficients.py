@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from wickshe.basis import MultiIndex, TruncationSpec, hermite_function
-from wickshe.coefficients import (CoefficientQuadrature, cs_coefficient,
+from wickshe import coefficients
+from wickshe.basis import MultiIndex, TruncationSpec, enumerate_multiindices, hermite_function
+from wickshe.coefficients import (CoefficientQuadrature, _assemble_from_sweep, cs_coefficient,
                                   cs_level_coefficients, dx_coefficient, dx_level_coefficients)
 from wickshe.kernels import constant_ic, heat_kernel, simplex_map, sine_ic
 
@@ -71,10 +73,16 @@ class TestDxCoefficient:
         extrap = 2 * seq[-1] - seq[-2]
         assert extrap == pytest.approx(limit, abs=1e-3)
 
-    def test_convergence_check_passes(self, coeff_quad):
-        val = dx_coefficient(MultiIndex((0, 1)), 1.0, 0.0, constant_ic(),
-                             quad=coeff_quad, check_convergence=True)
-        assert np.isfinite(val)
+    def test_convergence_check_passes(self, coeff_quad, monkeypatch):
+        # doubling the time rule to 24 points per axis (four 6-node panels,
+        # edges graded toward both ends) moves the value by at most 1e-3,
+        # relative floored at absolute
+        a = MultiIndex((0, 1))
+        coarse = dx_coefficient(a, 1.0, 0.0, constant_ic(), quad=coeff_quad)
+        monkeypatch.setattr(coefficients, "TIME_POINTS", 24)
+        fine = dx_coefficient(a, 1.0, 0.0, constant_ic(), quad=coeff_quad)
+        assert coarse != fine
+        assert abs(coarse - fine) <= max(1e-3, 1e-3 * abs(fine))
 
     def test_dx_consistency_with_finite_difference(self, coeff_quad):
         # central difference of the solution coefficient matches the
@@ -116,9 +124,21 @@ class TestLevelSweeps:
 
         monkeypatch.setattr(CoefficientQuadrature, "kernel_matrix", counting)
         cs_level_coefficients(2, 1.0, 0.0, constant_ic(), TruncationSpec(2, 2), coeff_quad)
-        pts, _ = simplex_map(2, 1.0, points_per_axis=coeff_quad.time_points,
-                             grading=coeff_quad.grading)
+        pts, _ = simplex_map(2, 1.0, points_per_axis=coefficients.TIME_POINTS)
         assert len(calls) == 2 * pts.shape[0] == 288
+
+    def test_assembly_is_the_full_permutation_sum(self):
+        # (alpha!)^{-1/2} times the sum of C over all n! orderings of the
+        # characteristic vector, repeated orderings included
+        gen = np.random.default_rng(20261019)
+        indices = [a for a in enumerate_multiindices(TruncationSpec(3, 3)) if a.degree() >= 1]
+        assert len(indices) == 3 + 6 + 10
+        for alpha in indices:
+            C = gen.standard_normal((3,) * alpha.degree())
+            full = sum(C[tuple(m - 1 for m in order)]
+                       for order in permutations(alpha.characteristic_vector()))
+            ref = full / math.sqrt(alpha.factorial())
+            assert _assemble_from_sweep(C, alpha) == pytest.approx(ref, rel=1e-12)
 
 
 def _dense_panel_diff(quad: CoefficientQuadrature) -> np.ndarray:

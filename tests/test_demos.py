@@ -10,26 +10,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_demo(name: str, cwd: Path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernels_and_quadrature_demo_runs(tmp_path):
+    # heat-kernel identities, apply_heat_semigroup and simplex_quadrature
+    _run_demo("01_kernels_and_quadrature.py", tmp_path)
+
+
+def test_representation_equivalence_demo_runs(tmp_path):
+    # CoefficientQuadrature() and all four Wiener kernels
+    _run_demo("03_representation_equivalence.py", tmp_path)
+
+
 def test_feynman_kac_sampling_demo_runs(tmp_path):
     # simulate_path, local_time, psi_sample, sample_noise, fk_conditional_estimate
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_feynman_kac_sampling.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
+    _run_demo("04_feynman_kac_sampling.py", tmp_path)
 
 
 def test_regularity_slopes_demo_runs(tmp_path):
     # exact_increment_curve for u and dx u, in space and in time, at chain
     # orders 1-4 (the Sobol rule at 3-4), and the local-time temporal law
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_regularity_slopes.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
+    _run_demo("06_regularity_slopes.py", tmp_path)
 
 
 def test_every_demo_import_from_wickshe_resolves():
-    # tier-1 runs only demos 04 and 06; this catches a public name that a
-    # demo imports and the package no longer has
+    # tier-1 runs only demos 01, 03, 04 and 06; this catches a public name
+    # that a demo imports and the package no longer has
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos
     missing = []

@@ -33,8 +33,7 @@ LAGS6 = [2.0 ** -k for k in range(3, 9)]
 
 
 def make_curve(lags, moments):
-    return IncrementMomentCurve(lags=np.asarray(lags), moments=np.asarray(moments),
-                                direction="space", base_point=(1.0, 0.0))
+    return IncrementMomentCurve(lags=np.asarray(lags), moments=np.asarray(moments))
 
 
 class TestFitExponent:
