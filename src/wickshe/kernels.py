@@ -310,17 +310,20 @@ def simplex_map(order: int, horizon: float, points_per_axis: int = 24,
     rows; weights include the Jacobian.  Axes are double-graded so integrable
     endpoint and consecutive-gap singularities converge; ``grading`` >= 1 is
     the geometric mesh exponent pushing panel boundaries toward the singular
-    endpoints of each mapped axis.
+    endpoints of each mapped axis.  ``points_per_axis`` must be a positive
+    multiple of 12, the counts ``graded_panels`` builds; any other is refused.
     """
     if order < 1:
         raise ValueError("simplex order must be >= 1")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if points_per_axis < 2:
-        raise ValueError("points_per_axis must be >= 2")
     if grading < 1:
         raise ValueError("grading must be >= 1")
-    U, w = tensor_rule(*graded_panels(points_per_axis, grading), order)
+    axis = graded_panels(points_per_axis, grading)
+    if axis[0].size != points_per_axis:
+        raise ValueError(f"points_per_axis must be a positive multiple of 12 (6-node "
+                         f"panels, mirrored): {points_per_axis} would build {axis[0].size}")
+    U, w = tensor_rule(*axis, order)
     S, jac = simplex_from_unit(U, horizon)
     return S, jac * w
 

@@ -2,20 +2,27 @@
 
 Same lower-triangular system as the finite-difference propagator, but the
 heat semigroup acts exactly on a periodic Fourier representation and the
-Duhamel integral over each step is evaluated with the phi-function trapezoid
-(second order in dt, spectrally accurate in space).  This engine supplies
-per-point coefficient tables for S-transform cross-checks, order-norm scans
-at deep truncations, and the moment-curve machinery; it is cheap enough to
-carry thousands of multi-indices.
+Duhamel integral over each step is evaluated by the third-order exponential
+Adams rule (Cox & Matthews 2002; Hochbruck & Ostermann 2010): the forcing is
+interpolated quadratically through steps k-1, k and k+1, the last of which is
+known because the lower level has already been advanced.  The first step has
+no k-1 and interpolates linearly through k and k+1.  The weights come from
+``phi_functions``; the step is third order in dt (default 1/128) and
+spectrally accurate in space.  This engine supplies per-point coefficient
+tables for S-transform cross-checks, order-norm scans at deep truncations,
+and the moment-curve machinery; it is cheap enough to carry thousands of
+multi-indices.
 
 Each step runs level by level, and each level chunk by chunk through the
 forcing plan of the shared ``basis.LevelWiring``: the chunk's forcing, its
-transform and the update all write into buffers reused across steps, and two
-state buffers are swapped instead of allocated.  The top level forces
-nothing, so its real-space values are never transformed back.  A state (plus
-the plan) over ``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the
-indices are enumerated.  A snapshot time must be a positive multiple of the
-step dt (to within 1e-9, ``basis.snapshot_steps``); any other time is refused.
+transform and the update all write into buffers reused across steps; two
+state buffers are swapped and three forcing buffers (steps k-1, k, k+1)
+rotated instead of allocated.  The top level forces nothing, so its
+real-space values are never transformed back.  A truncation whose state and
+third forcing buffer (plus the plan) exceed ``feynman_kac.ARRAY_BUDGET_BYTES``
+is refused before the indices are enumerated.  A snapshot time must be a
+positive multiple of the step dt (to within 1e-9, ``basis.snapshot_steps``);
+any other time is refused.
 
 The domain is [-L, L) periodic with L = 4 pi by default: the sine initial
 datum is exactly periodic there and Hermite-function mass beyond |x| = 4 pi
@@ -37,7 +44,41 @@ from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
 from .kernels import InitialCondition
 
-__all__ = ["SpectralChaosField"]
+__all__ = ["SpectralChaosField", "phi_functions"]
+
+PHI_SERIES_RADIUS = 1.0  # |z| below which phi_1..phi_3 are summed as series
+_PHI_SERIES_TERMS = 20  # the first term dropped at |z| = 1 is 1/23! ~ 4e-23
+
+
+def _phi_series(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    phi3 = np.zeros_like(z)
+    for j in range(_PHI_SERIES_TERMS - 1, -1, -1):
+        phi3 = phi3 * z + 1.0 / math.factorial(j + 3)
+    phi2 = 0.5 + z * phi3
+    return 1.0 + z * phi2, phi2, phi3
+
+
+def _phi_closed(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    phi1 = np.expm1(z) / z
+    phi2 = (phi1 - 1.0) / z
+    return phi1, phi2, (phi2 - 0.5) / z
+
+
+def phi_functions(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_1, phi_2 and phi_3 of the exponential integrators at z, with
+    phi_k(z) = sum_j z^j / (j + k)! and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z.
+
+    The closed forms cancel as |z| -> 0, so below ``PHI_SERIES_RADIUS`` phi_3
+    is summed as its series and phi_2, phi_1 follow from the recurrence read
+    upwards, phi_k = 1/k! + z phi_{k+1}.
+    """
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < PHI_SERIES_RADIUS
+    series, closed = _phi_series(z[small]), _phi_closed(z[~small])
+    out = tuple(np.empty_like(z) for _ in range(3))
+    for phi, s, c in zip(out, series, closed):
+        phi[small], phi[~small] = s, c
+    return out
 
 
 class SpectralChaosField:
@@ -51,7 +92,7 @@ class SpectralChaosField:
 
     def __init__(self, spec: TruncationSpec, u0: InitialCondition,
                  half_width: float = 4.0 * math.pi, modes: int = 384,
-                 dt: float = 1.0 / 512.0):
+                 dt: float = 1.0 / 128.0):
         self.spec = spec
         self.u0 = u0
         self.L = half_width
@@ -65,14 +106,16 @@ class SpectralChaosField:
         self.k = math.pi / self.L * np.arange(modes // 2 + 1)
         z = -self.k ** 2 * dt / 2.0
         self.heat_mult = np.exp(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi1 = np.where(z == 0.0, 1.0, np.expm1(z) / z)
-            phi2 = np.where(z == 0.0, 0.5, (np.expm1(z) - z) / (z * z))
-        self.w_old = dt * (phi1 - phi2)
-        self.w_new = dt * phi2
+        phi1, phi2, phi3 = phi_functions(z)
+        # the forcing weights of steps k and k+1 on the first step, and of
+        # k-1, k and k+1 on every later one
+        self.w_first = (dt * (phi1 - phi2), dt * phi2)
+        self.w_step = (dt * (phi3 - phi2 / 2.0), dt * (phi1 - 2.0 * phi3),
+                       dt * (phi3 + phi2 / 2.0))
 
-        # the complex state, then the plan's sqrt(alpha_j) * e_j rows
-        check_array_budget(spec.count() * 2 * self.k.size + spec.lowerings() * modes,
+        # the complex state and the third forcing buffer, then the plan's
+        # sqrt(alpha_j) * e_j rows
+        check_array_budget(spec.count() * 4 * self.k.size + spec.lowerings() * modes,
                            f"the spectral state and forcing plan of {spec.count()} "
                            f"indices x {modes} modes")
         self.indices = enumerate_multiindices(spec)
@@ -100,7 +143,7 @@ class SpectralChaosField:
         if N:
             U_real[0] = self.u0(self.x)
         new_hat = np.empty_like(U_hat)
-        F_hat, new_F_hat = np.empty_like(U_hat), np.empty_like(U_hat)
+        F_prev, F_hat, new_F_hat = (np.empty_like(U_hat) for _ in range(3))
         forcing = np.empty((FORCING_CHUNK, m))
         term = np.empty((FORCING_CHUNK, self.k.size), dtype=complex)
         for chunk in (c for level in level_chunks for c in level):
@@ -108,24 +151,28 @@ class SpectralChaosField:
                         out=F_hat[chunk.block])
 
         for k in range(1, n_steps + 1):
+            if k == 1:
+                weights, forcings = self.w_first, (F_hat, new_F_hat)
+            else:
+                weights, forcings = self.w_step, (F_prev, F_hat, new_F_hat)
             np.multiply(self.heat_mult, U_hat[0], out=new_hat[0])
             if N:
                 np.fft.irfft(new_hat[0], n=m, out=new_real[0])
             for n, level in enumerate(level_chunks, start=1):
                 for chunk in level:
                     sl = chunk.block
-                    fh_new = np.fft.rfft(wiring.force(chunk, new_real, forcing[:chunk.size]),
-                                         axis=1, out=new_F_hat[sl])
-                    # (heat * U + w_old * F_old) + w_new * F_new
+                    np.fft.rfft(wiring.force(chunk, new_real, forcing[:chunk.size]),
+                                axis=1, out=new_F_hat[sl])
+                    # heat * U, then each weight times its step's forcing, oldest first
                     out, tmp = new_hat[sl], term[:chunk.size]
                     np.multiply(self.heat_mult, U_hat[sl], out=out)
-                    out += np.multiply(self.w_old, F_hat[sl], out=tmp)
-                    out += np.multiply(self.w_new, fh_new, out=tmp)
+                    for w, F in zip(weights, forcings):
+                        out += np.multiply(w, F[sl], out=tmp)
                     if n < N:  # the top level forces nothing
                         np.fft.irfft(out, n=m, axis=1, out=new_real[sl])
             U_hat, new_hat = new_hat, U_hat
             U_real, new_real = new_real, U_real
-            F_hat, new_F_hat = new_F_hat, F_hat
+            F_prev, F_hat, new_F_hat = F_hat, new_F_hat, F_prev
             if k in wanted:
                 self.snapshots[wanted[k]] = U_hat.copy()
         return self

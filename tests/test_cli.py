@@ -183,7 +183,7 @@ class TestRunner:
         assert not (tmp_path / "out").exists()
 
     def test_off_step_probe_time_is_a_config_error(self, tmp_path, capsys):
-        # t = 0.3 is not a multiple of the spectral engine's step 1/512
+        # t = 0.3 is not a multiple of the spectral engine's step 1/128
         cfg = write_cfg(tmp_path, "seed = 1\ntruncation.N = 2\ntruncation.J = 2\n"
                                   f"probes = 0.3,0.0\noutput_dir = {tmp_path / 'out'}\n")
         assert main(["chaos", "--config", str(cfg)]) == 2

@@ -22,6 +22,12 @@ def test_kernels_and_quadrature_demo_runs(tmp_path):
     _run_demo("01_kernels_and_quadrature.py", tmp_path)
 
 
+def test_chaos_coefficients_demo_runs(tmp_path):
+    # cs_coefficient, propagator_oracle and SpectralChaosField, down to an
+    # N = 8 spectral sweep
+    _run_demo("02_chaos_coefficients.py", tmp_path)
+
+
 def test_representation_equivalence_demo_runs(tmp_path):
     # CoefficientQuadrature() and all four Wiener kernels
     _run_demo("03_representation_equivalence.py", tmp_path)
@@ -39,7 +45,7 @@ def test_regularity_slopes_demo_runs(tmp_path):
 
 
 def test_every_demo_import_from_wickshe_resolves():
-    # tier-1 runs only demos 01, 03, 04 and 06; this catches a public name
+    # tier-1 runs only demos 01 to 04 and 06; this catches a public name
     # that a demo imports and the package no longer has
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos

@@ -18,7 +18,8 @@ from wickshe.feynman_kac import EnsembleMemoryError
 from wickshe.kernels import (apply_heat_semigroup, build_line_grid, constant_ic, sine_ic,
                              tanh_ic)
 from wickshe.propagator import PropagatorGrid, _tridiagonal_banded, propagator_oracle
-from wickshe.spectral import SpectralChaosField
+from wickshe import spectral
+from wickshe.spectral import SpectralChaosField, phi_functions
 
 from oracles import lattice_values
 
@@ -165,6 +166,39 @@ class TestSpectralEngine:
         sm_fine = second_moment(fine.coefficients_at(1.0, 0.0))
         assert abs(sm_fine - sm_coarse) / sm_fine < 0.01
 
+    # the second-order step's error at its former default dt 1/512, against
+    # a 1/1024 run, measured as below
+    FORMER_ERROR = {"constant": 8.1e-8, "sine": 5.6e-8}
+
+    @pytest.mark.parametrize("tag", ["constant", "sine"])
+    def test_step_is_third_order(self, tag):
+        # u and dx u at N = 4, J = 6, t = 0.5 and nine points against a 1/1024
+        # run: each halving of dt cuts the error at least 7x (8x for a
+        # third-order step), and the default dt runs at most a quarter of the
+        # former steps with no larger error
+        ic = {"constant": constant_ic, "sine": sine_ic}[tag]()
+        xs = np.linspace(-2.0, 2.0, 9)
+
+        def table(**dt):
+            f = SpectralChaosField(TruncationSpec(4, 6), ic, **dt).run([0.5])
+            return f.dt, np.concatenate([f.values_at(0.5, xs),
+                                         f.values_at(0.5, xs, deriv=True)])
+
+        _, ref = table(dt=1.0 / 1024.0)
+        errors = [np.max(np.abs(table(dt=1.0 / n)[1] - ref)) for n in (64, 128, 256)]
+        assert errors[0] >= 7.0 * errors[1] and errors[1] >= 7.0 * errors[2]
+        dt, default = table()
+        assert dt >= 4.0 / 512.0
+        assert np.max(np.abs(default - ref)) <= self.FORMER_ERROR[tag]
+
+
+def test_phi_functions_series_meets_closed_form():
+    assert [float(phi[0]) for phi in phi_functions(np.zeros(1))] == [1.0, 0.5, 1.0 / 6.0]
+    z = spectral.PHI_SERIES_RADIUS * np.array([-1.5, -1.01, -1.0, -0.99, -0.9,
+                                               0.9, 0.99, 1.0, 1.01, 1.5])
+    for series, closed in zip(spectral._phi_series(z), spectral._phi_closed(z)):
+        np.testing.assert_allclose(series, closed, rtol=1e-14, atol=0.0)
+
 
 @pytest.mark.parametrize("engine", ["spectral", "propagator"])
 def test_state_over_budget_refused_before_enumeration(engine, monkeypatch):
@@ -255,7 +289,8 @@ class TestLevelWiring:
 
     def test_spectral_sweep_matches_reference_across_chunks(self):
         # reference: the whole-level step with a per-mode indexed-add forcing
-        # and an inverse transform of every level; level 6 spans two chunks
+        # and an inverse transform of every level, two forcing weights on the
+        # first step and three after; level 6 spans two chunks
         spec, steps = TruncationSpec(6, 6), 4
         field = SpectralChaosField(spec, sine_ic(), modes=64)
         field.run([steps * field.dt])
@@ -278,17 +313,24 @@ class TestLevelWiring:
         U_real[0] = field.u0(field.x)
         U_hat = np.fft.rfft(U_real, axis=1)
         F_hat = [forcing_hat(n, U_real) for n in range(spec.max_order + 1)]
-        for _ in range(steps):
+        F_prev = [None] * (spec.max_order + 1)
+        for k in range(1, steps + 1):
             new_hat, new_real = np.empty_like(U_hat), np.empty_like(U_real)
             new_hat[0] = field.heat_mult * U_hat[0]
             new_real[0] = np.fft.irfft(new_hat[0], n=m)
             for n in range(1, spec.max_order + 1):
                 sel = levels[n]
                 fh_new = forcing_hat(n, new_real)
-                new_hat[sel] = (field.heat_mult * U_hat[sel]
-                                + field.w_old * F_hat[n] + field.w_new * fh_new)
+                if k == 1:
+                    w_old, w_new = field.w_first
+                    new_hat[sel] = (field.heat_mult * U_hat[sel]
+                                    + w_old * F_hat[n] + w_new * fh_new)
+                else:
+                    w_prev, w_old, w_new = field.w_step
+                    new_hat[sel] = (field.heat_mult * U_hat[sel] + w_prev * F_prev[n]
+                                    + w_old * F_hat[n] + w_new * fh_new)
                 new_real[sel] = np.fft.irfft(new_hat[sel], n=m, axis=1)
-                F_hat[n] = fh_new
+                F_prev[n], F_hat[n] = F_hat[n], fh_new
             U_hat, U_real = new_hat, new_real
         assert field.snapshots[steps * field.dt].tobytes() == U_hat.tobytes()
 
