@@ -11,23 +11,42 @@ uniform lattice (unconditionally stable, second order in dt and dx).  The
 sweep is independent of the simplex-quadrature coefficient path and serves
 as its oracle.
 
+The implicit operator A = I - lam * D2 (lam = dt / (4 dx^2)) is written with
+its two Dirichlet rows decoupled: diagonal [1, 1 + 2 lam, ..., 1 + 2 lam, 1]
+and off-diagonal [0, -lam, ..., -lam, 0], so the boundary values enter rows 1
+and nx - 2 as lam * bc on the right-hand side.  A is then symmetric positive
+definite; it is factored once per sweep as L D L^T (LAPACK ``dpttrf``), and
+each step is
+
+    U_new = A^{-1} (2 U + (dt/2)(f_old + f_new) + lam (U_end + bc_new) at rows 1, nx - 2) - U,
+
+with U_end the current end values, then the Dirichlet values bc_new are set
+at the ends: the same Crank-Nicolson scheme as
+(I - lam D2) U_new = (I + lam D2) U + (dt/2)(f_old + f_new) with pinned ends.
+``scipy.linalg`` is imported when the first sweep factors its operator:
+nothing else in the package needs scipy, so importing ``wickshe`` does not
+load it.
+
 Each step advances one whole level |alpha| = n at a time: the level's
 forcing comes from the forcing plan of the shared ``basis.LevelWiring`` (as
 in the spectral sweep) and is carried to the next step, the right-hand side
-is built in place in the level's rows of the next state, and a single banded
-solve overwrites it with the level's coefficients.  Forcings and states
-live in buffers allocated once per sweep; a state (plus the plan) over
-``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the indices are
-enumerated.  A snapshot time must be a positive multiple of the step dt (to
-within 1e-9, ``basis.snapshot_steps``); any other time is refused.
+is built in place in the level's rows of the next state, and a single
+factored solve (``dpttrs``) overwrites it with the level's coefficients.
+Forcings and states live in buffers allocated once per sweep; a state (plus
+the plan) over ``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before the
+indices are enumerated.  A snapshot time must be a positive multiple of the
+step dt (to within 1e-9, ``basis.snapshot_steps``); any other time is refused.
 
 Dirichlet values at the lattice ends: level 0 takes heat-semigroup values of
-the initial datum, all higher levels take zero (their forcings decay like
-Hermite functions, far below tolerance at |x| = 12).
+the initial datum (line quadrature on a grid wide enough for the last
+snapshot time, evaluated a block of steps at a time), all higher levels take
+zero (their forcings decay like Hermite functions, far below tolerance at
+|x| = 12).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence
 
@@ -37,16 +56,37 @@ from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindi
                     hermite_function_table, snapshot_at, snapshot_steps)
 from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
-from .kernels import InitialCondition, apply_heat_semigroup, build_line_grid
+from .kernels import InitialCondition, build_line_grid, covers, heat_kernel
 
 __all__ = ["PropagatorGrid", "PropagatorSolution", "propagator_oracle"]
 
 
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """``scipy.linalg.solve_banded``, imported on the first call: nothing else
-    in the package needs scipy, so importing ``wickshe`` does not load it."""
-    from scipy.linalg import solve_banded as banded
-    return banded(l_and_u, ab, b, **kwargs)
+def factor_operator(nx: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factors (``dpttrf``) of the symmetric Crank-Nicolson operator
+    I - lam * D2 on nx nodes, its Dirichlet rows decoupled (module docstring)."""
+    from scipy.linalg.lapack import dpttrf
+    d = np.full(nx, 1.0 + 2.0 * lam)
+    d[0] = d[-1] = 1.0
+    e = np.full(nx - 1, -lam)
+    e[0] = e[-1] = 0.0
+    d, e, info = dpttrf(d, e, overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
+    return d, e
+
+
+def solve_banded(factors: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for every column of b with the factors of
+    ``factor_operator`` (``dpttrs``), in place when b is Fortran-ordered.
+    The sweep's one solve, called once per level per step under the name
+    that ``perfbench/tracing.py`` counts."""
+    from scipy.linalg.lapack import dpttrs
+    x, info = dpttrs(*factors, b, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrs failed with info = {info}")
+    if not np.shares_memory(x, b):
+        b[...] = x
+    return b
 
 
 @dataclass(frozen=True)
@@ -93,16 +133,32 @@ class PropagatorSolution:
         return ChaosCoefficients(point=(ts, x), spec=self.spec, values=vals)
 
 
-def _tridiagonal_banded(n: int, lam: float) -> np.ndarray:
-    """Banded (ab) form of I - lam * D2 with Dirichlet rows pinned."""
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + 2.0 * lam
-    ab[0, 1:] = -lam
-    ab[2, :-1] = -lam
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    return ab
+BOUNDARY_PANEL_COUNT = 64  # line-quadrature panels over half_width + 8 for the boundary values
+BOUNDARY_CHUNK = 8  # steps per block of boundary values: 64 KB of kernel rows on the
+# default 1,024-node grid; blocks of 64 steps raised the oracle's peak RSS by 0.2 MB
+
+
+def _boundary_values(u0: InitialCondition, times: np.ndarray,
+                     half_width: float) -> np.ndarray:
+    """(P_t u0)(-half_width) and (P_t u0)(half_width) at each time, shape
+    (2, len(times)): ``apply_heat_semigroup``'s line quadrature with u0 times
+    the weights formed once and the kernel rows built a block of times at a
+    time.  The grid reaches half_width + max(8, 6 sqrt(t_max)), so it covers
+    every time; its panels are ``BOUNDARY_PANEL_COUNT`` over half_width + 8,
+    and no wider when the grid widens."""
+    reach = half_width + max(8.0, 6.0 * math.sqrt(float(times[-1])))
+    panels = math.ceil(BOUNDARY_PANEL_COUNT * reach / (half_width + 8.0))
+    bgrid = build_line_grid(reach, panels=panels)
+    if not covers(bgrid.half_width, float(times[-1]), half_width):
+        raise ValueError(f"grid half-width {bgrid.half_width} insufficient for "
+                         f"x = {half_width}, t = {times[-1]} (need |x| + 6 sqrt(t))")
+    weighted = u0(bgrid.nodes) * bgrid.weights
+    out = np.empty((2, times.size))
+    for lo in range(0, times.size, BOUNDARY_CHUNK):
+        t = times[lo:lo + BOUNDARY_CHUNK, None]
+        for row, end in enumerate((-half_width, half_width)):
+            out[row, lo:lo + t.shape[0]] = heat_kernel(t, end - bgrid.nodes) @ weighted
+    return out
 
 
 def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
@@ -132,11 +188,8 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
         E = np.stack([np.asarray(mode_functions(j, x), dtype=float) for j in range(1, J + 1)])
     wiring = LevelWiring(indices, E)
 
-    # boundary values of the level-0 field (heat semigroup of u0)
-    bgrid = build_line_grid(grid.half_width + 8.0, panels=64)
-    t_all = grid.dt * np.arange(1, n_steps + 1)
-    bc_lo = np.array([apply_heat_semigroup(u0, float(tk), -grid.half_width, bgrid) for tk in t_all])
-    bc_hi = np.array([apply_heat_semigroup(u0, float(tk), grid.half_width, bgrid) for tk in t_all])
+    # Dirichlet values of the level-0 field (heat semigroup of u0)
+    bc = _boundary_values(u0, grid.dt * np.arange(1, n_steps + 1), grid.half_width)
 
     U = np.zeros((len(indices), nx))
     U[0] = u0(x)  # the zero index leads the graded order
@@ -146,29 +199,27 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
         wiring.force(chunk, U, f_old[chunk.block])
 
     lam = grid.dt / (4.0 * grid.dx * grid.dx)  # (dt/2) * (1/2) / dx^2
-    ab = _tridiagonal_banded(nx, lam)
+    factors = factor_operator(nx, lam)
 
     sol = PropagatorSolution(grid=grid, spec=spec, indices=indices)
     for k in range(1, n_steps + 1):
         for n, sl in enumerate(wiring.slices):
             for chunk in wiring.chunks[n]:  # lower levels already advanced
                 wiring.force(chunk, U_new, f_new[chunk.block])
-            # the right-hand side (U + lam S) + (dt/2)(f_old + f_new) is built in
-            # U_new[sl] and solved in place, so the assignment below copies nothing
-            u, rhs = U[sl], U_new[sl]
-            inner = rhs[:, 1:-1]  # S = (U[:-2] - 2 U[1:-1]) + U[2:]
-            np.multiply(2.0, u[:, 1:-1], out=inner)
-            np.subtract(u[:, :-2], inner, out=inner)
-            inner += u[:, 2:]
-            inner *= lam
-            inner += u[:, 1:-1]
-            f = f_old[sl]
+            # the right-hand side 2U + (dt/2)(f_old + f_new) is built in U_new[sl]
+            # and solved there in place (its transpose is Fortran-ordered)
+            u, rhs, f = U[sl], U_new[sl], f_old[sl]
             f += f_new[sl]
             f *= 0.5 * grid.dt
-            inner += f[:, 1:-1]
-            rhs[:, 0] = bc_lo[k - 1] if n == 0 else 0.0
-            rhs[:, -1] = bc_hi[k - 1] if n == 0 else 0.0
-            U_new[sl] = solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T
+            np.multiply(2.0, u, out=rhs)
+            rhs += f
+            if n == 0:  # higher levels have zero boundary values
+                rhs[:, 1] += lam * (u[:, 0] + bc[0, k - 1])
+                rhs[:, -2] += lam * (u[:, -1] + bc[1, k - 1])
+            solve_banded(factors, rhs.T)
+            rhs -= u
+            rhs[:, 0] = bc[0, k - 1] if n == 0 else 0.0
+            rhs[:, -1] = bc[1, k - 1] if n == 0 else 0.0
         U, U_new = U_new, U
         f_old, f_new = f_new, f_old
         if not np.all(np.isfinite(U)):

@@ -68,7 +68,7 @@ class _ChainContext:
     """The simplex nodes of the level sweep's time rule (``TIME_POINTS`` per
     axis) and the initial datum on the line grid.  The chains' tail
     u_bar(tau, xi) is the quadrature's P(tau) row at (tau, xi) applied to
-    that datum, one row per time node."""
+    that datum, one row per distinct tail time."""
 
     def __init__(self, n: int, t: float, u0: InitialCondition,
                  quad: CoefficientQuadrature | None = None):
@@ -85,7 +85,10 @@ class _ChainContext:
             log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
         vals = np.exp(np.sum(log_vals, axis=1))
         vals = np.where(np.isfinite(vals), vals, 0.0)  # zero-gap, non-zero-step limit
-        tail = self.quad.row(tail_times, float(tail_point)) @ self.u0_grid
+        # the tail times repeat across nodes (12 distinct of 144 in the forward
+        # chain at n = 2): one P(tau) row per distinct time, gathered per node
+        times, node_time = np.unique(tail_times, return_inverse=True)
+        tail = (self.quad.row(times, float(tail_point)) @ self.u0_grid)[node_time]
         return float(np.dot(self.w_weights, vals * tail))
 
 

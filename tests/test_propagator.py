@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from scipy.linalg import solve_banded
 
@@ -17,7 +18,9 @@ from wickshe.coefficients import cs_coefficient
 from wickshe.feynman_kac import EnsembleMemoryError
 from wickshe.kernels import (apply_heat_semigroup, build_line_grid, constant_ic, sine_ic,
                              tanh_ic)
-from wickshe.propagator import PropagatorGrid, _tridiagonal_banded, propagator_oracle
+from wickshe import propagator
+from wickshe.propagator import (PropagatorGrid, _boundary_values, factor_operator,
+                                propagator_oracle)
 from wickshe import spectral
 from wickshe.spectral import SpectralChaosField, phi_functions
 
@@ -90,6 +93,81 @@ class TestCrankNicolson:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("u0", [constant_ic(), sine_ic()], ids=["constant", "sine"])
+    def test_snapshot_past_the_former_boundary_grid(self, u0):
+        # t = 2 needs |x| + 6 sqrt(t) = 20.5 > 20, the half-width + 8 that the
+        # boundary-value grid used to stop at; it now widens with t
+        sol = propagator_oracle(TruncationSpec(1, 1), u0, PropagatorGrid(dt=0.05),
+                                snapshot_times=[2.0])
+        x = sol.grid.x
+        interior = np.abs(x) <= 10.0
+        ref = apply_heat_semigroup(u0, 2.0, x[interior], build_line_grid(30.0, panels=96))
+        assert np.max(np.abs(lattice_values(sol, 2.0, ZERO)[interior] - ref)) <= 1e-8
+
+    def test_boundary_values_match_the_semigroup(self):
+        # block-wise kernel rows against one semigroup call per time: on the
+        # half-width + 8 grid up to t = 1.75, on the widened grid to t = 4
+        # (half-width 12 + 6 sqrt(4), 77 = ceil(64 * 24 / 20) panels)
+        u0 = sine_ic()
+        for t_max, reach, panels in ((1.75, 20.0, 64), (4.0, 24.0, 77)):
+            times = 0.05 * np.arange(1, round(t_max / 0.05) + 1)
+            bc = _boundary_values(u0, times, 12.0)
+            grid = build_line_grid(reach, panels=panels)
+            ref = np.array([[apply_heat_semigroup(u0, float(t), end, grid) for t in times]
+                            for end in (-12.0, 12.0)])
+            assert np.max(np.abs(bc - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 2.0, 16.0])
+    def test_factored_step_matches_dense_pinned_solve(self, lam):
+        # two steps of the symmetric factored form against a dense solve of
+        # the Crank-Nicolson system with its Dirichlet rows pinned
+        # (non-symmetric: rows 1 and nx - 2 keep their -lam couplings)
+        dx = 0.1
+        grid = PropagatorGrid(dt=4.0 * lam * dx * dx, dx=dx, half_width=1.0)
+        spec, u0 = TruncationSpec(1, 2), sine_ic()
+        sol = propagator_oracle(spec, u0, grid, snapshot_times=[grid.dt, 2 * grid.dt])
+        x = grid.x
+        nx = x.size
+        E = hermite_function_table(2, x)
+        M = (np.diag(np.full(nx, 1.0 + 2.0 * lam)) + np.diag(np.full(nx - 1, -lam), 1)
+             + np.diag(np.full(nx - 1, -lam), -1))
+        M[0, :] = M[-1, :] = 0.0
+        M[0, 0] = M[-1, -1] = 1.0
+        bgrid = build_line_grid(grid.half_width + 8.0, panels=64)
+        U = np.zeros((3, nx))
+        U[0] = u0(x)
+        for k in (1, 2):
+            U_new = np.zeros_like(U)
+            for i in range(3):
+                rhs = U[i].copy()
+                rhs[1:-1] += lam * (U[i, :-2] - 2.0 * U[i, 1:-1] + U[i, 2:])
+                if i > 0:  # alpha = e_1, e_2 forced by E_j times the zero index
+                    rhs += 0.5 * grid.dt * E[i - 1] * (U[0] + U_new[0])
+                rhs[0], rhs[-1] = ([apply_heat_semigroup(u0, k * grid.dt, end, bgrid)
+                                    for end in (x[0], x[-1])] if i == 0 else [0.0, 0.0])
+                U_new[i] = np.linalg.solve(M, rhs)
+            U = U_new
+            got = sol.snapshots[k * grid.dt]
+            for i in range(3):
+                assert np.max(np.abs(got[i] - U[i])) <= 1e-13 * np.max(np.abs(U[i]))
+
+    def test_operator_factored_once_per_sweep(self, monkeypatch):
+        # one dpttrf per sweep, one solve per level per step
+        counts = {"factor": 0, "solve": 0}
+        dpttrf, solve = scipy.linalg.lapack.dpttrf, propagator.solve_banded
+
+        def count(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", count("factor", dpttrf))
+        monkeypatch.setattr(propagator, "solve_banded", count("solve", solve))
+        propagator_oracle(TruncationSpec(2, 3), sine_ic(), PropagatorGrid(dt=0.01),
+                          snapshot_times=[0.05, 0.1])
+        assert counts == {"factor": 1, "solve": 3 * 10}
 
     def test_non_dividing_dx_rejected(self):
         # 24 / 0.07 is not an integer: the last node would sit at 12.01, past
@@ -338,14 +416,23 @@ class TestLevelWiring:
         spec, grid, t = TruncationSpec(1, 2), PropagatorGrid(dt=0.01), 0.1
         u0 = constant_ic()
         sol = propagator_oracle(spec, u0, grid, snapshot_times=[t])
-        # reference: one solve_banded call per alpha per step
+        # reference 1, bit for bit: the same factored solve, one alpha (one
+        # column) at a time; reference 2: the pinned banded system of
+        # I - lam * D2 solved by scipy's solve_banded, with one semigroup call
+        # per boundary value, to within 1e-13 (the two differ by rounding)
         x = grid.x
         indices = enumerate_multiindices(spec)
         index_of = {a: i for i, a in enumerate(indices)}
         E = hermite_function_table(2, x)
-        bgrid = build_line_grid(grid.half_width + 8.0, panels=64)
         lam = grid.dt / (4.0 * grid.dx * grid.dx)
-        ab = _tridiagonal_banded(x.size, lam)
+        n_steps = round(t / grid.dt)
+        factors = factor_operator(x.size, lam)
+        bc = _boundary_values(u0, grid.dt * np.arange(1, n_steps + 1), grid.half_width)
+        ab = np.zeros((3, x.size))
+        ab[0, 2:] = ab[2, :-2] = -lam
+        ab[1, :] = 1.0 + 2.0 * lam
+        ab[1, 0] = ab[1, -1] = 1.0
+        bgrid = build_line_grid(grid.half_width + 8.0, panels=64)
 
         def forcing(a, state):
             f = np.zeros(x.size)
@@ -355,15 +442,26 @@ class TestLevelWiring:
 
         U = np.zeros((len(indices), x.size))
         U[0] = u0(x)
-        for k in range(1, round(t / grid.dt) + 1):
-            U_new = np.zeros_like(U)
+        V = U.copy()
+        for k in range(1, n_steps + 1):
+            U_new, V_new = np.zeros_like(U), np.zeros_like(V)
             for i, a in enumerate(indices):
-                rhs = U[i].copy()
-                rhs[1:-1] += lam * (U[i, :-2] - 2.0 * U[i, 1:-1] + U[i, 2:])
-                rhs += 0.5 * grid.dt * (forcing(a, U) + forcing(a, U_new))
+                ends = bc[:, k - 1] if a.degree() == 0 else (0.0, 0.0)
+                f = forcing(a, U) + forcing(a, U_new)
+                f *= 0.5 * grid.dt
+                rhs = 2.0 * U[i] + f
+                rhs[1] += lam * (U[i, 0] + ends[0])
+                rhs[-2] += lam * (U[i, -1] + ends[1])
+                U_new[i] = propagator.solve_banded(factors, rhs[:, None])[:, 0] - U[i]
+                U_new[i, 0], U_new[i, -1] = ends
+
+                rhs = V[i].copy()
+                rhs[1:-1] += lam * (V[i, :-2] - 2.0 * V[i, 1:-1] + V[i, 2:])
+                rhs += 0.5 * grid.dt * (forcing(a, V) + forcing(a, V_new))
                 for end, xe in ((0, -grid.half_width), (-1, grid.half_width)):
                     rhs[end] = (apply_heat_semigroup(u0, k * grid.dt, xe, bgrid)
                                 if a.degree() == 0 else 0.0)
-                U_new[i] = solve_banded((1, 1), ab, rhs)
-            U = U_new
+                V_new[i] = solve_banded((1, 1), ab, rhs)
+            U, V = U_new, V_new
         assert np.array_equal(sol.snapshots[t], U)
+        assert np.max(np.abs(sol.snapshots[t] - V)) <= 1e-13

@@ -5,8 +5,8 @@ import pytest
 
 from wickshe.kernels import constant_ic, sine_ic
 from wickshe.streams import substream
-from wickshe.wiener_kernels import (_ChainContext, cs_kernel, fk_kernel, mw_kernel,
-                                    sym_cs_kernel)
+from wickshe.wiener_kernels import (_ChainContext, _backward_chain, _forward_chain,
+                                    cs_kernel, fk_kernel, mw_kernel, sym_cs_kernel)
 
 
 class TestOrderZeroAndOne:
@@ -35,6 +35,49 @@ class TestSemigroupTail:
         for xi in (1.0, -2.3):
             assert (ctx.quad.row(np.array([tau]), xi) @ ctx.u0_grid)[0] == pytest.approx(
                 math.exp(-tau / 2.0) * math.sin(xi), rel=0.0, abs=1e-7)
+
+
+class TestChainTail:
+    @staticmethod
+    def per_node_integrand(ctx, gaps, steps, tail_times, tail_point):
+        # the integrand at the simplex nodes, one P(tau) row per node
+        with np.errstate(divide="ignore", over="ignore"):
+            log_vals = -steps[None, :] ** 2 / (2.0 * gaps) - 0.5 * np.log(2 * math.pi * gaps)
+        vals = np.exp(np.sum(log_vals, axis=1))
+        vals = np.where(np.isfinite(vals), vals, 0.0)
+        tail = ctx.quad.row(tail_times, float(tail_point)) @ ctx.u0_grid
+        return vals * tail
+
+    @pytest.mark.parametrize("u0_name", ["constant", "sine"])
+    @pytest.mark.parametrize("chain, distinct", [(_forward_chain, 12), (_backward_chain, 78)])
+    def test_one_row_per_distinct_tail_time(self, coeff_quad, monkeypatch, u0_name, chain,
+                                            distinct):
+        # at n = 2 the forward chain's 144 nodes have 12 distinct tail times
+        # (t - w_2 depends on one axis), the backward chain's 78
+        u0 = constant_ic() if u0_name == "constant" else sine_ic()
+        ctx = _ChainContext(2, 1.0, u0, coeff_quad)
+        integral, row = ctx.integral, coeff_quad.row
+        calls, asked = [], []
+
+        def record_integral(*args):
+            calls.append(args)
+            return integral(*args)
+
+        def record_row(tau, x, deriv=0):
+            asked.append(np.size(tau))
+            return row(tau, x, deriv)
+
+        monkeypatch.setattr(ctx, "integral", record_integral)
+        monkeypatch.setattr(coeff_quad, "row", record_row)
+        y = np.array([-0.7, 0.4])
+        got = chain(ctx, 0.3, y)
+        (args,) = calls
+        assert np.unique(args[2]).size == distinct and args[2].size == 144
+        assert asked == [distinct]
+        monkeypatch.undo()
+        integrand = self.per_node_integrand(ctx, *args)
+        reference = float(np.dot(ctx.w_weights, integrand))
+        assert abs(got - reference) <= 1e-15 * np.max(np.abs(ctx.w_weights * integrand))
 
 
 class TestEquivalences:
