@@ -16,7 +16,8 @@ the epsilon-regularized variant integrates s over [0, t - eps] only.
 Spatial integrals run on a composite Gauss-Legendre grid, and every one of
 them goes through one transfer operator P(tau) between grid functions,
 held with the grid by ``CoefficientQuadrature``:
-block-Toeplitz panel blocks, point rows, and below the width the grid can
+block-Toeplitz panel blocks formed only within the Gaussian's reach
+(``KERNEL_CUTOFF``), point rows, and below the width the grid can
 resolve a panel-spectral Taylor I + (tau/2) D2 + (tau^2/8) D2^2
 (per-coefficient integrands are regular there, the grid just cannot
 represent a near-delta kernel).  One level sweep assembles C for all mode
@@ -37,7 +38,7 @@ from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, enumerate_multiindic
                     hermite_function_table)
 from .kernels import (NODES_PER_PANEL, InitialCondition, _panel_rule,
                       apply_heat_semigroup, apply_heat_semigroup_dx, build_line_grid,
-                      heat_kernel, heat_kernel_dx, simplex_map)
+                      heat_kernel, heat_kernel_dx, require_cover, simplex_map)
 
 __all__ = [
     "CoefficientQuadrature",
@@ -51,6 +52,10 @@ __all__ = [
 # so no mesh grading applies; the level sweep and the chain kernels share it
 TIME_POINTS = 12
 QUADRATURE_ORDER_CAP = 3  # cost grows as TIME_POINTS^n per sweep or kernel value
+# P(tau) forms only the panel blocks within the reach r of the Gaussian,
+# exp(-r^2 / (2 tau)) = KERNEL_CUTOFF: an entry left out is below this share of
+# p(tau, 0) w_b, 7 bits under the rounding of a double
+KERNEL_CUTOFF = 2.0 ** -60
 
 
 def _bary_weights(xs: np.ndarray) -> np.ndarray:
@@ -82,11 +87,14 @@ class CoefficientQuadrature:
 
         K_d[a, b] = p(tau, d * width + g_a - g_b) w_b,
 
-    2P - 1 distinct q x q blocks, of which only those with a non-zero entry
-    are kept.  Below the resolvable width tau_res the grid cannot represent
-    the near-delta kernel and P(tau) is the panel-spectral Taylor
-    I + (tau/2) D2 + (tau^2/8) D2^2, block-diagonal with one shared block.
-    No m x m array is ever formed.
+    one q x q block per offset |d| <= min(P - 1, floor(r / width) + 1) with
+    r = sqrt(2 tau ln(1 / KERNEL_CUTOFF)) the Gaussian's reach, of which
+    those with a non-zero entry are kept.  Nodes of panels d apart lie at
+    least (|d| - 1) width apart, so every entry of a block beyond the reach
+    is below KERNEL_CUTOFF p(tau, 0) w_b.  Below the resolvable width
+    tau_res the grid cannot represent the near-delta kernel and P(tau) is
+    the panel-spectral Taylor I + (tau/2) D2 + (tau^2/8) D2^2,
+    block-diagonal with one shared block.  No m x m array is ever formed.
     """
 
     def __init__(self, half_width: float = 12.0, panels: int = 48):
@@ -110,11 +118,13 @@ class CoefficientQuadrature:
 
     def kernel_matrix(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """P(tau) as (panel offsets d, blocks K_d of shape (len(d), q, q)),
-        quadrature weights included; the Taylor block below tau_res."""
+        quadrature weights included, the offsets within the Gaussian's
+        reach; the Taylor block below tau_res."""
         if tau < self.tau_res:
             return np.zeros(1, dtype=int), self._taylor(tau, np.eye(self.q))[None]
-        P = self.panels
-        d = np.arange(-(P - 1), P)
+        reach = math.sqrt(-2.0 * tau * math.log(KERNEL_CUTOFF))
+        D = min(self.panels - 1, math.floor(reach / self.width) + 1)
+        d = np.arange(-D, D + 1)
         g = self.local_nodes
         diff = (d * self.width)[:, None, None] + (g[:, None] - g[None, :])
         K = heat_kernel(tau, diff) * self.local_weights
@@ -157,8 +167,12 @@ class CoefficientQuadrature:
 
         At or above tau_res r is the Gaussian kernel row times the grid
         weights; below it, x's panel-interpolation weights times D1^deriv
-        times the Taylor block of ``kernel_matrix``.
+        times the Taylor block of ``kernel_matrix``.  An x off the grid
+        [-L, L] is refused: the edge panel's interpolant diverges there.
         """
+        if abs(x) > self.grid.half_width:
+            raise ValueError(f"x = {x} lies off the grid [-{self.grid.half_width}, "
+                             f"{self.grid.half_width}]")
         taus = np.atleast_1d(np.asarray(tau, dtype=float))
         small = taus < self.tau_res
         out = np.zeros((taus.size, self.grid.nodes.size))
@@ -225,7 +239,10 @@ def _assemble_from_sweep(C: np.ndarray, alpha: MultiIndex) -> float:
 def _level_coefficients(n: int, t: float, x: float, u0: InitialCondition,
                         spec: TruncationSpec, quad: CoefficientQuadrature | None,
                         deriv: bool) -> Dict[MultiIndex, float]:
+    if t <= 0:
+        raise ValueError("level coefficients need t > 0")
     quad = quad or CoefficientQuadrature()
+    require_cover(quad.grid.half_width, t, x)
     C = _level_sweep(n, t, x, u0, spec.max_mode, quad, deriv=deriv)
     out: Dict[MultiIndex, float] = {}
     for alpha in enumerate_multiindices(spec):
@@ -256,6 +273,7 @@ def _coefficient(name: str, alpha: MultiIndex, t: float, x: float, u0: InitialCo
     if epsilon < 0 or epsilon >= t:
         raise ValueError("epsilon must lie in [0, t)")
     quad = quad or CoefficientQuadrature()
+    require_cover(quad.grid.half_width, t, x)
     if alpha == ZERO_INDEX:
         semigroup = apply_heat_semigroup_dx if deriv else apply_heat_semigroup
         return float(semigroup(u0, t, x, quad.grid))

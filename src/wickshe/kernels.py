@@ -40,6 +40,7 @@ __all__ = [
     "apply_heat_semigroup",
     "apply_heat_semigroup_dx",
     "covers",
+    "require_cover",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -211,16 +212,20 @@ def covers(half_width: float, t: float, x: float) -> bool:
     return abs(x) + 6.0 * math.sqrt(t) <= half_width
 
 
+def require_cover(half_width: float, t: float, x: float) -> None:
+    """Refuse (t, x) with ValueError unless ``covers(half_width, t, x)``."""
+    if not covers(half_width, t, x):
+        raise ValueError(f"grid half-width {half_width} insufficient for x = {x}, t = {t} "
+                         f"(need |x| + 6 sqrt(t))")
+
+
 def _semigroup_quadrature(kernel, u0: InitialCondition, t: float, x, grid: QuadratureGrid):
     """int kernel(t, x - y) u0(y) dy by line quadrature, at each x."""
     if t <= 0:
         raise ValueError(f"the heat semigroup needs t > 0, got t = {t}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     for xv in xs.tolist():
-        if not covers(grid.half_width, t, xv):
-            raise ValueError(
-                f"grid half-width {grid.half_width} insufficient for x = {xv}, t = {t} "
-                f"(need |x| + 6 sqrt(t))")
+        require_cover(grid.half_width, t, xv)
     out = kernel(t, xs[:, None] - grid.nodes[None, :]) @ (u0(grid.nodes) * grid.weights)
     return out if np.ndim(x) else float(out[0])
 

@@ -56,7 +56,7 @@ from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindi
                     hermite_function_table, snapshot_at, snapshot_steps)
 from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
-from .kernels import InitialCondition, build_line_grid, covers, heat_kernel
+from .kernels import InitialCondition, build_line_grid, heat_kernel, require_cover
 
 __all__ = ["PropagatorGrid", "PropagatorSolution", "propagator_oracle"]
 
@@ -149,9 +149,7 @@ def _boundary_values(u0: InitialCondition, times: np.ndarray,
     reach = half_width + max(8.0, 6.0 * math.sqrt(float(times[-1])))
     panels = math.ceil(BOUNDARY_PANEL_COUNT * reach / (half_width + 8.0))
     bgrid = build_line_grid(reach, panels=panels)
-    if not covers(bgrid.half_width, float(times[-1]), half_width):
-        raise ValueError(f"grid half-width {bgrid.half_width} insufficient for "
-                         f"x = {half_width}, t = {times[-1]} (need |x| + 6 sqrt(t))")
+    require_cover(bgrid.half_width, float(times[-1]), half_width)
     weighted = u0(bgrid.nodes) * bgrid.weights
     out = np.empty((2, times.size))
     for lo in range(0, times.size, BOUNDARY_CHUNK):

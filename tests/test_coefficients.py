@@ -8,8 +8,9 @@ from scipy.integrate import dblquad
 
 from wickshe import coefficients
 from wickshe.basis import MultiIndex, TruncationSpec, enumerate_multiindices, hermite_function
-from wickshe.coefficients import (CoefficientQuadrature, _assemble_from_sweep, cs_coefficient,
-                                  cs_level_coefficients, dx_coefficient, dx_level_coefficients)
+from wickshe.coefficients import (KERNEL_CUTOFF, CoefficientQuadrature, _assemble_from_sweep,
+                                  _level_sweep, cs_coefficient, cs_level_coefficients,
+                                  dx_coefficient, dx_level_coefficients)
 from wickshe.kernels import constant_ic, heat_kernel, simplex_map, sine_ic
 
 ZERO = MultiIndex(())
@@ -127,6 +128,24 @@ class TestLevelSweeps:
         pts, _ = simplex_map(2, 1.0, points_per_axis=coefficients.TIME_POINTS)
         assert len(calls) == 2 * pts.shape[0] == 288
 
+    @pytest.mark.parametrize("x", [12.5, 30.0])
+    def test_off_grid_probe_refused_before_any_transfer(self, x, coeff_quad, monkeypatch):
+        # the edge panel's interpolant, extrapolated to x, gave rows with
+        # entries of 6.5e10 at x = 12.5 and NaN at x = 30 (at tau_res / 2)
+        calls = []
+        inner = CoefficientQuadrature.kernel_matrix
+        monkeypatch.setattr(CoefficientQuadrature, "kernel_matrix",
+                            lambda self, tau: calls.append(tau) or inner(self, tau))
+        alpha, spec = MultiIndex((1,)), TruncationSpec(2, 2)
+        for run in (lambda: cs_coefficient(alpha, 0.5, x, sine_ic(), coeff_quad),
+                    lambda: dx_coefficient(alpha, 0.5, x, sine_ic(), quad=coeff_quad),
+                    lambda: cs_coefficient(ZERO, 0.5, x, sine_ic(), coeff_quad),
+                    lambda: cs_level_coefficients(1, 0.5, x, sine_ic(), spec, coeff_quad),
+                    lambda: dx_level_coefficients(2, 0.5, x, sine_ic(), spec, coeff_quad)):
+            with pytest.raises(ValueError, match="insufficient"):
+                run()
+        assert calls == []
+
     def test_assembly_is_the_full_permutation_sum(self):
         # (alpha!)^{-1/2} times the sum of C over all n! orderings of the
         # characteristic vector, repeated orderings included
@@ -192,15 +211,70 @@ class TestHeatOperator:
         assert 0.005 < coeff_quad.tau_res < 0.02
         assert 0.02 < small_quad.tau_res < 0.5
 
-    def test_only_zero_blocks_dropped(self, coeff_quad):
-        offsets, blocks = coeff_quad.kernel_matrix(0.02)
-        assert 0 < offsets.size < 2 * coeff_quad.panels - 1
-        dense = _dense_P(coeff_quad, 0.02)
-        q, P = coeff_quad.q, coeff_quad.panels
-        for d in range(-(P - 1), P):
-            if d not in offsets:
-                assert not np.any(dense[max(d, 0) * q:(max(d, 0) + 1) * q,
-                                        max(-d, 0) * q:(max(-d, 0) + 1) * q])
+    @pytest.mark.parametrize("which, tau", [("default", 0.02), ("default", 0.5),
+                                            ("default", 4.0), ("small", 0.5)])
+    def test_only_blocks_beyond_reach_dropped(self, which, tau, coeff_quad, small_quad):
+        # kept: the offsets |d| <= floor(r / width) + 1 with
+        # exp(-r^2 / (2 tau)) = 2^-60, less any block that is exactly 0;
+        # every dense entry left out is below 2^-60 p(tau, 0) max w
+        quad = coeff_quad if which == "default" else small_quad
+        q, P = quad.q, quad.panels
+        assert KERNEL_CUTOFF == 2.0 ** -60
+        reach = math.sqrt(2.0 * tau * 60.0 * math.log(2.0))
+        D = min(P - 1, math.floor(reach / quad.width) + 1)
+        assert D < P - 1  # the cut is active in every case
+        dense = _dense_P(quad, tau)
+
+        def block(d):
+            return dense[max(d, 0) * q:(max(d, 0) + 1) * q, max(-d, 0) * q:(max(-d, 0) + 1) * q]
+
+        offsets, blocks = quad.kernel_matrix(tau)
+        assert offsets.tolist() == [d for d in range(-D, D + 1) if np.any(block(d) != 0.0)]
+        bound = KERNEL_CUTOFF * heat_kernel(tau, 0.0) * quad.grid.weights.max()
+        for d in set(range(-(P - 1), P)) - set(offsets.tolist()):
+            assert np.abs(block(d)).max() <= bound
+
+    def test_sweep_matches_dense_sweep(self, coeff_quad, monkeypatch):
+        # the level sweep against the same sweep on the full dense P(tau), at
+        # t = 2 where the kernels reach furthest
+        quad = coeff_quad
+        x, w = quad.grid.nodes, quad.grid.weights
+        half_sq = -0.5 * np.square(x[:, None] - x[None, :])
+        D2 = np.linalg.matrix_power(_dense_panel_diff(quad), 2)
+        D2sq = D2 @ D2
+
+        def dense(tau):
+            # _dense_P with its tau-free parts formed once; entries below the
+            # smallest normal double are set to 0, for speed (a product with a
+            # subnormal costs about 20 normal ones)
+            if tau < quad.tau_res:
+                return np.eye(x.size) + (tau / 2.0) * D2 + (tau * tau / 8.0) * D2sq
+            out = np.multiply(half_sq, 1.0 / tau)
+            np.exp(out, out=out)
+            out *= w / math.sqrt(2.0 * math.pi * tau)
+            out[out < np.finfo(float).tiny] = 0.0
+            return out
+
+        for tau in (0.5 * quad.tau_res, 0.05, 2.0):
+            ref = _dense_P(quad, tau)
+            assert np.abs(dense(tau) - ref).max() <= 1e-15 * np.abs(ref).max()
+        u0 = sine_ic()
+        swept = {(n, deriv): _level_sweep(n, 2.0, 0.3, u0, 6, quad, deriv)
+                 for n in (1, 2) for deriv in (False, True)}
+        # both fields run the same transfers: apply each (tau, V) once
+        applied = {}
+
+        def apply_dense(tau, V):
+            key = (tau, V.shape, V.tobytes())
+            if key not in applied:
+                applied[key] = V @ dense(tau).T
+            return applied[key]
+
+        monkeypatch.setattr(CoefficientQuadrature, "apply_P",
+                            lambda self, tau, V: apply_dense(tau, V))
+        for (n, deriv), C in swept.items():
+            ref = _level_sweep(n, 2.0, 0.3, u0, 6, quad, deriv)
+            assert np.abs(C - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("deriv", [0, 1])
     @pytest.mark.parametrize("x", [0.0, 0.37, -4.91])
@@ -244,6 +318,15 @@ class TestHeatOperator:
                                                                         abs=1e-5)
         np.testing.assert_allclose(coeff_quad.apply_P(tau, v),
                                    np.exp(-nodes * nodes / s) / math.sqrt(s), rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("x", [12.5, -12.5, 30.0])
+    def test_row_refuses_off_grid_x(self, x, coeff_quad):
+        for tau in (0.5 * coeff_quad.tau_res, 0.5, np.array([0.5 * coeff_quad.tau_res, 0.5])):
+            for deriv in (0, 1):
+                with pytest.raises(ValueError, match="off the grid"):
+                    coeff_quad.row(tau, x, deriv)
+        edge = coeff_quad.grid.half_width
+        assert np.all(np.isfinite(coeff_quad.row(0.5 * coeff_quad.tau_res, edge)))
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_row_block_is_rows_per_tau(self, deriv, coeff_quad):
