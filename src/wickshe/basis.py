@@ -35,7 +35,6 @@ __all__ = [
     "hermite_function_table",
     "enumerate_multiindices",
     "FORCING_CHUNK",
-    "ForcingChunk",
     "LevelWiring",
     "snapshot_steps",
     "snapshot_at",

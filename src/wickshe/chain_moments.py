@@ -287,7 +287,7 @@ def _pair_nodes_space(n: int, t: float, rng_seed: int
     """Quadrature nodes for the double simplex (v, w) in T^n x T^n: (times,
     weights, paired) as for ``_time_region_nodes``."""
     if n <= 2:
-        axis = graded_panels(_TENSOR_AXIS_NODES[n], _AXIS_GRADING, both_ends=False)
+        axis = graded_panels(_TENSOR_AXIS_NODES[n], _AXIS_GRADING)
         U, wq = tensor_rule(*axis, n)
         V, jv = simplex_from_unit(U, t)
         return V, jv * wq, False
@@ -358,7 +358,7 @@ def _time_region_nodes(n: int, t: float, h: float,
     both copies.  Returns (times, weights, paired) where ``paired`` means rows
     already hold both copies.
     """
-    bx, bw = graded_panels(_BOX_AXIS_NODES, 1.0, both_ends=False)
+    bx, bw = graded_panels(_BOX_AXIS_NODES, 1.0)
     if n == 1:
         return (t + h * bx)[:, None], h * bw, False
 
@@ -369,7 +369,7 @@ def _time_region_nodes(n: int, t: float, h: float,
         return np.concatenate([Vin, v_top[:, None]], axis=1), jv
 
     if n == 2:
-        ui, wi = graded_panels(_TENSOR_AXIS_NODES[1], _AXIS_GRADING, both_ends=False)
+        ui, wi = graded_panels(_TENSOR_AXIS_NODES[1], _AXIS_GRADING)
         nb, ni = bx.size, ui.size
         V, jv = box(np.tile(ui, nb)[:, None], np.repeat(bx, ni))
         return V, jv * np.tile(wi, nb) * np.repeat(bw, ni) * h, False

@@ -22,8 +22,10 @@ resolve a panel-spectral Taylor I + (tau/2) D2 + (tau^2/8) D2^2
 (per-coefficient integrands are regular there, the grid just cannot
 represent a near-delta kernel).  One level sweep assembles C for all mode
 tuples of the level at once, so computing every |alpha| = n coefficient
-costs barely more than one.  The time simplex has one fixed rule,
-``TIME_POINTS`` per axis, shared with the chain kernels of ``wiener_kernels``.
+costs barely more than one.  The time simplex has one fixed rule, one
+``TIME_POINTS``-node Gauss-Legendre panel per axis under the smoothstep warp
+of ``kernels.simplex_from_unit``, shared with the chain kernels of
+``wiener_kernels``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ __all__ = [
     "dx_level_coefficients",
 ]
 
-# simplex nodes per time axis: two 6-node Gauss-Legendre panels split at 1/2,
-# so no mesh grading applies; the level sweep and the chain kernels share it
+# simplex nodes per time axis, one Gauss-Legendre panel under the smoothstep
+# warp, which absorbs the s_n -> t singularity; the level sweep and the chain
+# kernels share it
 TIME_POINTS = 12
 QUADRATURE_ORDER_CAP = 3  # cost grows as TIME_POINTS^n per sweep or kernel value
 # P(tau) forms only the panel blocks within the reach r of the Gaussian,

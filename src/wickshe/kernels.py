@@ -3,10 +3,11 @@ and the quadrature rules (spatial line, time simplex) shared by the
 deterministic solvers.  The transfer operator P(tau) on the line grid is
 ``coefficients.CoefficientQuadrature``.
 
-Domain truncation and mesh grading are artifact decisions: the spatial line
-is cut at [-L, L] with L large enough that both the kernel mass and the
-Hermite-function mass outside are below 1e-8, and simplex meshes are graded
-geometrically toward the singular time endpoint.
+Domain truncation is an artifact decision: the spatial line is cut at
+[-L, L] with L large enough that both the kernel mass and the
+Hermite-function mass outside are below 1e-8.  The time simplex needs no
+mesh grading: ``simplex_from_unit``'s smoothstep warp absorbs the singular
+endpoints, so each axis carries one Gauss-Legendre panel.
 """
 
 from __future__ import annotations
@@ -247,18 +248,12 @@ def apply_heat_semigroup_dx(u0: InitialCondition, t: float, x, grid: QuadratureG
 SIMPLEX_ORDER_CAP = 4  # cost grows as points^n; higher orders use other engines
 
 
-def graded_panels(n_points: int, grading: float,
-                  both_ends: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights on (0,1) from Gauss-Legendre panels graded toward the
-    endpoint(s): panel edges u^grading (and mirrored when both_ends)."""
+def graded_panels(n_points: int, grading: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights on (0,1) from 6-node Gauss-Legendre panels graded toward
+    the endpoint 0: panel edges u^grading."""
     per_panel = 6
-    if both_ends:
-        n_half = max(1, round(n_points / (2 * per_panel)))
-        half = 0.5 * np.linspace(0.0, 1.0, n_half + 1) ** grading
-        edges = np.unique(np.concatenate([half, (1 - half[:-1])[::-1]]))
-    else:
-        n_panels = max(1, round(n_points / per_panel))
-        edges = np.linspace(0.0, 1.0, n_panels + 1) ** grading
+    n_panels = max(1, round(n_points / per_panel))
+    edges = np.linspace(0.0, 1.0, n_panels + 1) ** grading
     return _panel_rule(edges, per_panel)
 
 
@@ -279,7 +274,7 @@ def simplex_from_unit(U: np.ndarray, horizon: float | np.ndarray) -> tuple[np.nd
     Each axis first takes the smoothstep warp x = 3 u^2 - 2 u^3; its Jacobian
     6 u (1 - u) turns x^{-1/2}- and (1-x)^{-1/2}-type endpoint singularities
     into smooth integrands (and softens any exponent > -1), which plain
-    graded Gauss panels resolve poorly.  Then the nested substitution
+    Gauss panels resolve poorly.  Then the nested substitution
     v_n = horizon x_n, v_k = v_{k+1} x_k adds the factor horizon prod_{k>=2} v_k.
     """
     B, n = U.shape
@@ -306,35 +301,30 @@ def increments(V: np.ndarray, first) -> np.ndarray:
     return out
 
 
-def simplex_map(order: int, horizon: float, points_per_axis: int = 24,
-                grading: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+def simplex_map(order: int, horizon: float,
+                points_per_axis: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Tensor quadrature for the ordered simplex {0 <= s_1 <= ... <= s_n <= t}
     of ``order`` n and ``horizon`` t, through ``simplex_from_unit``.
 
     Returns (points, weights): points has shape (n_nodes, n) with ordered
-    rows; weights include the Jacobian.  Axes are double-graded so integrable
-    endpoint and consecutive-gap singularities converge; ``grading`` >= 1 is
-    the geometric mesh exponent pushing panel boundaries toward the singular
-    endpoints of each mapped axis.  ``points_per_axis`` must be a positive
-    multiple of 12, the counts ``graded_panels`` builds; any other is refused.
+    rows; weights include the Jacobian.  Each axis is one
+    ``points_per_axis``-node Gauss-Legendre panel on (0, 1); the smoothstep
+    warp makes the integrable endpoint and consecutive-gap singularities
+    smooth, so no panel split or grading is needed.
     """
     if order < 1:
         raise ValueError("simplex order must be >= 1")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if grading < 1:
-        raise ValueError("grading must be >= 1")
-    axis = graded_panels(points_per_axis, grading)
-    if axis[0].size != points_per_axis:
-        raise ValueError(f"points_per_axis must be a positive multiple of 12 (6-node "
-                         f"panels, mirrored): {points_per_axis} would build {axis[0].size}")
-    U, w = tensor_rule(*axis, order)
+    if points_per_axis < 1:
+        raise ValueError(f"points_per_axis must be >= 1, got {points_per_axis}")
+    U, w = tensor_rule(*_panel_rule(np.array([0.0, 1.0]), points_per_axis), order)
     S, jac = simplex_from_unit(U, horizon)
     return S, jac * w
 
 
 def simplex_quadrature(order: int, horizon: float, integrand: Callable[..., np.ndarray],
-                       points_per_axis: int = 24, grading: float = 2.0) -> float:
+                       points_per_axis: int = 24) -> float:
     """Integral of ``integrand(s_1, ..., s_n)`` over the ordered simplex.
 
     The integrand must accept equal-length numpy arrays (one per time
@@ -343,7 +333,7 @@ def simplex_quadrature(order: int, horizon: float, integrand: Callable[..., np.n
     """
     if order > SIMPLEX_ORDER_CAP:
         raise ValueError(f"simplex order {order} exceeds cap {SIMPLEX_ORDER_CAP}")
-    pts, w = simplex_map(order, horizon, points_per_axis, grading)
+    pts, w = simplex_map(order, horizon, points_per_axis)
     vals = np.asarray(integrand(*[pts[:, k] for k in range(order)]), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values on the open simplex")

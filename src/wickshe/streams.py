@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream", "label_key"]
+__all__ = ["substream"]
 
 
 def label_key(label: str | int) -> int:

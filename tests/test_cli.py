@@ -111,6 +111,15 @@ class TestRunner:
         assert err.startswith("config error:") and "'quadrature.grading'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_derivative_passes_at_bump_data(self, tmp_path, capsys):
+        # probe (2, -1) is the time rule's worst case; the check reads
+        # 1.34e-4 against its 1e-3 tolerance
+        cfg = write_cfg(tmp_path, "seed = 1\ninitial_condition.tag = gaussian_bump\n"
+                                  "probes = 0.5,0.0;1.0,0.3;2.0,-1.0\n"
+                                  f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["derivative", "--config", str(cfg)]) == 0
+        assert "[PASS] dx_quadrature_vs_spectral" in capsys.readouterr().out
+
     @pytest.mark.parametrize("order", [0, 5])
     def test_regularity_rejects_unsupported_order(self, order, tmp_path, capsys,
                                                   monkeypatch):

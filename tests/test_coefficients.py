@@ -11,7 +11,7 @@ from wickshe.basis import MultiIndex, TruncationSpec, enumerate_multiindices, he
 from wickshe.coefficients import (KERNEL_CUTOFF, CoefficientQuadrature, _assemble_from_sweep,
                                   _level_sweep, cs_coefficient, cs_level_coefficients,
                                   dx_coefficient, dx_level_coefficients)
-from wickshe.kernels import constant_ic, heat_kernel, simplex_map, sine_ic
+from wickshe.kernels import constant_ic, gaussian_bump_ic, heat_kernel, simplex_map, sine_ic
 
 ZERO = MultiIndex(())
 
@@ -75,9 +75,8 @@ class TestDxCoefficient:
         assert extrap == pytest.approx(limit, abs=1e-3)
 
     def test_convergence_check_passes(self, coeff_quad, monkeypatch):
-        # doubling the time rule to 24 points per axis (four 6-node panels,
-        # edges graded toward both ends) moves the value by at most 1e-3,
-        # relative floored at absolute
+        # doubling the time rule to one 24-node panel per axis moves the
+        # value by at most 1e-3, relative floored at absolute
         a = MultiIndex((0, 1))
         coarse = dx_coefficient(a, 1.0, 0.0, constant_ic(), quad=coeff_quad)
         monkeypatch.setattr(coefficients, "TIME_POINTS", 24)
@@ -127,6 +126,17 @@ class TestLevelSweeps:
         cs_level_coefficients(2, 1.0, 0.0, constant_ic(), TruncationSpec(2, 2), coeff_quad)
         pts, _ = simplex_map(2, 1.0, points_per_axis=coefficients.TIME_POINTS)
         assert len(calls) == 2 * pts.shape[0] == 288
+
+    def test_time_rule_at_the_bump_worst_case(self, coeff_quad, monkeypatch):
+        # the Gaussian bump's worst case, dx u at n = 2 and (t, x) = (2, -1):
+        # the 12-node time rule against a 48-node one reads 3.0e-6 of max |C|
+        def sweep():
+            return _level_sweep(2, 2.0, -1.0, gaussian_bump_ic(), 6, coeff_quad, deriv=True)
+
+        coarse = sweep()
+        monkeypatch.setattr(coefficients, "TIME_POINTS", 48)
+        fine = sweep()
+        assert np.max(np.abs(coarse - fine)) <= 1e-5 * np.max(np.abs(fine))
 
     @pytest.mark.parametrize("x", [12.5, 30.0])
     def test_off_grid_probe_refused_before_any_transfer(self, x, coeff_quad, monkeypatch):

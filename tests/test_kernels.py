@@ -118,15 +118,19 @@ class TestInitialConditions:
 
 class TestSimplexQuadrature:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    @pytest.mark.parametrize("rule", ["simplex_map", "chain"])
-    def test_volume(self, rule, order):
-        # the double-graded rule of simplex_map and the one-sided rule of the
-        # chain-pairing engine, both through simplex_from_unit
+    @pytest.mark.parametrize("rule, points", [("simplex_map", 24), ("chain", 30),
+                                              ("simplex_map", 13), ("simplex_map", 17)],
+                             ids=["simplex_map", "chain", "simplex_map_13", "simplex_map_17"])
+    def test_volume(self, rule, points, order):
+        # the one-panel Gauss-Legendre rule of simplex_map, at any node count,
+        # and the graded rule of the chain-pairing engine, both through
+        # simplex_from_unit
         t = 1.7
         if rule == "simplex_map":
-            pts, w = simplex_map(order, t, points_per_axis=24)
+            pts, w = simplex_map(order, t, points_per_axis=points)
+            assert w.size == points ** order
         else:
-            U, wq = tensor_rule(*graded_panels(30, 2.5, both_ends=False), order)
+            U, wq = tensor_rule(*graded_panels(points, 2.5), order)
             pts, jac = simplex_from_unit(U, t)
             w = wq * jac
         assert w.sum() == pytest.approx(t ** order / math.factorial(order), rel=1e-12)
@@ -136,7 +140,7 @@ class TestSimplexQuadrature:
     def test_singular_integrand_vs_adaptive(self):
         # (s2-s1)^{-1/2} (1-s2)^{-1/2} on the unit 2-simplex
         val = simplex_quadrature(2, 1.0, lambda s1, s2: (s2 - s1) ** -0.5 * (1 - s2) ** -0.5,
-                                 points_per_axis=36, grading=2.5)
+                                 points_per_axis=36)
         ref = quad(lambda s2: quad(lambda s1: (s2 - s1) ** -0.5, 0, s2)[0] * (1 - s2) ** -0.5,
                    0, 1, limit=400)[0]
         assert val == pytest.approx(ref, abs=1e-4)
@@ -163,10 +167,7 @@ class TestSimplexQuadrature:
             simplex_quadrature(5, 1.0, lambda *s: np.ones_like(s[0]))
 
     @pytest.mark.parametrize("args, what", [((0, 1.0), "order"), ((1, 0.0), "horizon"),
-                                            ((1, 1.0, 1), "points_per_axis"),
-                                            ((1, 1.0, 24, 0.5), "grading"),
-                                            ((1, 1.0, 13), "points_per_axis.* 13 would build 12"),
-                                            ((1, 1.0, 17), "points_per_axis.* 17 would build 12")])
+                                            ((1, 1.0, 0), "points_per_axis")])
     def test_rejects_bad_input(self, args, what):
         with pytest.raises(ValueError, match=what):
             simplex_map(*args)
