@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import permutations
@@ -19,7 +20,7 @@ from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol
                                    space_increment_masses, time_increment_masses)
 from wickshe.chaos import ChaosCoefficients
 from wickshe.feynman_kac import local_time_ensemble_stats, occupation_profiles
-from wickshe.kernels import constant_ic
+from wickshe.kernels import constant_ic, increments
 from wickshe.regularity import (IncrementMomentCurve, TruncationTailError,
                                 exact_increment_curve, fit_exponent,
                                 local_time_increment_check,
@@ -310,9 +311,27 @@ class TestPairingKernel:
             A, S = pairing.tables(sigma)
             for b in range(Vg.shape[0]):
                 log_det, S_exact = _exact_logdet_S(n, sigma, Vg[b], Wg[b])
-                A_exact = math.exp(pairing.log_norm[b] - 0.5 * log_det)
+                # the Gaussian normaliser prod_e (2 pi tau_e)^{-1/2} (2 pi)^{n/2}
+                # of both chains, formed here from the gaps themselves
+                log_norm = 0.5 * math.fsum([n * math.log(2 * math.pi)]
+                                           + [-math.log(2 * math.pi * g)
+                                              for g in (*Vg[b], *Wg[b])])
+                A_exact = math.exp(log_norm - 0.5 * log_det)
                 assert A[b] == pytest.approx(A_exact, rel=1e-13, abs=0.0)
                 assert S[b] == pytest.approx(S_exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_swapping_the_chains_inverts_sigma(self, n):
+        # tables(v, w, sigma) = tables(w, v, sigma^-1): the identity that lets
+        # a tensor square take each unordered node pair once
+        gen = np.random.default_rng(300 + n)
+        Vg, Wg = 10.0 ** gen.uniform(-6.0, 0.0, (2, 64, n))
+        for sigma in permutations(range(n)):
+            inverse = tuple(int(k) for k in np.argsort(sigma))
+            A, S = _pairing(Vg, Wg).tables(sigma)
+            A_swap, S_swap = _pairing(Wg, Vg).tables(inverse)
+            np.testing.assert_allclose(A_swap, A, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(S_swap, S, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan])
@@ -355,6 +374,83 @@ def test_field_order_masses_equal_the_space_pass_masses():
         masses = field_order_masses(0.7, [1, 2, 3], deriv, rng_seed=5)
         _, ref = space_increment_masses(0.7, [1.0], [1, 2, 3], deriv, rng_seed=5)
         assert masses == ref
+
+
+LAYOUT_LAGS = [2.0 ** -3, 2.0 ** -6]
+
+
+def _chain_numbers(orders, deriv):
+    """Every chain-engine entry point on the given orders, as one dict."""
+    out = {}
+    for name, (inc, mass) in (
+            ("space", space_increment_masses(1.0, LAYOUT_LAGS, orders, deriv)),
+            ("time", time_increment_masses(1.0, LAYOUT_LAGS, orders, deriv)),
+            ("time0", time_increment_masses(0.0, LAYOUT_LAGS, orders, deriv))):
+        for n in orders:
+            out[name, "inc", n], out[name, "mass", n] = inc[n], mass[n]
+    for n, m in field_order_masses(0.7, orders, deriv).items():
+        out["field", "mass", n] = m
+    return out
+
+
+def _ordered_square_blocks(n, nodes, w, paired):
+    """Reference tensor square: every ordered pair (i, j), rows repeated
+    against tiled copies in blocks of about 2^18 pairs."""
+    assert not paired
+    side = _Side.of(increments(nodes, nodes[:, 0]))
+    B = nodes.shape[0]
+    step = (1 << 18) // B + 1
+    for i0 in range(0, B, step):
+        nb = min(i0 + step, B) - i0
+        yield (_Side(*(np.repeat(x[..., i0:i0 + nb], B, axis=-1) for x in side)),
+               _Side(*(np.tile(x, nb) for x in side)),
+               np.repeat(w[i0:i0 + nb], B) * np.tile(w, nb))
+
+
+def _assert_same_numbers(got, ref):
+    assert got.keys() == ref.keys()
+    for key in ref:
+        np.testing.assert_allclose(got[key], ref[key], rtol=1e-13, atol=0.0, err_msg=str(key))
+
+
+class TestPairBlocks:
+    """The block layout of the chain-pairing engine moves no moment beyond
+    rounding, and a block pass holds little memory."""
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_small_blocks_agree(self, monkeypatch, deriv):
+        ref = _chain_numbers([1, 2, 3, 4], deriv)
+        # 2^10 pairs per block also splits the 2^16 Sobol rows of orders 3, 4
+        monkeypatch.setattr(chain_moments, "_PAIR_BLOCK", 1 << 10)
+        _assert_same_numbers(_chain_numbers([1, 2, 3, 4], deriv), ref)
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_ordered_square_agrees(self, monkeypatch, deriv):
+        got = _chain_numbers([1, 2], deriv)
+        monkeypatch.setattr(chain_moments, "_pair_blocks", _ordered_square_blocks)
+        _assert_same_numbers(got, _chain_numbers([1, 2], deriv))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pair_weights_sum_to_the_squared_total(self, n):
+        rules = (chain_moments._pair_nodes_space(n, 1.0, 10103),
+                 chain_moments._time_region_nodes(n, 1.0, 0.125, None))
+        for nodes, w, paired in rules:
+            blocks = list(chain_moments._pair_blocks(n, nodes, w, paired))
+            assert all(b[2].size <= chain_moments._PAIR_BLOCK for b in blocks)
+            total = math.fsum(float(b[2].sum()) for b in blocks)
+            assert total == pytest.approx(math.fsum(w) ** 2, rel=1e-13, abs=0.0)
+
+    def test_bounded_memory(self):
+        chain_moments._sobol_pairs(4, 10103)  # the cached Sobol set is not counted
+        peaks = []
+        for increments_of, t in ((space_increment_masses, 1.0), (time_increment_masses, 0.0)):
+            tracemalloc.start()
+            try:
+                increments_of(t, LAGS6, [2, 4], deriv=True)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 24.0 and peaks[1] <= 20.0, peaks
 
 
 class TestSobolRule:
