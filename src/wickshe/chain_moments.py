@@ -227,9 +227,15 @@ def _pair_blocks(n: int, nodes: np.ndarray, w: np.ndarray, paired: bool):
                    _Side.of(increments(rows[:, n:], rows[:, n])), w[r:r + _PAIR_BLOCK])
         return
     side = _Side.of(increments(nodes, nodes[:, 0]))
-    I, J = np.triu_indices(w.size)
-    for k in range(0, I.size, _PAIR_BLOCK):
-        i, j = I[k:k + _PAIR_BLOCK], J[k:k + _PAIR_BLOCK]
+    # the pairs of np.triu_indices(B) in its row-major order, formed one
+    # block at a time: row i starts at the flat index of (i, i)
+    lengths = np.arange(w.size, 0, -1)
+    starts = np.cumsum(lengths) - lengths
+    n_pairs = int(lengths.sum())
+    for k in range(0, n_pairs, _PAIR_BLOCK):
+        flat = np.arange(k, min(k + _PAIR_BLOCK, n_pairs))
+        i = np.searchsorted(starts, flat, side="right") - 1
+        j = i + (flat - starts[i])
         yield (_Side(*(x[..., i] for x in side)), _Side(*(x[..., j] for x in side)),
                np.where(i == j, 1.0, 2.0) * w[i] * w[j])
 

@@ -21,19 +21,21 @@ Every ensemble routine is a reducer on ``path_ensemble``, the one blocked
 loop: it streams paths in blocks of ``DEFAULT_BLOCK``, each block draws from
 its own counter-based substream, and the per-block results come back in
 block order, so estimates are bit-identical no matter how many worker
-threads ran them.  A reducer gets its block's positions and bins any
-occupation profile it reads; a block whose position or profile array would
-exceed ``ARRAY_BUDGET_BYTES`` is refused before anything is drawn.  Blocks go
+threads ran them.  Within a block the loop draws, scales and cumulates
+``ROW_CHUNK`` paths at a time into one chunk buffer, and the reducer maps
+each chunk to per-path values; a block's sums are taken over its whole
+per-path vector.  A block whose position or profile array would exceed
+``ARRAY_BUDGET_BYTES`` is refused before anything is drawn.  Blocks go
 through ``ordered_map``, which runs a single item inline; a caller with many
 one-block ensembles (the fk double average) maps them over the workers
 instead, each ensemble on one thread.
 
-Memory: the reducer holds the only reference to its block's positions, and
-the reducers that only bin them drop it right after binning, so a block's
-positions are freed before its increment or noise arrays exist.  Row work
-runs ``ROW_CHUNK`` rows at a time: the binning, the S-transform sums
-int phi(B_s) ds and the noise draws of the psi law, each bit for bit the
-whole-array result.
+Memory: no block-sized array exists.  A block holds one chunk of positions,
+the reducer's chunk-sized work buffers (made once per block and reused from
+chunk to chunk: the occupation binning, the left endpoints of the
+S-transform sums, the psi-law noise) and its per-path values.  At M = 1000
+steps that is 3 to 4 MB per block for the binning reducers, where the
+whole block's positions alone took 16 MB.
 
 Common random numbers: ``s_transform_ensemble_mc`` reduces one ensemble to
 the S-transform values of u and dx u for several test functions at once,
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,13 +71,14 @@ __all__ = [
     "path_ensemble",
     "ordered_map",
     "occupation_profiles",
+    "chunk_binner",
     "EnsembleMemoryError",
     "check_array_budget",
 ]
 
 DEFAULT_BLOCK = 2000
-# rows per chunk of the row-by-row block work: the occupation binning, the
-# S-transform sums and the psi-law noise draws
+# paths per chunk of the block loop, and rows per chunk of the conditional
+# psi-law noise draws
 ROW_CHUNK = 128
 ARRAY_BUDGET_BYTES = 1 << 30  # largest array an ensemble step or a coefficient state may take
 
@@ -163,15 +166,55 @@ def check_array_budget(n_values: int, what: str):
                                   f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB per-array budget")
 
 
-def _positions(nb: int, steps: np.ndarray, x: float,
-               stream: np.random.Generator) -> np.ndarray:
-    """(nb, steps) positions at t_1..t_M, summed in place in the increments'
-    array so that no second block-sized array outlives this call."""
-    pos = stream.standard_normal((nb, steps.size))
+def _positions(nb: int, steps: np.ndarray, x: float, stream: np.random.Generator,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(nb, steps) positions at t_1..t_M of nb paths started at x: the stream's
+    next nb * M normals, scaled and summed in place in ``out`` (a fresh array
+    when None), so that successive chunks draw what one whole draw would."""
+    pos = stream.standard_normal((nb, steps.size), out=out)
     pos *= np.sqrt(steps)[None, :]
     np.cumsum(pos, axis=1, out=pos)
     pos += x
     return pos
+
+
+def chunk_binner(steps: np.ndarray, levels: np.ndarray,
+                 rows: int) -> Callable[..., np.ndarray]:
+    """``bin(pos, work=None)``: the (n, n_bins) occupation histograms of a
+    chunk ``pos`` of n <= ``rows`` paths over ``steps``; each step adds its
+    dt to the bin of its right endpoint.  Raises if a path escapes the level
+    grid.
+
+    The bin coordinates are formed in ``work``, a flat float64 buffer of at
+    least n * steps.size values, or in place in a contiguous ``pos`` when
+    ``work`` is None, and cast to bin indices in that same memory; the step
+    weights are tiled once, for ``rows`` rows.  Only the histograms are new
+    per call, and every bin sums the steps of its own row in step order.
+    """
+    da = float(levels[1] - levels[0])
+    lo = float(levels[0] - 0.5 * da)
+    K = levels.size
+    m = steps.size
+    weights = np.tile(steps, rows)
+    offsets = K * np.arange(rows)[:, None]
+
+    def bin_chunk(pos: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+        n = pos.shape[0]
+        coords = pos.reshape(-1) if work is None else work[:n * m]
+        np.subtract(pos, lo, out=coords.reshape(n, m))
+        coords /= da
+        # truncation is floor on [0, K); a NaN fails the test too
+        if not (coords.min() >= 0 and coords.max() < K):
+            raise ValueError("level grid does not cover the simulated paths")
+        bins = coords.view(np.int64)
+        np.copyto(bins, coords, casting="unsafe")  # elementwise, in place
+        grid = bins.reshape(n, m)
+        grid += offsets[:n]
+        counts = np.bincount(bins, weights=weights[:n * m], minlength=n * K)
+        counts /= da
+        return counts.reshape(n, K)
+
+    return bin_chunk
 
 
 def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
@@ -179,32 +222,18 @@ def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
     """(n_paths, n_bins) occupation histograms; each step adds its dt to the bin
     of its right endpoint.  Raises if a path escapes the level grid.
 
-    Rows are binned ``ROW_CHUNK`` at a time through one reused bin-index
-    buffer and one tiled step-weight array, so the transient memory is a few
-    chunk-sized arrays beside the output.  Every bin still sums the steps of
-    its own row in step order, so the result does not depend on the chunking.
+    Rows are binned ``ROW_CHUNK`` at a time by one ``chunk_binner`` through
+    one work buffer, so the transient memory is a few chunk-sized arrays
+    beside the output, and ``pos`` is left as it is.  The result does not
+    depend on the chunking.
     """
-    da = float(levels[1] - levels[0])
-    lo = float(levels[0] - 0.5 * da)
-    K = levels.size
     nb, m = pos.shape
-    out = np.empty((nb, K))
     rows = min(ROW_CHUNK, nb)
-    buf = np.empty((rows, m))
-    weights = np.tile(steps, rows)
-    offsets = K * np.arange(rows)[:, None]
+    bin_chunk = chunk_binner(steps, levels, rows)
+    work = np.empty(rows * m)
+    out = np.empty((nb, levels.size))
     for r0 in range(0, nb, rows):
-        n = min(rows, nb - r0)
-        idx = buf[:n]  # bin coordinate, computed in place until the cast
-        np.subtract(pos[r0:r0 + n], lo, out=idx)
-        idx /= da
-        np.floor(idx, out=idx)
-        if not (idx.min() >= 0 and idx.max() < K):
-            raise ValueError("level grid does not cover the simulated paths")
-        bins = idx.astype(np.int64)
-        bins += offsets[:n]
-        counts = np.bincount(bins.ravel(), weights=weights[:n * m], minlength=n * K)
-        np.divide(counts.reshape(n, K), da, out=out[r0:r0 + n])
+        out[r0:r0 + rows] = bin_chunk(pos[r0:r0 + rows], work)
     return out
 
 
@@ -222,26 +251,12 @@ def _increment_shifts(h_values: Sequence[float], delta_a: float) -> dict[float, 
     return shifts
 
 
-def _increment_sums(prof: np.ndarray, shifts: dict[float, int], delta_a: float) -> dict:
-    """Per lag, the block sum of int (L_a - L_{a-h})^2 da over its paths."""
-    out = {}
-    for h, s in shifts.items():
-        D = prof[:, s:] - prof[:, :-s]
-        D *= D
-        out[h] = float(np.sum(D) * delta_a)
-    return out
-
-
-def _increment_table(h_values: Sequence[float], parts: Sequence[dict],
+def _increment_table(h_values: Sequence[float], totals: dict[float, float],
                      n_paths: int) -> list[tuple[float, float]]:
-    table = []
-    for h in sorted(float(v) for v in h_values):
-        if h == 0.0:
-            table.append((0.0, 0.0))
-            continue
-        total = sum(p[h] for p in parts)
-        table.append((h, total / n_paths / h))
-    return table
+    """(h, E int (L_a - L_{a-h})^2 da / h) per lag in increasing order, from
+    the ensemble total of that integral per nonzero lag; h = 0 gives 0."""
+    return [(0.0, 0.0) if h == 0.0 else (h, totals[h] / n_paths / h)
+            for h in sorted(float(v) for v in h_values)]
 
 
 def ordered_map(fn: Callable[[object], object], items: Sequence, threads: int) -> list:
@@ -255,15 +270,19 @@ def ordered_map(fn: Callable[[object], object], items: Sequence, threads: int) -
 
 def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
                   stream_label: str, threads: int,
-                  reduce: Callable[[int, np.ndarray, np.ndarray], object],
+                  reduce: Callable[[int, np.ndarray, int, Iterator[np.ndarray]], object],
                   levels: Optional[np.ndarray] = None) -> list:
-    """Map ``reduce(b, steps, pos)`` over blocks of ``DEFAULT_BLOCK`` paths
-    started at x; the last block may be short.
+    """Map ``reduce(b, steps, rows, chunks)`` over blocks of ``DEFAULT_BLOCK``
+    paths started at x; the last block may be short.
 
-    Block b draws from ``substream(stream_seed, stream_label, b)``.  ``steps``
-    are the time steps and ``pos`` the (paths, steps) positions at t_1..t_M.
-    ``levels`` enters only the block budget; a reducer bins what it reads.
-    Results come back in block order for any thread count.
+    Block b draws from ``substream(stream_seed, stream_label, b)``.
+    ``steps`` are the time steps, and ``chunks`` yields the block's paths in
+    order, ``rows`` = min(ROW_CHUNK, paths in the block) at a time (the last
+    chunk may be short): the (n, M) positions at t_1..t_M, each chunk drawn
+    over the last one in one buffer.  A reducer maps each chunk to per-path
+    values, copying what it keeps, and may overwrite the chunk.  ``levels``
+    enters only the block budget; a reducer bins what it reads.  Results
+    come back in block order for any thread count.
     """
     n_steps = _step_count(t, dt)
     n_levels = 0 if levels is None else levels.size
@@ -271,10 +290,16 @@ def path_ensemble(t: float, x: float, dt: float, n_paths: int, stream_seed: int,
     check_array_budget(DEFAULT_BLOCK * width, f"a block of {DEFAULT_BLOCK} paths x {width} {unit}")
     steps = np.diff(_time_grid(t, dt))
 
+    def chunks(nb: int, rows: int, stream: np.random.Generator) -> Iterator[np.ndarray]:
+        buf = np.empty((rows, steps.size))
+        for r0 in range(0, nb, rows):
+            n = min(rows, nb - r0)
+            yield _positions(n, steps, x, stream, buf[:n])
+
     def one_block(b: int):
         nb = min(DEFAULT_BLOCK, n_paths - b * DEFAULT_BLOCK)
-        # no reference here: the reducer holds the block's only one
-        return reduce(b, steps, _positions(nb, steps, x, substream(stream_seed, stream_label, b)))
+        rows = min(ROW_CHUNK, nb)
+        return reduce(b, steps, rows, chunks(nb, rows, substream(stream_seed, stream_label, b)))
 
     return ordered_map(one_block, range(-(-n_paths // DEFAULT_BLOCK)), threads)
 
@@ -304,10 +329,14 @@ def fk_conditional_estimate(t: float, x: float, u0: InitialCondition,
                          f"level grid of shape {levels.shape}")
     da = float(levels[1] - levels[0])
 
-    def reduce(b, steps, pos) -> np.ndarray:
-        prof = occupation_profiles(pos, steps, levels)
-        psi = prof @ dW - 0.5 * da * np.einsum("ij,ij->i", prof, prof)
-        return u0(pos[:, -1]) * np.exp(psi)
+    def reduce(b, steps, rows, chunks) -> np.ndarray:
+        bin_chunk = chunk_binner(steps, levels, rows)
+        ends, psi = [], []
+        for pos in chunks:
+            ends.append(pos[:, -1].copy())  # the binning overwrites the chunk
+            prof = bin_chunk(pos)
+            psi.append(prof @ dW - 0.5 * da * np.einsum("ij,ij->i", prof, prof))
+        return u0(np.concatenate(ends)) * np.exp(np.concatenate(psi))
 
     vals = np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
                                         threads, reduce, levels))
@@ -332,11 +361,9 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
     guards the exponent: sup|phi| * t > 50 would overflow far before Monte
     Carlo error matters.
 
-    Each block's left endpoints are formed, and every phi and phi_prime
-    evaluated on them, ``ROW_CHUNK`` rows at a time; the sums go into one
-    (paths,) array per callable, the same bits as ``phi(left) @ steps``
-    over the whole block, so a block holds its positions and chunk-sized
-    temporaries only.
+    Each chunk's left endpoints are formed in one buffer per block, and
+    every phi and phi_prime is evaluated on them; a path's values are those
+    of ``phi(left) @ steps`` over the whole block.
     """
     need_dx = any(phi_prime is not None for _, phi_prime, _ in phis)
     if need_dx and not u0.has_derivative:
@@ -347,42 +374,39 @@ def s_transform_ensemble_mc(t: float, x: float, u0: InitialCondition,
         if phi_sup is not None and phi_sup * t > 50.0:
             raise ValueError(f"exponent guard: sup|phi| * t = {phi_sup * t} > 50")
 
-    def reduce(b, steps, pos) -> list:
-        nb, m = pos.shape
-        fns = [f for phi, phi_prime, _ in phis for f in (phi, phi_prime) if f is not None]
-        occ = np.empty((len(fns), nb))
-        rows = min(ROW_CHUNK, nb)
+    fns = [f for phi, phi_prime, _ in phis for f in (phi, phi_prime) if f is not None]
+
+    def reduce(b, steps, rows, chunks) -> np.ndarray:
         # left endpoints: start point x plus all but the last position
-        left = np.empty((rows, m))
+        left = np.empty((rows, steps.size))
         left[:, 0] = x
-        for r0 in range(0, nb, rows):
-            n = min(rows, nb - r0)
-            left[:n, 1:] = pos[r0:r0 + n, :-1]
-            for k, f in enumerate(fns):
-                occ[k, r0:r0 + n] = _occupation_sums(left[:n], steps, f)
-        end = pos[:, -1]
+        sums, ends = [], []
+        for pos in chunks:
+            n = pos.shape[0]
+            left[:n, 1:] = pos[:, :-1]
+            sums.append([_occupation_sums(left[:n], steps, f) for f in fns])
+            ends.append(pos[:, -1].copy())
+        occ = iter(np.concatenate(sums, axis=1))
+        end = np.concatenate(ends)
         u_end = u0(end)
         du_end = u0.derivative(end) if need_dx else None
-        sums = iter(occ)
         out = []
         for _, phi_prime, _ in phis:
-            grow = np.exp(next(sums))
-            u = u_end * grow
-            dx = None
+            grow = np.exp(next(occ))
+            out.append(u_end * grow)
             if phi_prime is not None:
                 # u0'(B_t) e^{int phi} + u0(B_t) e^{int phi} int phi'
-                dx = du_end * grow + u * next(sums)
-            out.append((u, dx))
-        return out
+                out.append(du_end * grow + out[-1] * next(occ))
+        return np.array(out)
 
-    parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads, reduce)
+    fields = iter(np.concatenate(path_ensemble(t, x, dt, n_paths, stream_seed, stream_label,
+                                               threads, reduce), axis=1))
 
-    def estimate(i: int, field: int) -> tuple[float, float]:
-        vals = np.concatenate([p[i][field] for p in parts])
+    def estimate(vals: np.ndarray) -> tuple[float, float]:
         return float(vals.mean()), standard_error(vals)
 
-    return [(estimate(i, 0), None if phi_prime is None else estimate(i, 1))
-            for i, (_, phi_prime, _) in enumerate(phis)]
+    return [(estimate(next(fields)), None if phi_prime is None else estimate(next(fields)))
+            for _, phi_prime, _ in phis]
 
 
 def s_transform_mc(t: float, x: float, u0: InitialCondition,
@@ -443,28 +467,44 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
     levels = build_level_grid(t, x, delta_a)
     j0 = int(np.argmin(np.abs(levels - x)))
 
-    def reduce(b, steps, pos):
-        prof = occupation_profiles(pos, steps, levels)
-        del pos  # frees the block's positions before the increments are formed
-        mass_err = np.abs(delta_a * prof.sum(axis=1) - t).max()
-        # copy the column: a view would keep the whole block's profiles alive
-        return (prof[:, j0].copy(), delta_a * np.einsum("ij,ij->i", prof, prof), mass_err,
-                _increment_sums(prof, shifts, delta_a))
+    def reduce(b, steps, rows, chunks) -> np.ndarray:
+        bin_chunk = chunk_binner(steps, levels, rows)
+        diff = np.empty(rows * levels.size)
+        vals = []
+        for pos in chunks:
+            prof = bin_chunk(pos)
+            n, K = prof.shape
+            out = np.empty((3 + len(shifts), n))
+            out[0] = prof[:, j0]
+            np.einsum("ij,ij->i", prof, prof, out=out[1])
+            prof.sum(axis=1, out=out[2])
+            for row, s in zip(out[3:], shifts.values()):
+                D = diff[:n * (K - s)].reshape(n, K - s)
+                np.subtract(prof[:, s:], prof[:, :-s], out=D)
+                np.einsum("ij,ij->i", D, D, out=row)
+            vals.append(out)
+        # per path: L at the start, int L^2 da, the mass defect, and
+        # int (L_a - L_{a-h})^2 da per lag
+        v = np.concatenate(vals, axis=1)
+        v[1] *= delta_a
+        v[2] = np.abs(delta_a * v[2] - t)
+        v[3:] *= delta_a
+        return v
 
-    parts = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads,
-                          reduce, levels)
-    L0 = np.concatenate([p[0] for p in parts])
-    Q = np.concatenate([p[1] for p in parts])
-    mass_defect = max(p[2] for p in parts)
+    blocks = path_ensemble(t, x, dt, n_paths, stream_seed, stream_label, threads,
+                           reduce, levels)
+    L0, Q, defect = np.concatenate([p[:3] for p in blocks], axis=1)
+    # each block's sum over its paths, the blocks added in order
+    totals = dict(zip(shifts, map(float, sum(p[3:].sum(axis=1) for p in blocks))))
     return {
         "mean_L_at_start": float(L0.mean()),
         "se_L_at_start": standard_error(L0),
         "mean_int_L2": float(Q.mean()),
         "se_int_L2": standard_error(Q),
-        "mass_identity_defect": float(mass_defect),
+        "mass_identity_defect": float(defect.max()),
         "bias_budget_L": math.sqrt(2.0 * dt / math.pi) + delta_a * delta_a,
         "bias_budget_L2": math.sqrt(dt) + 0.5 * delta_a,
-        "increment_table": _increment_table(h_values, [p[3] for p in parts], n_paths),
+        "increment_table": _increment_table(h_values, totals, n_paths),
     }
 
 
@@ -479,9 +519,9 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     The ``n_noise`` conditional draws come from the "psi-noise" substream
     ``ROW_CHUNK`` rows at a time, the same numbers as one (n_noise, levels)
     draw; only the n_noise Psi values and one chunk of draws are held, and
-    those two arrays are what the budget counts.  The pairs reducer drops
-    each block's positions once they are binned, before it draws that
-    block's noise.
+    those two arrays are what the budget counts.  The (path, noise) pairs
+    draw each chunk's noise from their block's "psi-pairs-noise" substream,
+    the same numbers as one draw per block.
     """
     levels = build_level_grid(t, x, delta_a)
     rows = min(ROW_CHUNK, n_noise)
@@ -502,13 +542,18 @@ def psi_law_stats(t: float, dt: float, delta_a: float, n_paths_b: int, n_noise: 
     skew = float(np.mean(((psi - m) / s) ** 3))
 
     # unconditional E exp(Psi) over fresh (path, noise) pairs
-    def reduce(b, steps, pos):
-        profs = occupation_profiles(pos, steps, levels)
-        del pos  # frees the block's positions before its noise is drawn
-        dWb = substream(stream_seed, "psi-pairs-noise", b).standard_normal(profs.shape)
-        dWb *= math.sqrt(da)
-        return np.exp(np.einsum("ij,ij->i", profs, dWb)
-                      - 0.5 * da * np.einsum("ij,ij->i", profs, profs))
+    def reduce(b, steps, rows, chunks) -> np.ndarray:
+        bin_chunk = chunk_binner(steps, levels, rows)
+        pair_noise = substream(stream_seed, "psi-pairs-noise", b)
+        dW = np.empty((rows, levels.size))
+        psi = []
+        for pos in chunks:
+            prof = bin_chunk(pos)
+            dWc = pair_noise.standard_normal(prof.shape, out=dW[:prof.shape[0]])
+            dWc *= math.sqrt(da)
+            psi.append(np.einsum("ij,ij->i", prof, dWc)
+                       - 0.5 * da * np.einsum("ij,ij->i", prof, prof))
+        return np.exp(np.concatenate(psi))
 
     ew = np.concatenate(path_ensemble(t, x, dt, n_paths_b, stream_seed, "psi-pairs-path",
                                       threads, reduce, levels))

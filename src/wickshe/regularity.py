@@ -20,8 +20,7 @@ import numpy as np
 
 from .basis import snapshot_steps
 from .chain_moments import CHAIN_ORDERS, space_increment_masses, time_increment_masses
-from .feynman_kac import (build_level_grid, local_time_ensemble_stats, occupation_profiles,
-                          path_ensemble)
+from .feynman_kac import build_level_grid, chunk_binner, local_time_ensemble_stats, path_ensemble
 
 __all__ = [
     "IncrementMomentCurve",
@@ -192,15 +191,22 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
     cuts = [round(t_hi / dt) - round(h / dt) for h in lags]
     levels = build_level_grid(t_hi, x, delta_a)
 
-    def reduce(b, steps, pos) -> np.ndarray:
+    def reduce(b, steps, rows, chunks) -> np.ndarray:
         # L_a(t) - L_a(t - h) is the occupation of the steps after the cut alone
-        out = np.zeros(lags.size)
-        for i, cut in enumerate(cuts):
-            D = occupation_profiles(pos[:, cut:], steps[cut:], levels)
-            D *= D
-            out[i] = float(np.sum(D) * delta_a)
-        return out
+        windows = [(cut, chunk_binner(steps[cut:], levels, rows)) for cut in cuts]
+        work = np.empty(rows * (steps.size - min(cuts, default=steps.size)))
+        vals = []
+        for pos in chunks:
+            out = np.empty((len(cuts), pos.shape[0]))
+            for row, (cut, bin_tail) in zip(out, windows):
+                D = bin_tail(pos[:, cut:], work)
+                np.einsum("ij,ij->i", D, D, out=row)
+            vals.append(out)
+        v = np.concatenate(vals, axis=1)
+        v *= delta_a  # per path and cut: int (L_a(t) - L_a(t - h))^2 da
+        return v
 
-    parts = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,
-                          reduce, levels)
-    return IncrementMomentCurve(lags=lags, moments=sum(parts) / n_paths)
+    blocks = path_ensemble(t_hi, x, dt, n_paths, stream_seed, "lt-temporal", threads,
+                           reduce, levels)
+    # each block's sum over its paths, the blocks added in order
+    return IncrementMomentCurve(lags=lags, moments=sum(p.sum(axis=1) for p in blocks) / n_paths)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -323,28 +322,27 @@ class TestSTransformMC:
                                                   stream_label="crn")[0]
 
     def test_row_chunks_match_whole_block_sums(self):
-        # 2300 paths: a full block and a 300-row block, whose last chunk is short
+        # 2300 paths: a full block and a 300-row block, whose last chunk is
+        # short; each block drawn whole, independently of the chunked loop
         t, x, n_paths, seed = 0.5, 0.2, 2300, 26
         phis = [(phi, phi_dx, None) for _, phi, phi_dx, _ in _phi_cases()]
         u0 = sine_ic()
-
-        def whole_block(b, steps, pos):
-            left = np.concatenate([np.full((pos.shape[0], 1), x), pos[:, :-1]], axis=1)
+        steps = np.diff(feynman_kac._time_grid(t, 1e-3))
+        fields = [[] for _ in range(2 * len(phis))]
+        for b, nb in enumerate([2000, 300]):
+            pos = feynman_kac._positions(nb, steps, x, substream(seed, "chunks", b))
+            left = np.concatenate([np.full((nb, 1), x), pos[:, :-1]], axis=1)
             end = pos[:, -1]
-            out = []
-            for phi, phi_dx, _ in phis:
+            for i, (phi, phi_dx, _) in enumerate(phis):
                 grow = np.exp(phi(left) @ steps)
                 u = u0(end) * grow
-                out.append((u, u0.derivative(end) * grow + u * (phi_dx(left) @ steps)))
-            return out
-
-        parts = path_ensemble(t, x, 1e-3, n_paths, seed, "chunks", 1, whole_block)
+                fields[2 * i].append(u)
+                fields[2 * i + 1].append(u0.derivative(end) * grow + u * (phi_dx(left) @ steps))
         got = s_transform_ensemble_mc(t, x, u0, phis, n_paths, seed, stream_label="chunks")
-        for i, fields in enumerate(got):
-            for field, (est, se) in enumerate(fields):
-                vals = np.concatenate([p[i][field] for p in parts])
-                assert est == float(vals.mean())
-                assert se == standard_error(vals)
+        for (est, se), parts in zip([f for pair in got for f in pair], fields):
+            vals = np.concatenate(parts)
+            assert est == float(vals.mean())
+            assert se == standard_error(vals)
 
     def test_block_peak_memory_near_its_positions(self):
         # one 2000 x 1000 block: the positions (16 MB) and chunk-sized temporaries
@@ -427,11 +425,31 @@ ENSEMBLE_ROUTINES = {
 }
 
 
+# routines whose chunks go through a BLAS matrix-vector product (prof @ dW,
+# phi(left) @ steps, the conditional psi draws): its rounding of a row
+# depends on the row's place in its call modulo the kernel's row group, so
+# their chunk sizes are kept to multiples of 16
+BLAS_ROUTINES = {"fk_conditional_estimate", "s_transform_mc", "s_transform_dx_mc",
+                 "s_transform_ensemble_mc", "psi_law_stats"}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("routine", sorted(ENSEMBLE_ROUTINES))
     def test_thread_count_invariance(self, routine):
         run = ENSEMBLE_ROUTINES[routine]
         assert run(1) == run(3)
+
+    @pytest.mark.parametrize("routine", sorted(ENSEMBLE_ROUTINES))
+    def test_row_chunk_invariance(self, routine, monkeypatch):
+        # per-path values, and block sums over whole blocks: the same bits at
+        # 128 rows per chunk and at a size that cuts the blocks elsewhere,
+        # into more and shorter chunks
+        run = ENSEMBLE_ROUTINES[routine]
+        assert feynman_kac.ROW_CHUNK == 128
+        at_128 = run(1)
+        monkeypatch.setattr(feynman_kac, "ROW_CHUNK", 16 if routine in BLAS_ROUTINES else 7)
+        assert run(1) == at_128
+        assert run(2) == at_128
 
     def test_seed_reproducibility(self):
         e1 = s_transform_mc(0.5, 0.0, constant_ic(),
@@ -443,62 +461,77 @@ class TestDeterminism:
 
 class TestPathEnsemble:
     def test_blocks_in_order_with_short_tail(self):
+        # 4500 paths: blocks of 2000, 2000 and 500, each in chunks of 128
+        # rows with a short last chunk
         levels = build_level_grid(0.1, 0.0, 0.05)
-        seen = path_ensemble(0.1, 0.0, 1e-3, 4500, 5, "pe", 2,
-                             lambda b, steps, pos: (b, pos.shape,
-                                                    occupation_profiles(pos, steps, levels).shape,
-                                                    steps.sum()), levels)
+
+        def record(b, steps, rows, chunks):
+            bin_chunk = feynman_kac.chunk_binner(steps, levels, rows)
+            shapes = [(pos.shape, bin_chunk(pos).shape) for pos in chunks]
+            return b, rows, shapes, steps.sum()
+
+        seen = path_ensemble(0.1, 0.0, 1e-3, 4500, 5, "pe", 2, record, levels)
         assert [r[0] for r in seen] == [0, 1, 2]
-        assert [r[1] for r in seen] == [(2000, 100), (2000, 100), (500, 100)]
-        assert seen[2][2] == (500, levels.size)
+        assert [r[1] for r in seen] == [128, 128, 128]
+        for (_, _, shapes, _), nb in zip(seen, [2000, 2000, 500]):
+            sizes = [128] * (nb // 128) + [nb % 128]
+            assert shapes == [((n, 100), (n, levels.size)) for n in sizes]
         assert seen[0][3] == pytest.approx(0.1, abs=1e-12)
+        # a block smaller than a chunk is one chunk of its own size
+        (one,) = path_ensemble(0.1, 0.0, 1e-3, 50, 5, "pe", 1, record, levels)
+        assert one[1:3] == (50, [((50, 100), (50, levels.size))])
 
     def test_matches_single_path_simulation(self):
         # one block of one path draws the same numbers as simulate_path
         (pos,) = path_ensemble(0.3, 0.4, 1e-3, 1, 5, "pe", 1,
-                               lambda b, steps, pos: pos[0])
+                               lambda b, steps, rows, chunks: [p[0].copy() for p in chunks][0])
         _, positions = simulate_path(0.3, 1e-3, 0.4, substream(5, "pe", 0))
         assert np.array_equal(positions[1:], pos)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_reducer_holds_the_only_reference(self, threads):
-        def drop(b, steps, pos):
-            ref = weakref.ref(pos)
-            del pos
-            return ref() is None
+    def test_chunks_share_one_buffer_and_match_a_whole_draw(self, threads):
+        # every chunk of a block is drawn over the last one in one buffer, and
+        # the chunks are bit for bit the rows of one whole-block draw
+        steps = np.diff(feynman_kac._time_grid(0.1, 1e-3))
 
-        assert path_ensemble(0.1, 0.0, 1e-3, 4500, 5, "pe", threads, drop) == [True] * 3
+        def check(b, steps_, rows, chunks):
+            nb = min(2000, 4500 - 2000 * b)
+            whole = feynman_kac._positions(nb, steps, 0.3, substream(5, "pe", b))
+            first, r0 = None, 0
+            for pos in chunks:
+                first = pos if first is None else first
+                assert np.shares_memory(pos, first) and pos.shape[0] <= rows
+                assert np.array_equal(pos, whole[r0:r0 + pos.shape[0]])
+                r0 += pos.shape[0]
+            return r0
 
-    def test_binning_reducers_free_positions(self, monkeypatch):
-        # each block's positions are gone by the time the work after binning runs
-        refs, live = [], []
-        real_positions, real_substream = feynman_kac._positions, feynman_kac.substream
-        real_sums = feynman_kac._increment_sums
+        assert path_ensemble(0.1, 0.3, 1e-3, 4500, 5, "pe", threads, check) == [2000, 2000, 500]
 
-        def positions(*args):
-            pos = real_positions(*args)
-            refs.append(weakref.ref(pos))
-            return pos
-
-        def count_live():
-            live.append(sum(r() is not None for r in refs))
-
-        def substream_after_binning(seed, *labels):
-            if labels[0] == "psi-pairs-noise":
-                count_live()
-            return real_substream(seed, *labels)
-
-        def sums_after_binning(*args):
-            count_live()
-            return real_sums(*args)
-
-        monkeypatch.setattr(feynman_kac, "_positions", positions)
-        monkeypatch.setattr(feynman_kac, "substream", substream_after_binning)
-        monkeypatch.setattr(feynman_kac, "_increment_sums", sums_after_binning)
-        local_time_ensemble_stats(0.2, 1e-3, 0.05, 4500, 5, h_values=[0.1])
-        local_time_increment_check(0.2, [0.1], 4500, 5, delta_a=0.05)
-        psi_law_stats(0.2, 1e-3, 0.05, 4500, 100, 5)
-        assert live == [0] * 9  # three blocks per routine
+    @pytest.mark.parametrize("routine", ["local_time_ensemble_stats", "temporal_check",
+                                         "psi_law_stats", "fk_conditional_estimate"])
+    def test_block_peak_memory_is_a_few_chunks(self, routine):
+        # one 2000-path x 1000-step block, whose positions alone would take
+        # 16 MB: the chunk (1 MB), the reducer's chunk-sized buffers and the
+        # per-path values
+        da = 0.79 * math.sqrt(1e-3)
+        levels = build_level_grid(1.0, 0.0, da)
+        runs = {
+            "local_time_ensemble_stats": lambda: local_time_ensemble_stats(
+                1.0, 1e-3, da, 2000, 7, h_values=[2 * da, 4 * da]),
+            "temporal_check": lambda: local_time_temporal_increment_check(
+                1.0, [0.05, 0.1, 0.15, 0.2, 0.3, 0.4], 2000, 7, delta_a=da),
+            "psi_law_stats": lambda: psi_law_stats(1.0, 1e-3, da, 2000, 100, 7),
+            "fk_conditional_estimate": lambda: fk_conditional_estimate(
+                1.0, 0.0, sine_ic(), levels, sample_noise(levels, substream(7, "n")), 2000, 7),
+        }
+        substream(0, "warm-up")  # numpy.random's first import stays outside the trace
+        tracemalloc.start()
+        try:
+            runs[routine]()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_budget_refuses_before_drawing(self, monkeypatch):
         def no_draw(*args):

@@ -13,13 +13,13 @@ import pytest
 from scipy.stats import qmc
 
 import wickshe
-from wickshe import chain_moments, feynman_kac, regularity
+from wickshe import chain_moments, regularity
 from wickshe.basis import MultiIndex, TruncationSpec
 from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol,
                                    _sobol_pairs, field_order_masses,
                                    space_increment_masses, time_increment_masses)
 from wickshe.chaos import ChaosCoefficients
-from wickshe.feynman_kac import local_time_ensemble_stats, occupation_profiles
+from wickshe.feynman_kac import chunk_binner, local_time_ensemble_stats
 from wickshe.kernels import constant_ic, increments
 from wickshe.regularity import (IncrementMomentCurve, TruncationTailError,
                                 exact_increment_curve, fit_exponent,
@@ -440,6 +440,33 @@ class TestPairBlocks:
             total = math.fsum(float(b[2].sum()) for b in blocks)
             assert total == pytest.approx(math.fsum(w) ** 2, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("block", [1 << 14, 1000])
+    def test_pairs_are_the_upper_triangle_in_row_order(self, monkeypatch, block):
+        # the i <= j pairs, formed block by block, are np.triu_indices(B) in
+        # its order, cut at the same block boundaries
+        monkeypatch.setattr(chain_moments, "_PAIR_BLOCK", block)
+        nodes, w, paired = chain_moments._pair_nodes_space(2, 1.0, 10103)
+        side = chain_moments._Side.of(chain_moments.increments(nodes, nodes[:, 0]))
+        I, J = np.triu_indices(w.size)
+        got = list(chain_moments._pair_blocks(2, nodes, w, paired))
+        assert len(got) == -(-I.size // block)
+        for k, (v, w_side, wts) in zip(range(0, I.size, block), got):
+            i, j = I[k:k + block], J[k:k + block]
+            assert all(np.array_equal(a, b[..., i]) for a, b in zip(v, side))
+            assert all(np.array_equal(a, b[..., j]) for a, b in zip(w_side, side))
+            assert np.array_equal(wts, np.where(i == j, 1.0, 2.0) * w[i] * w[j])
+
+    def test_order_2_pass_holds_no_index_list(self):
+        # the whole i <= j index list of order 2 (405,450 pairs) took 6.2 MiB
+        # of a 12.5 MiB peak; formed per block, the pass peaks near 5.9 MiB
+        tracemalloc.start()
+        try:
+            space_increment_masses(1.0, LAGS6, [2], deriv=True)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0, peak
+
     def test_bounded_memory(self):
         chain_moments._sobol_pairs(4, 10103)  # the cached Sobol set is not counted
         peaks = []
@@ -540,19 +567,28 @@ class TestLocalTimeIncrements:
 
     def test_temporal_check_bins_only_tail_windows(self, monkeypatch):
         # no occupation histogram of the temporal check covers all M steps
-        # of a block: each lag bins only the steps after its cut
-        widths = []
+        # of a block: each lag bins only the steps after its cut, one chunk
+        # of at most ROW_CHUNK paths at a time
+        binners, calls = [], []
 
-        def recording(pos, steps, levels):
-            widths.append(pos.shape[1])
-            return occupation_profiles(pos, steps, levels)
+        def recording(steps, levels, rows):
+            bin_chunk = chunk_binner(steps, levels, rows)
+            binners.append(steps.size)
 
-        monkeypatch.setattr(feynman_kac, "occupation_profiles", recording)
-        monkeypatch.setattr(regularity, "occupation_profiles", recording)
+            def bin_recorded(pos, work=None):
+                calls.append(pos.shape)
+                return bin_chunk(pos, work)
+
+            return bin_recorded
+
+        monkeypatch.setattr(regularity, "chunk_binner", recording)
         local_time_temporal_increment_check(1.0, [0.05, 0.1, 0.15, 0.2, 0.3, 0.4], 2500, 3,
                                             dt=1e-3, delta_a=0.05)
-        assert sorted(set(widths)) == [50, 100, 150, 200, 300, 400]
-        assert len(widths) == 2 * 6  # two blocks, one window per lag
+        widths = [50, 100, 150, 200, 300, 400]
+        assert binners == widths * 2  # two blocks, one window per lag
+        # blocks of 2000 and 500 paths: 16 + 4 chunks, each binned per window
+        rows = [128] * 15 + [80] + [128] * 3 + [116]
+        assert calls == [(n, w) for n in rows for w in widths]
 
     @pytest.mark.parametrize("t_hi, lags, dt", [(1.0, [0.05, 0.1], 0.02),
                                                 (1.0, [0.05, 0.1, 0.15, 0.2], 0.1),
