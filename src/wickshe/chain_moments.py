@@ -49,14 +49,19 @@ bit those of ``scipy.stats.qmc.Sobol``, without importing scipy.
 
 Node pairs go through in blocks of at most ``_PAIR_BLOCK`` = 2^14, so that a
 block's tables and its (lags, pairs) work arrays stay in cache; each block is
-built once and serves every sigma.  The Sobol rows already hold both copies
-and are cut into blocks of rows.  The tensor rules pair every node with every
-node, and there each unordered pair i <= j is taken once with weight
-2 w_i w_j off the diagonal.  This is exact: swapping the two chains and
-inverting sigma only relabels the vertices and flips the sign of d, under
-which the pairing is even, so tables(v, w, sigma) = tables(w, v, sigma^-1);
-as sigma runs over S_n so does sigma^-1, so the pairs (i, j) and (j, i)
-have the same sum over sigma.
+built once and serves every sigma.  A Sobol row holds both copies, and the
+rows are generated one block of 2^14 at a time, each block from the Gray-code
+state of its first point: the block is mapped onto the quadrature region,
+paired, added and dropped, so no array holds more than one block of rows or
+nodes, whatever the point count, and nothing is kept between calls.  A time
+ladder maps each block onto every lag's region before the next block is
+made, so a ladder generates each order's rows once.  The tensor rules pair
+every node with every node, and there each unordered pair i <= j is taken
+once with weight 2 w_i w_j off the diagonal.  This is exact: swapping the
+two chains and inverting sigma only relabels the vertices and flips the sign
+of d, under which the pairing is even, so tables(v, w, sigma) =
+tables(w, v, sigma^-1); as sigma runs over S_n so does sigma^-1, so the
+pairs (i, j) and (j, i) have the same sum over sigma.
 
 The (A, S) tables are independent of the lag, so a whole lag ladder costs
 one assembly; spatial increments evaluate
@@ -73,7 +78,6 @@ chain endpoint and push every measured space slope toward 2.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import permutations
 from typing import Dict, Iterable, NamedTuple, Sequence
 
@@ -112,11 +116,11 @@ def _check_orders(orders: Iterable[int]) -> list[int]:
 
 
 def _clip_unit(U: np.ndarray) -> np.ndarray:
-    """Keep Sobol points strictly inside (0, 1): the smoothstep warp rounds
-    to exactly 1.0 within ~1e-8 of the endpoint, and a zero gap time would
-    poison the pairing tables.  The clamp displaces a ~1e-6 sliver whose
-    integrand weight is O(1e-6) via the warp Jacobian."""
-    return np.clip(U, 1e-6, 1.0 - 1e-6)
+    """Keep Sobol points strictly inside (0, 1), in place: the smoothstep warp
+    rounds to exactly 1.0 within ~1e-8 of the endpoint, and a zero gap time
+    would poison the pairing tables.  The clamp displaces a ~1e-6 sliver
+    whose integrand weight is O(1e-6) via the warp Jacobian."""
+    return np.clip(U, 1e-6, 1.0 - 1e-6, out=U)
 
 
 def _acc(E: dict, owned: set, key, x: np.ndarray):
@@ -133,9 +137,9 @@ def _acc(E: dict, owned: set, key, x: np.ndarray):
 
 class _Side(NamedTuple):
     """Per-row data of one chain's (B, n) gap table G: the reciprocal gaps as
-    an (n, B) array, -1/2 sum_e log(2 pi tau_e) and the first gap.  Each
-    field is row-wise, so the sides of a block of node pairs are cut from it
-    by indexing."""
+    an (n, B) array, -1/2 sum_e log(2 pi tau_e) and the first gap (a copy,
+    so that a side does not keep G).  Each field is row-wise, so the sides of
+    a block of node pairs are cut from it by indexing."""
 
     recip: np.ndarray
     log_dens: np.ndarray
@@ -146,7 +150,7 @@ class _Side(NamedTuple):
         if not (G.min() > 0.0 and G.max() < np.inf):  # a NaN fails too
             raise np.linalg.LinAlgError("chain gap times must be positive and finite")
         return cls(np.ascontiguousarray((1.0 / G).T),
-                   -0.5 * np.sum(np.log(2 * math.pi * G), axis=1), G[:, 0])
+                   -0.5 * np.sum(np.log(2 * math.pi * G), axis=1), G[:, 0].copy())
 
 
 class _Pairing:
@@ -211,22 +215,19 @@ class _Pairing:
         return self.norm / np.sqrt(math.prod(pivots, start=a_n + self.inv_v1)), S
 
 
-def _pair_blocks(n: int, nodes: np.ndarray, w: np.ndarray, paired: bool):
-    """(v side, w side, weights) blocks of at most ``_PAIR_BLOCK`` node pairs.
-    Rows that already hold both copies are cut into blocks of rows, each
-    building its own sides.  Otherwise the pairs are the tensor square of
-    the rows, taken once per unordered pair i <= j and cut from one side
-    built for all rows, with each off-diagonal weight doubled: this is
-    exact, since tables(v_i, v_j, sigma) equals tables(v_j, v_i, sigma^-1)
-    and sigma -> sigma^-1 is a bijection of S_n, so the pairs (i, j) and
-    (j, i) have the same sum over sigma."""
-    if paired:
-        for r in range(0, w.size, _PAIR_BLOCK):
-            rows = nodes[r:r + _PAIR_BLOCK]
-            yield (_Side.of(increments(rows[:, :n], rows[:, 0])),
-                   _Side.of(increments(rows[:, n:], rows[:, n])), w[r:r + _PAIR_BLOCK])
-        return
-    side = _Side.of(increments(nodes, nodes[:, 0]))
+def _chain_side(V: np.ndarray) -> _Side:
+    """The side of chain times V (B, n): their gaps, first from 0."""
+    return _Side.of(increments(V, V[:, 0]))
+
+
+def _square_blocks(nodes: np.ndarray, w: np.ndarray):
+    """(v side, w side, weights) blocks of at most ``_PAIR_BLOCK`` node pairs
+    of the tensor square of the rows, taken once per unordered pair i <= j
+    and cut from one side built for all rows, with each off-diagonal weight
+    doubled: this is exact, since tables(v_i, v_j, sigma) equals
+    tables(v_j, v_i, sigma^-1) and sigma -> sigma^-1 is a bijection of S_n,
+    so the pairs (i, j) and (j, i) have the same sum over sigma."""
+    side = _chain_side(nodes)
     # the pairs of np.triu_indices(B) in its row-major order, formed one
     # block at a time: row i starts at the flat index of (i, i)
     lengths = np.arange(w.size, 0, -1)
@@ -240,21 +241,28 @@ def _pair_blocks(n: int, nodes: np.ndarray, w: np.ndarray, paired: bool):
                np.where(i == j, 1.0, 2.0) * w[i] * w[j])
 
 
-def _pairing_sums(n: int, blocks, term) -> tuple:
+def _pairing_sums(n: int, blocks, term) -> list[tuple]:
     """Componentwise sums of term(A, S, weights) over the permutations sigma
-    of the second chain and the node blocks.  Each block is built once and
-    serves every sigma; the terms are added sigma-major, block-minor."""
+    of the second chain and the node blocks, one sum per rule.  ``blocks``
+    yields (rule, v side, w side, weights), the rules numbered 0, 1, ... in
+    order of first appearance; each block is built once and serves every
+    sigma, and each rule's terms are added sigma-major, block-minor, so a
+    rule's sum does not depend on how its blocks interleave with others'."""
     sigmas = list(permutations(range(n)))
-    parts: list[list[tuple]] = [[] for _ in sigmas]
-    for v, w_side, w in blocks:
+    parts: Dict[int, list[list[tuple]]] = {}
+    for rule, v, w_side, w in blocks:
         pairing = _Pairing(v, w_side)
-        for row, sigma in zip(parts, sigmas):
+        for row, sigma in zip(parts.setdefault(rule, [[] for _ in sigmas]), sigmas):
             row.append(term(*pairing.tables(sigma), w))
-    totals = None
-    for row in parts:
-        for p in row:
-            totals = p if totals is None else tuple(a + b for a, b in zip(totals, p))
-    return totals
+        del pairing, v, w_side, w  # so that one block at a time exists
+    sums = []
+    for rows in parts.values():
+        totals = None
+        for row in rows:
+            for p in row:
+                totals = p if totals is None else tuple(a + b for a, b in zip(totals, p))
+        sums.append(totals)
+    return sums
 
 
 def _sobol_direction_numbers(d: int) -> np.ndarray:
@@ -276,13 +284,17 @@ def _sobol_direction_numbers(d: int) -> np.ndarray:
     return V
 
 
-def _scrambled_sobol(d: int, log2_points: int, seed: int) -> np.ndarray:
+def _scrambled_sobol(d: int, log2_points: int, seed: int, rows: int):
     """The first 2^log2_points points of the d-dimensional Sobol sequence with
-    linear matrix scrambling and a digital shift, bit for bit those of
+    linear matrix scrambling and a digital shift, in blocks of at most
+    ``rows`` points, bit for bit those of
     ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2``:
     the same draws from ``default_rng(seed)`` (the shift's bits, then the
     lower-triangular scrambling matrices with unit diagonal), the same
-    scrambled direction numbers and the same Gray-code order."""
+    scrambled direction numbers and the same Gray-code order.  Point i is
+    the shift XOR the direction numbers of the set bits of its Gray code
+    i ^ (i >> 1), so a block starts from that state of its first point and
+    steps from there; XOR is exact, so any cut gives the same points."""
     rng = np.random.default_rng(seed)
     lsb_first = np.arange(_SOBOL_BITS, dtype=np.uint32)
     shift = (rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32)
@@ -293,43 +305,61 @@ def _scrambled_sobol(d: int, log2_points: int, seed: int) -> np.ndarray:
     # the number's bits, most significant first
     msb_first = lsb_first[::-1]
     v_bits = (_sobol_direction_numbers(d)[:, :, None] >> msb_first) & 1
-    sv = (np.einsum("dpi,dji->djp", ltm, v_bits) & 1) @ (np.uint32(1) << msb_first)
-    i = np.arange(1, 1 << log2_points)
-    ctz = np.log2(i & -i).astype(np.intp)  # point i flips direction ctz(i)
-    steps = np.concatenate([shift[None, :], sv.T[ctz]])
-    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -_SOBOL_BITS
+    sv = ((np.einsum("dpi,dji->djp", ltm, v_bits) & 1) @ (np.uint32(1) << msb_first)).T
+    n_points = 1 << log2_points
+    for r in range(0, n_points, rows):
+        gray = r ^ (r >> 1)
+        first = shift.copy()
+        for bit in range(log2_points):
+            if gray >> bit & 1:
+                first ^= sv[bit]
+        i = np.arange(r + 1, min(r + rows, n_points))
+        ctz = np.log2(i & -i).astype(np.intp)  # point i flips direction ctz(i)
+        steps = np.concatenate([first[None, :], sv[ctz]])
+        yield np.bitwise_xor.accumulate(steps, axis=0) * 2.0 ** -_SOBOL_BITS
 
 
-@lru_cache(maxsize=8)
-def _sobol_pairs(n: int, rng_seed: int) -> np.ndarray:
-    """Scrambled Sobol points in the 2n-cube, clipped into its interior: the
-    unit nodes of the order-n double rules (orders 3 and 4).  One read-only
-    set per (order, seed) serves every rule that asks for it."""
-    U = _clip_unit(_scrambled_sobol(2 * n, _QMC_LOG2[n], rng_seed))
-    U.flags.writeable = False
-    return U
+def _sobol_blocks(n: int, rng_seed: int):
+    """Scrambled Sobol points in the 2n-cube, clipped into its interior, in
+    blocks of ``_PAIR_BLOCK`` rows: the unit nodes of the order-n double
+    rules (orders 3 and 4).  Each block is made when it is asked for."""
+    for U in _scrambled_sobol(2 * n, _QMC_LOG2[n], rng_seed, _PAIR_BLOCK):
+        yield _clip_unit(U)
 
 
-def _pair_nodes_space(n: int, t: float, rng_seed: int
-                      ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Quadrature nodes for the double simplex (v, w) in T^n x T^n: (times,
-    weights, paired) as for ``_time_region_nodes``."""
-    if n <= 2:
-        axis = graded_panels(_TENSOR_AXIS_NODES[n], _AXIS_GRADING)
-        U, wq = tensor_rule(*axis, n)
-        V, jv = simplex_from_unit(U, t)
-        return V, jv * wq, False
-    U = _sobol_pairs(n, rng_seed)
+def _tensor_space(n: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, weights) of the graded tensor rule on one simplex T^n (n <= 2),
+    paired with itself by ``_square_blocks``."""
+    axis = graded_panels(_TENSOR_AXIS_NODES[n], _AXIS_GRADING)
+    U, wq = tensor_rule(*axis, n)
+    V, jv = simplex_from_unit(U, t)
+    return V, jv * wq
+
+
+def _sobol_space(n: int, t: float, U: np.ndarray) -> tuple[_Side, _Side, np.ndarray]:
+    """One block U of Sobol rows mapped onto the double simplex (v, w) in
+    T^n x T^n: (v side, w side, weights), the weights a QMC average over the
+    whole set with the Jacobians."""
     V, jv = simplex_from_unit(U[:, :n], t)
     W, jw = simplex_from_unit(U[:, n:], t)
-    wts = jv * jw / U.shape[0]  # QMC average with jacobians
-    return np.concatenate([V, W], axis=1), wts, True
+    return _chain_side(V), _chain_side(W), jv * jw / (1 << _QMC_LOG2[n])
 
 
-def _accumulate(n: int, nodes: np.ndarray, wts: np.ndarray, paired: bool,
-                lags: np.ndarray, deriv: bool) -> tuple[np.ndarray, float]:
-    """(increment masses per lag, field mass) for one chaos order over the
-    given double-simplex nodes; an empty lag ladder gives the mass alone."""
+def _space_blocks(n: int, t: float, rng_seed: int):
+    """The blocks of the one rule (0) on the double simplex, as
+    ``_pairing_sums`` takes them."""
+    if n <= 2:
+        yield from ((0, *b) for b in _square_blocks(*_tensor_space(n, t)))
+        return
+    for U in _sobol_blocks(n, rng_seed):
+        yield (0, *_sobol_space(n, t, U))
+
+
+def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
+                ) -> list[tuple[np.ndarray, float]]:
+    """(increment masses per lag, field mass) for one chaos order, one pair
+    per rule of the blocks (``_pairing_sums``); an empty lag ladder gives
+    the masses alone."""
     neg_lags_sq = -lags[:, None] ** 2
     buffers: dict = {}
 
@@ -351,8 +381,7 @@ def _accumulate(n: int, nodes: np.ndarray, wts: np.ndarray, paired: bool,
         neg_g *= (2.0 * w * base)[None, :]
         return float(np.dot(w, base)), -neg_g.sum(axis=1)
 
-    mass, inc = _pairing_sums(n, _pair_blocks(n, nodes, wts, paired), term)
-    return inc, mass
+    return [(inc, mass) for mass, inc in _pairing_sums(n, blocks, term)]
 
 
 def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
@@ -360,7 +389,7 @@ def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
     """sum_{|alpha| = n} F_alpha(t, x)^2 per order (x-independent here)."""
     out: Dict[int, float] = {}
     for n in _check_orders(orders):
-        _, out[n] = _accumulate(n, *_pair_nodes_space(n, t, rng_seed), np.zeros(0), deriv)
+        [(_, out[n])] = _accumulate(n, _space_blocks(n, t, rng_seed), np.zeros(0), deriv)
     return out
 
 
@@ -373,41 +402,55 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
     inc: Dict[int, np.ndarray] = {}
     mass: Dict[int, float] = {}
     for n in _check_orders(orders):
-        inc[n], mass[n] = _accumulate(n, *_pair_nodes_space(n, t, rng_seed), lags, deriv)
+        [(inc[n], mass[n])] = _accumulate(n, _space_blocks(n, t, rng_seed), lags, deriv)
     return inc, mass
 
 
-def _time_region_nodes(n: int, t: float, h: float,
-                       U: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One copy of the increment region: v_n in [t, t+h], inner simplex below.
-
-    Tensor product for n <= 2; for deeper orders the Sobol set U of
-    ``_sobol_pairs`` (drawn once per order, shared by every lag) mapped onto
-    both copies.  Returns (times, weights, paired) where ``paired`` means rows
-    already hold both copies.
-    """
+def _tensor_box(n: int, t: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, weights) of the tensor rule on one copy of the increment region
+    v_n in [t, t+h], inner simplex below (n <= 2), paired with itself by
+    ``_square_blocks``."""
     bx, bw = graded_panels(_BOX_AXIS_NODES, 1.0)
     if n == 1:
-        return (t + h * bx)[:, None], h * bw, False
+        return (t + h * bx)[:, None], h * bw
+    ui, wi = graded_panels(_TENSOR_AXIS_NODES[1], _AXIS_GRADING)
+    nb, ni = bx.size, ui.size
+    V, jv = _box_times(np.tile(ui, nb)[:, None], t + h * np.repeat(bx, ni))
+    return V, jv * np.tile(wi, nb) * np.repeat(bw, ni) * h
 
-    def box(inner: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # inner simplex rows below v_n = t + h top, and their Jacobians
-        v_top = t + h * top
-        Vin, jv = simplex_from_unit(inner, v_top)
-        return np.concatenate([Vin, v_top[:, None]], axis=1), jv
 
-    if n == 2:
-        ui, wi = graded_panels(_TENSOR_AXIS_NODES[1], _AXIS_GRADING)
-        nb, ni = bx.size, ui.size
-        V, jv = box(np.tile(ui, nb)[:, None], np.repeat(bx, ni))
-        return V, jv * np.tile(wi, nb) * np.repeat(bw, ni) * h, False
-    out = []
-    wts = np.ones(U.shape[0])
+def _box_times(inner: np.ndarray, v_top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner simplex rows below the top times v_n = v_top: the chain times
+    with v_n as their last column, and the Jacobians."""
+    Vin, jv = simplex_from_unit(inner, v_top)
+    return np.concatenate([Vin, v_top[:, None]], axis=1), jv
+
+
+def _sobol_box(n: int, t: float, h: float, U: np.ndarray) -> tuple[_Side, _Side, np.ndarray]:
+    """One block U of Sobol rows mapped onto both copies of the increment
+    region: (v side, w side, weights), the weights a QMC average over the
+    whole set with the Jacobians."""
+    sides, wts = [], 1.0
     for half in (U[:, :n], U[:, n:]):
-        V, jv = box(half[:, :n - 1], half[:, n - 1])
-        out.append(V)
+        V, jv = _box_times(half[:, :n - 1], t + h * half[:, n - 1])
+        sides.append(_chain_side(V))
         wts = wts * jv * h
-    return np.concatenate(out, axis=1), wts / U.shape[0], True
+    return sides[0], sides[1], wts / (1 << _QMC_LOG2[n])
+
+
+def _box_blocks(n: int, t: float, lags: np.ndarray, rng_seed: int):
+    """The blocks of one rule per lag (rule k for lags[k]) on the increment
+    regions v_n in [t, t+h], as ``_pairing_sums`` takes them: a tensor
+    square per lag for n <= 2, and for deeper orders each block of Sobol
+    rows, made once, mapped onto every lag's region in turn, so that the
+    rows are generated once for the whole ladder."""
+    if n <= 2:
+        for k, h in enumerate(lags):
+            yield from ((k, *b) for b in _square_blocks(*_tensor_box(n, t, float(h))))
+        return
+    for U in _sobol_blocks(n, rng_seed):
+        for k, h in enumerate(lags):
+            yield (k, *_sobol_box(n, t, float(h), U))
 
 
 def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int],
@@ -429,6 +472,11 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
     that mass is the mass at time 1 times h^{3n/2} (u) or h^{3n/2 - 1}
     (dx u), and the rule is scale-equivariant, so one table per order
     serves the whole lag ladder.
+
+    For t > 0 and orders 3 and 4, each block of Sobol rows is mapped onto
+    every lag's box before the next block is made, so the ladder generates
+    the order's rows once; the gate mass at t + max(lags) is a pass of its
+    own (``field_order_masses``).
     """
     lags = np.asarray(lags, dtype=float)
     orders = _check_orders(orders)
@@ -444,10 +492,6 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
         return out, {n: float(m[top]) for n, m in out.items()}
 
     for n in orders:
-        masses = np.zeros(lags.size)
-        U = _sobol_pairs(n, rng_seed) if n >= 3 else None
-        for li, h in enumerate(lags):
-            _, masses[li] = _accumulate(n, *_time_region_nodes(n, t, float(h), U),
-                                        np.zeros(0), deriv)
-        out[n] = masses
+        rules = _accumulate(n, _box_blocks(n, t, lags, rng_seed), np.zeros(0), deriv)
+        out[n] = np.array([mass for _, mass in rules])
     return out, field_order_masses(t + float(lags[top]), orders, deriv, rng_seed)

@@ -52,8 +52,9 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-from .basis import (LevelWiring, MultiIndex, TruncationSpec, enumerate_multiindices,
-                    hermite_function_table, snapshot_at, snapshot_steps)
+from .basis import (FORCING_CHUNK, LevelWiring, MultiIndex, TruncationSpec,
+                    enumerate_multiindices, hermite_function_table, snapshot_at,
+                    snapshot_steps)
 from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
 from .kernels import InitialCondition, build_line_grid, heat_kernel, require_cover
@@ -176,9 +177,14 @@ def propagator_oracle(spec: TruncationSpec, u0: InitialCondition,
     J = spec.max_mode
     steps_of = snapshot_steps(snapshot_times, grid.dt)
     n_steps = max(steps_of)
-    check_array_budget((spec.count() + spec.lowerings()) * nx,
-                       f"the propagator state and forcing plan of {spec.count()} "
-                       f"indices x {nx} lattice nodes")
+    # what the sweep below holds, in lattice rows: the forcing plan (one
+    # row per lowering), E and the wiring's scratch block, the states U and
+    # U_new, the forcings f_old and f_new, and one state copy per snapshot;
+    # then the boundary values, two per step
+    check_array_budget((spec.lowerings() + J + FORCING_CHUNK
+                        + (4 + len(steps_of)) * spec.count()) * nx + 2 * n_steps,
+                       f"the propagator states, snapshots and forcing plan of "
+                       f"{spec.count()} indices x {nx} lattice nodes")
     indices = enumerate_multiindices(spec)
     if mode_functions is None:
         E = hermite_function_table(J, x)

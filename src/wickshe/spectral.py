@@ -113,10 +113,8 @@ class SpectralChaosField:
         self.w_step = (dt * (phi3 - phi2 / 2.0), dt * (phi1 - 2.0 * phi3),
                        dt * (phi3 + phi2 / 2.0))
 
-        # the complex state and the third forcing buffer, then the plan's
-        # sqrt(alpha_j) * e_j rows
-        check_array_budget(spec.count() * 4 * self.k.size + spec.lowerings() * modes,
-                           f"the spectral state and forcing plan of {spec.count()} "
+        check_array_budget(self._sweep_values(0),
+                           f"the spectral states and forcing plan of {spec.count()} "
                            f"indices x {modes} modes")
         self.indices = enumerate_multiindices(spec)
         self.levels = np.array([a.degree() for a in self.indices])
@@ -127,8 +125,24 @@ class SpectralChaosField:
 
     # -- time stepping -------------------------------------------------------
 
+    def _sweep_values(self, n_snapshots: int) -> int:
+        """float64 values held by the forcing plan and by a ``run`` that keeps
+        ``n_snapshots`` copies of the state."""
+        spec, m, K = self.spec, self.m, self.k.size
+        N, J = spec.max_order, spec.max_mode
+        below_top = TruncationSpec(N - 1, J).count() if N else 0
+        # real rows: the plan's sqrt(alpha_j) e_j (one per lowering), E, the
+        # wiring's scratch block and ``forcing``, and the U_real / new_real
+        # pair of the levels below N; complex rows: U_hat, new_hat, the three
+        # forcings F_prev, F_hat and new_F_hat, ``term`` and the snapshots
+        return ((spec.lowerings() + J + 2 * FORCING_CHUNK + 2 * below_top) * m
+                + 2 * K * ((5 + n_snapshots) * spec.count() + FORCING_CHUNK))
+
     def run(self, snapshot_times: Iterable[float]) -> "SpectralChaosField":
         wanted = snapshot_steps(snapshot_times, self.dt)
+        check_array_budget(self._sweep_values(len(wanted)),
+                           f"the spectral states, {len(wanted)} snapshots and forcing "
+                           f"plan of {self.spec.count()} indices x {self.m} modes")
         n_steps = max(wanted)
         N = self.spec.max_order
         wiring, m = self.wiring, self.m

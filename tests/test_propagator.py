@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,56 @@ def test_state_over_budget_refused_before_enumeration(engine, monkeypatch):
             SpectralChaosField(TruncationSpec(5, 40), constant_ic())
         else:
             propagator_oracle(TruncationSpec(5, 40), constant_ic())
+
+
+def _peak_and_count(engine, monkeypatch, sweep):
+    """(tracemalloc peak, largest budget-checked byte count) of one sweep,
+    after a small warm-up run has done the one-off imports."""
+    module = {"spectral": spectral, "propagator": propagator}[engine]
+    real, counted = module.check_array_budget, []
+
+    def spy(n_values, what):
+        counted.append(8 * n_values)
+        return real(n_values, what)
+
+    if engine == "spectral":
+        SpectralChaosField(TruncationSpec(1, 1), constant_ic()).run([0.5])
+    else:
+        propagator_oracle(TruncationSpec(1, 1), constant_ic(), PropagatorGrid(dt=0.05), [0.1])
+    monkeypatch.setattr(module, "check_array_budget", spy)
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, max(counted)
+
+
+@pytest.mark.parametrize("engine", ["spectral", "propagator"])
+def test_budget_counts_what_the_sweep_holds(engine, monkeypatch):
+    # states, forcing buffers, plan and one state copy per snapshot: measured
+    # peaks 1.01-1.02x the count; the former counts were 2-3x (spectral) and
+    # 6-13x (propagator) under the peak
+    if engine == "spectral":
+        def sweep():
+            SpectralChaosField(TruncationSpec(4, 6), sine_ic()).run([0.25, 0.5])
+    else:
+        def sweep():
+            propagator_oracle(TruncationSpec(3, 6), constant_ic(), PropagatorGrid(dt=0.01),
+                              [0.1 * k for k in range(1, 9)])
+    peak, counted = _peak_and_count(engine, monkeypatch, sweep)
+    assert 0.8 * counted <= peak <= 1.5 * counted, (peak / 2 ** 20, counted / 2 ** 20)
+
+
+def test_spectral_snapshots_refused_before_the_sweep(monkeypatch):
+    # the field's plan fits, but a run keeping 64 snapshots of the state
+    # would not: run refuses before it allocates anything
+    field = SpectralChaosField(TruncationSpec(4, 6), constant_ic())
+    budget = 8 * field._sweep_values(8)
+    monkeypatch.setattr("wickshe.feynman_kac.ARRAY_BUDGET_BYTES", budget)
+    with pytest.raises(EnsembleMemoryError, match="64 snapshots"):
+        field.run([k / 128 for k in range(1, 65)])
 
 
 class TestLevelWiring:

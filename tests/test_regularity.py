@@ -16,7 +16,7 @@ import wickshe
 from wickshe import chain_moments, regularity
 from wickshe.basis import MultiIndex, TruncationSpec
 from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol,
-                                   _sobol_pairs, field_order_masses,
+                                   _sobol_blocks, field_order_masses,
                                    space_increment_masses, time_increment_masses)
 from wickshe.chaos import ChaosCoefficients
 from wickshe.feynman_kac import chunk_binner, local_time_ensemble_stats
@@ -353,19 +353,6 @@ class TestPairingKernel:
         with pytest.raises(np.linalg.LinAlgError):
             field_order_masses(0.0, [2], deriv=True)
 
-    def test_one_sobol_set_per_order(self, monkeypatch):
-        draws = []
-        real = chain_moments._sobol_pairs
-
-        def counted(n, rng_seed):
-            draws.append(n)
-            return real(n, rng_seed)
-
-        monkeypatch.setattr(chain_moments, "_sobol_pairs", counted)
-        time_increment_masses(1.0, LAGS6, [3], deriv=False)
-        # one set for the six lags' box rules, one for the gate mass at t + h
-        assert draws == [3, 3]
-
 
 def test_field_order_masses_equal_the_space_pass_masses():
     # the mass-only accumulation (an empty lag ladder) returns the mass that
@@ -393,10 +380,9 @@ def _chain_numbers(orders, deriv):
     return out
 
 
-def _ordered_square_blocks(n, nodes, w, paired):
+def _ordered_square_blocks(nodes, w):
     """Reference tensor square: every ordered pair (i, j), rows repeated
     against tiled copies in blocks of about 2^18 pairs."""
-    assert not paired
     side = _Side.of(increments(nodes, nodes[:, 0]))
     B = nodes.shape[0]
     step = (1 << 18) // B + 1
@@ -420,22 +406,23 @@ class TestPairBlocks:
     @pytest.mark.parametrize("deriv", [False, True])
     def test_small_blocks_agree(self, monkeypatch, deriv):
         ref = _chain_numbers([1, 2, 3, 4], deriv)
-        # 2^10 pairs per block also splits the 2^16 Sobol rows of orders 3, 4
+        # 2^10 pairs per block also generates the 2^16 Sobol rows of orders
+        # 3, 4 in 64 blocks
         monkeypatch.setattr(chain_moments, "_PAIR_BLOCK", 1 << 10)
         _assert_same_numbers(_chain_numbers([1, 2, 3, 4], deriv), ref)
 
     @pytest.mark.parametrize("deriv", [False, True])
     def test_ordered_square_agrees(self, monkeypatch, deriv):
         got = _chain_numbers([1, 2], deriv)
-        monkeypatch.setattr(chain_moments, "_pair_blocks", _ordered_square_blocks)
+        monkeypatch.setattr(chain_moments, "_square_blocks", _ordered_square_blocks)
         _assert_same_numbers(got, _chain_numbers([1, 2], deriv))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_pair_weights_sum_to_the_squared_total(self, n):
-        rules = (chain_moments._pair_nodes_space(n, 1.0, 10103),
-                 chain_moments._time_region_nodes(n, 1.0, 0.125, None))
-        for nodes, w, paired in rules:
-            blocks = list(chain_moments._pair_blocks(n, nodes, w, paired))
+        rules = (chain_moments._tensor_space(n, 1.0),
+                 chain_moments._tensor_box(n, 1.0, 0.125))
+        for nodes, w in rules:
+            blocks = list(chain_moments._square_blocks(nodes, w))
             assert all(b[2].size <= chain_moments._PAIR_BLOCK for b in blocks)
             total = math.fsum(float(b[2].sum()) for b in blocks)
             assert total == pytest.approx(math.fsum(w) ** 2, rel=1e-13, abs=0.0)
@@ -445,10 +432,10 @@ class TestPairBlocks:
         # the i <= j pairs, formed block by block, are np.triu_indices(B) in
         # its order, cut at the same block boundaries
         monkeypatch.setattr(chain_moments, "_PAIR_BLOCK", block)
-        nodes, w, paired = chain_moments._pair_nodes_space(2, 1.0, 10103)
+        nodes, w = chain_moments._tensor_space(2, 1.0)
         side = chain_moments._Side.of(chain_moments.increments(nodes, nodes[:, 0]))
         I, J = np.triu_indices(w.size)
-        got = list(chain_moments._pair_blocks(2, nodes, w, paired))
+        got = list(chain_moments._square_blocks(nodes, w))
         assert len(got) == -(-I.size // block)
         for k, (v, w_side, wts) in zip(range(0, I.size, block), got):
             i, j = I[k:k + block], J[k:k + block]
@@ -468,16 +455,23 @@ class TestPairBlocks:
         assert peak <= 7.0, peak
 
     def test_bounded_memory(self):
-        chain_moments._sobol_pairs(4, 10103)  # the cached Sobol set is not counted
-        peaks = []
+        # Sobol generation included: the rows are made block by block and
+        # no set is kept, so nothing is left over once a pass returns.
+        # Measured 8.8 and 5.8 MiB peaks; a whole 2^16-row set per order,
+        # cached, read 17.0 and 14.0 MiB and kept 4.7 and 4.0 MiB afterwards
+        space_increment_masses(1.0, [0.125], [1], deriv=True)  # warm numpy up
+        peaks, held = [], []
         for increments_of, t in ((space_increment_masses, 1.0), (time_increment_masses, 0.0)):
             tracemalloc.start()
             try:
                 increments_of(t, LAGS6, [2, 4], deriv=True)
-                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+                now, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 24.0 and peaks[1] <= 20.0, peaks
+            peaks.append(peak / 2 ** 20)
+            held.append(now / 2 ** 20)
+        assert peaks[0] <= 10.0 and peaks[1] <= 7.0, peaks
+        assert max(held) <= 1.0, held
 
 
 class TestSobolRule:
@@ -485,7 +479,7 @@ class TestSobolRule:
     @pytest.mark.parametrize("n", [3, 4])
     def test_matches_scipy_sobol(self, n, seed):
         ref = qmc.Sobol(d=2 * n, scramble=True, seed=seed).random_base2(16)
-        assert np.array_equal(_sobol_pairs(n, seed), _clip_unit(ref))
+        assert np.array_equal(np.concatenate(list(_sobol_blocks(n, seed))), _clip_unit(ref))
 
     @pytest.mark.parametrize("seed", [7, 10103, 12345])
     @pytest.mark.parametrize("d", [6, 8])
@@ -493,13 +487,46 @@ class TestSobolRule:
         # eight points pin the first point (the digital shift) and the
         # Gray-code order of the direction numbers
         ref = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(3)
-        assert np.array_equal(_scrambled_sobol(d, 3, seed), ref)
+        assert np.array_equal(next(_scrambled_sobol(d, 3, seed, 8)), ref)
 
-    def test_one_read_only_set_per_order_and_seed(self):
-        U = _sobol_pairs(3, 7)
-        assert _sobol_pairs(3, 7) is U
-        assert not U.flags.writeable
-        assert _sobol_pairs(3, 12345) is not U
+    def test_blocks_match_scipy_sobol(self, monkeypatch):
+        # each block starts from the Gray-code state of its first point; 1000
+        # rows put the block boundaries off the powers of two.  Every block is
+        # a new array of at most one block of rows: no set is kept
+        for rows in (chain_moments._PAIR_BLOCK, 1000):
+            monkeypatch.setattr(chain_moments, "_PAIR_BLOCK", rows)
+            for n in (3, 4):
+                for seed in (7, 10103, 12345):
+                    ref = _clip_unit(qmc.Sobol(d=2 * n, scramble=True,
+                                               seed=seed).random_base2(16))
+                    blocks = list(_sobol_blocks(n, seed))
+                    assert [b.shape for b in blocks] == [
+                        (min(rows, ref.shape[0] - r), 2 * n)
+                        for r in range(0, ref.shape[0], rows)]
+                    for r, b in zip(range(0, ref.shape[0], rows), blocks):
+                        assert np.array_equal(b, ref[r:r + rows]), (rows, n, seed, r)
+                    again = next(_sobol_blocks(n, seed))
+                    assert again is not blocks[0] and again.flags.writeable
+                    assert np.array_equal(again, blocks[0])
+
+    def test_time_ladder_generates_each_order_once(self, monkeypatch):
+        # a t > 0 ladder maps each block of rows onto all six lags' boxes:
+        # one pass over each order's 2^16 rows for the ladder, one for the
+        # gate mass at t + max(lags)
+        passes, rows = [], []
+        real = chain_moments._sobol_blocks
+
+        def counted(n, rng_seed):
+            passes.append(n)
+            for U in real(n, rng_seed):
+                rows.append(U.shape[0])
+                yield U
+
+        monkeypatch.setattr(chain_moments, "_sobol_blocks", counted)
+        time_increment_masses(1.0, LAGS6, [3, 4], deriv=False)
+        assert passes == [3, 4, 3, 4]
+        assert sum(rows) == 4 << 16
+        assert max(rows) <= chain_moments._PAIR_BLOCK
 
     def test_orders_3_and_4_do_not_load_scipy_stats(self):
         src = str(Path(wickshe.__file__).resolve().parents[1])

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wickshe.kernels import constant_ic, sine_ic
+from wickshe.basis import MultiIndex, TruncationSpec, hermite_function_table
+from wickshe.coefficients import cs_level_coefficients
+from wickshe.kernels import _panel_rule, constant_ic, sine_ic
 from wickshe.streams import substream
 from wickshe.wiener_kernels import (_ChainContext, _backward_chain, _forward_chain,
                                     cs_kernel, fk_kernel, mw_kernel, sym_cs_kernel)
@@ -103,6 +105,26 @@ class TestEquivalences:
             [(float(a), float(b)) for a in grid for b in grid]
         worst = max(abs(fk(*y) - sym(*y)) for y in probes)
         assert worst <= 1e-3
+
+    @pytest.mark.parametrize("u0_name", ["constant", "sine"])
+    def test_order_one_kernel_projects_onto_the_level_coefficients(self, coeff_quad, u0_name):
+        # u_{e_m}(t, x) = int f_1(t, x; y) e_m(y) dy: the pointwise kernel
+        # (simplex rule and kernel rows) against the level sweep (P(tau)
+        # blocks), two computations that share no chain integrand.  The kernel
+        # kinks at y = x, so the rule on [-10, 10] puts a panel edge there:
+        # 10 panels of 32 Gauss-Legendre nodes a side.  Measured at most
+        # 6.2e-8 (constant) and 7.8e-8 (sine) against a largest coefficient
+        # of 0.62; a 1% error in the chain integrand moves it by ~6e-3
+        u0 = constant_ic() if u0_name == "constant" else sine_ic()
+        spec = TruncationSpec(1, 6)
+        for t, x in ((1.0, 0.0), (0.5, 0.3)):
+            edges = np.concatenate([np.linspace(-10.0, x, 11), np.linspace(x, 10.0, 11)[1:]])
+            y, w = _panel_rule(edges, 32)
+            fk = fk_kernel(1, t, x, u0, coeff_quad)
+            projected = hermite_function_table(6, y) @ (w * np.array([fk(v) for v in y]))
+            level = cs_level_coefficients(1, t, x, u0, spec, coeff_quad)
+            expected = [level[MultiIndex((0,) * (j - 1) + (1,))] for j in range(1, 7)]
+            assert np.max(np.abs(projected - expected)) <= 5e-7, (t, x)
 
     def test_symmetry_under_permutation(self, coeff_quad):
         fk = fk_kernel(2, 0.7, 0.1, sine_ic(), coeff_quad)
