@@ -36,8 +36,10 @@ The elimination runs on the Laplacian's couplings and anchor weights and
 only ever adds non-negative terms; d_n = a_n + 1/v_1, where a_n is y_n's
 anchor weight without the identity chain's own anchored edge, so that
 S = v_1 + 1/a_n carries no cancellation either.  A gap that is not positive
-and finite, or a pivot d_j <= 0, raises ``numpy.linalg.LinAlgError``; no
-NaN reaches a moment.
+and finite, or a pivot d_j <= 0, raises ``numpy.linalg.LinAlgError``, and
+a base time that is not finite and non-negative, or a lag that is not finite
+and positive, raises ``ValueError`` before any block is made; no NaN
+reaches a moment.
 
 Only time-simplex quadrature remains: graded tensor rules up to order 2,
 scrambled Sobol points at orders 3 and 4, all mapped onto the simplex by the
@@ -53,15 +55,26 @@ built once and serves every sigma.  A Sobol row holds both copies, and the
 rows are generated one block of 2^14 at a time, each block from the Gray-code
 state of its first point: the block is mapped onto the quadrature region,
 paired, added and dropped, so no array holds more than one block of rows or
-nodes, whatever the point count, and nothing is kept between calls.  A time
-ladder maps each block onto every lag's region before the next block is
-made, so a ladder generates each order's rows once.  The tensor rules pair
-every node with every node, and there each unordered pair i <= j is taken
-once with weight 2 w_i w_j off the diagonal.  This is exact: swapping the
-two chains and inverting sigma only relabels the vertices and flips the sign
-of d, under which the pairing is even, so tables(v, w, sigma) =
-tables(w, v, sigma^-1); as sigma runs over S_n so does sigma^-1, so the
-pairs (i, j) and (j, i) have the same sum over sigma.
+nodes, whatever the point count, and nothing is kept between calls.
+
+A time ladder from t > 0 integrates over the boxes v_n in [t, t + h], one
+per lag, and each is the unit box scaled row by row: with v_n = s = t + h u,
+the chain times are s (V_1, 1), V_1 the inner rows mapped at horizon 1.  So
+each block is mapped onto the unit box once, its side (whose gap check
+stands for every lag) and Jacobians j_1 kept, and each lag's side follows
+by scaling: reciprocal gaps recip_1 / s, log density log_dens_1 -
+(n/2) log s, first gap s g_1 and weight j_1 s^(n-1) h per half, made one lag
+at a time.  The last gap s (1 - x) then comes from 1 - x, free of
+cancellation (exact for x >= 1/2), rather than from s - s x, so only
+rounding moves.  The truncation-gate mass at t + max(lags) is a pass of its
+own (``field_order_masses``).
+
+The tensor rules pair every node with every node, and there each unordered
+pair i <= j is taken once with weight 2 w_i w_j off the diagonal.  This is
+exact: swapping the two chains and inverting sigma only relabels the
+vertices and flips the sign of d, under which the pairing is even, so
+tables(v, w, sigma) = tables(w, v, sigma^-1); as sigma runs over S_n so
+does sigma^-1, so the pairs (i, j) and (j, i) have the same sum over sigma.
 
 The (A, S) tables are independent of the lag, so a whole lag ladder costs
 one assembly; spatial increments evaluate
@@ -113,6 +126,18 @@ def _check_orders(orders: Iterable[int]) -> list[int]:
             raise ValueError(f"chain order {n} is not supported; the chain-pairing "
                              f"engine handles orders {CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
     return orders
+
+
+def _check_times(t: float, lags: Sequence[float] = ()) -> tuple[float, np.ndarray]:
+    """(t, lags as an array), refused unless t is finite and non-negative and
+    every lag finite and positive: a NaN or negative time would reach the
+    moments, and the scaled box sides of a negative t pass the gap check."""
+    t, lags = float(t), np.asarray(lags, dtype=float)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"base time t = {t} must be finite and non-negative")
+    if not np.all(np.isfinite(lags) & (lags > 0.0)):
+        raise ValueError(f"lags must be finite and positive, got {lags.tolist()}")
+    return t, lags
 
 
 def _clip_unit(U: np.ndarray) -> np.ndarray:
@@ -220,25 +245,42 @@ def _chain_side(V: np.ndarray) -> _Side:
     return _Side.of(increments(V, V[:, 0]))
 
 
-def _square_blocks(nodes: np.ndarray, w: np.ndarray):
-    """(v side, w side, weights) blocks of at most ``_PAIR_BLOCK`` node pairs
-    of the tensor square of the rows, taken once per unordered pair i <= j
-    and cut from one side built for all rows, with each off-diagonal weight
-    doubled: this is exact, since tables(v_i, v_j, sigma) equals
-    tables(v_j, v_i, sigma^-1) and sigma -> sigma^-1 is a bijection of S_n,
-    so the pairs (i, j) and (j, i) have the same sum over sigma."""
-    side = _chain_side(nodes)
-    # the pairs of np.triu_indices(B) in its row-major order, formed one
+def _cut(side: _Side, rows: np.ndarray) -> _Side:
+    """The side of the given rows."""
+    return _Side(*(x[..., rows] for x in side))
+
+
+def _scaled(side: _Side, s: np.ndarray) -> _Side:
+    """The side of the chain times s V, one factor s > 0 per row, from the
+    side of the times V: every gap scales by s."""
+    n = side.recip.shape[0]
+    return _Side(side.recip / s, side.log_dens - 0.5 * n * np.log(s), s * side.first)
+
+
+def _square_pairs(size: int):
+    """(i, j, weight factors) blocks of at most ``_PAIR_BLOCK`` pairs of the
+    tensor square of ``size`` rows, taken once per unordered pair i <= j, the
+    factor 2 off the diagonal: this is exact, since tables(v_i, v_j, sigma)
+    equals tables(v_j, v_i, sigma^-1) and sigma -> sigma^-1 is a bijection of
+    S_n, so the pairs (i, j) and (j, i) have the same sum over sigma."""
+    # the pairs of np.triu_indices(size) in its row-major order, formed one
     # block at a time: row i starts at the flat index of (i, i)
-    lengths = np.arange(w.size, 0, -1)
+    lengths = np.arange(size, 0, -1)
     starts = np.cumsum(lengths) - lengths
     n_pairs = int(lengths.sum())
     for k in range(0, n_pairs, _PAIR_BLOCK):
         flat = np.arange(k, min(k + _PAIR_BLOCK, n_pairs))
         i = np.searchsorted(starts, flat, side="right") - 1
         j = i + (flat - starts[i])
-        yield (_Side(*(x[..., i] for x in side)), _Side(*(x[..., j] for x in side)),
-               np.where(i == j, 1.0, 2.0) * w[i] * w[j])
+        yield i, j, np.where(i == j, 1.0, 2.0)
+
+
+def _square_blocks(nodes: np.ndarray, w: np.ndarray):
+    """(v side, w side, weights) blocks of the tensor square of the rows
+    (``_square_pairs``), cut from one side built for all rows."""
+    side = _chain_side(nodes)
+    for i, j, c in _square_pairs(w.size):
+        yield _cut(side, i), _cut(side, j), c * w[i] * w[j]
 
 
 def _pairing_sums(n: int, blocks, term) -> list[tuple]:
@@ -359,7 +401,7 @@ def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
                 ) -> list[tuple[np.ndarray, float]]:
     """(increment masses per lag, field mass) for one chaos order, one pair
     per rule of the blocks (``_pairing_sums``); an empty lag ladder gives
-    the masses alone."""
+    the masses alone, with no (lags, B) work."""
     neg_lags_sq = -lags[:, None] ** 2
     buffers: dict = {}
 
@@ -368,6 +410,9 @@ def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
         # z = h^2 / 2S, built as -g in reused (lags, B) buffers: every
         # rounding is that of g itself, with the sign flipped
         base = A / S if deriv else A
+        mass = float(np.dot(w, base))
+        if not lags.size:  # the masses alone: no (lags, B) work
+            return mass, np.zeros(0)
         if S.size not in buffers:
             buffers[S.size] = [np.empty((lags.size, S.size)) for _ in range(3)]
         m, neg_g, e = buffers[S.size]
@@ -379,7 +424,7 @@ def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
             m *= e
             neg_g += m
         neg_g *= (2.0 * w * base)[None, :]
-        return float(np.dot(w, base)), -neg_g.sum(axis=1)
+        return mass, -neg_g.sum(axis=1)
 
     return [(inc, mass) for mass, inc in _pairing_sums(n, blocks, term)]
 
@@ -387,6 +432,7 @@ def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
 def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
                        rng_seed: int = 10103) -> Dict[int, float]:
     """sum_{|alpha| = n} F_alpha(t, x)^2 per order (x-independent here)."""
+    t, _ = _check_times(t)
     out: Dict[int, float] = {}
     for n in _check_orders(orders):
         [(_, out[n])] = _accumulate(n, _space_blocks(n, t, rng_seed), np.zeros(0), deriv)
@@ -398,7 +444,7 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
                            ) -> tuple[Dict[int, np.ndarray], Dict[int, float]]:
     """Per-order sum_{|alpha|=n} (F_alpha(t, x+h) - F_alpha(t, x))^2 across the
     lag ladder, plus the per-order field masses (for the truncation gate)."""
-    lags = np.asarray(lags, dtype=float)
+    t, lags = _check_times(t, lags)
     inc: Dict[int, np.ndarray] = {}
     mass: Dict[int, float] = {}
     for n in _check_orders(orders):
@@ -406,51 +452,68 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
     return inc, mass
 
 
-def _tensor_box(n: int, t: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(times, weights) of the tensor rule on one copy of the increment region
-    v_n in [t, t+h], inner simplex below (n <= 2), paired with itself by
-    ``_square_blocks``."""
+def _unit_box(inner: np.ndarray) -> tuple[_Side, np.ndarray]:
+    """The side of the unit box rows, chain times (V_1, 1) with V_1 the inner
+    simplex rows mapped at horizon 1, and their Jacobians.  The rows at
+    v_n = s are these times scaled by s (``_scaled``), with Jacobians
+    j_1 s^(n-1)."""
+    B, inner_n = inner.shape
+    V, jac = simplex_from_unit(inner, 1.0) if inner_n else (inner, np.ones(B))
+    return _chain_side(np.concatenate([V, np.ones((B, 1))], axis=1)), jac
+
+
+def _tensor_unit_box(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inner rows, top coordinates u, weights) of the tensor rule on the
+    unit box (n <= 2): box nodes u outer, inner nodes inner, so that v_n =
+    t + h u spans [t, t + h]."""
     bx, bw = graded_panels(_BOX_AXIS_NODES, 1.0)
     if n == 1:
-        return (t + h * bx)[:, None], h * bw
+        return np.empty((bx.size, 0)), bx, bw
     ui, wi = graded_panels(_TENSOR_AXIS_NODES[1], _AXIS_GRADING)
     nb, ni = bx.size, ui.size
-    V, jv = _box_times(np.tile(ui, nb)[:, None], t + h * np.repeat(bx, ni))
-    return V, jv * np.tile(wi, nb) * np.repeat(bw, ni) * h
+    return np.tile(ui, nb)[:, None], np.repeat(bx, ni), np.tile(wi, nb) * np.repeat(bw, ni)
 
 
-def _box_times(inner: np.ndarray, v_top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inner simplex rows below the top times v_n = v_top: the chain times
-    with v_n as their last column, and the Jacobians."""
-    Vin, jv = simplex_from_unit(inner, v_top)
-    return np.concatenate([Vin, v_top[:, None]], axis=1), jv
+def _lag_blocks(t: float, lags: np.ndarray, v: _Side, w_side: _Side, w: np.ndarray,
+                uv: np.ndarray, uw: np.ndarray):
+    """(rule k, v side, w side, weights) of one block of node pairs on each
+    lag's box in turn, scaled from its unit sides, unit weights and top
+    coordinates u: v_n = t + h u per row and half."""
+    for k, h in enumerate(lags):
+        yield (k, *_at_lag(v, w_side, w, t + h * uv, t + h * uw, h))
 
 
-def _sobol_box(n: int, t: float, h: float, U: np.ndarray) -> tuple[_Side, _Side, np.ndarray]:
-    """One block U of Sobol rows mapped onto both copies of the increment
-    region: (v side, w side, weights), the weights a QMC average over the
-    whole set with the Jacobians."""
-    sides, wts = [], 1.0
-    for half in (U[:, :n], U[:, n:]):
-        V, jv = _box_times(half[:, :n - 1], t + h * half[:, n - 1])
-        sides.append(_chain_side(V))
-        wts = wts * jv * h
-    return sides[0], sides[1], wts / (1 << _QMC_LOG2[n])
+def _at_lag(v: _Side, w_side: _Side, w: np.ndarray, sv: np.ndarray, sw: np.ndarray,
+            h: float) -> tuple[_Side, _Side, np.ndarray]:
+    """The block at v_n = sv, w_n = sw of lag h: the sides scaled, the weights
+    times s^(n-1) h per half (a call of its own, so that no top times
+    outlive it)."""
+    n1 = v.recip.shape[0] - 1
+    return _scaled(v, sv), _scaled(w_side, sw), w * (sv * sw) ** n1 * (h * h)
 
 
 def _box_blocks(n: int, t: float, lags: np.ndarray, rng_seed: int):
     """The blocks of one rule per lag (rule k for lags[k]) on the increment
-    regions v_n in [t, t+h], as ``_pairing_sums`` takes them: a tensor
-    square per lag for n <= 2, and for deeper orders each block of Sobol
-    rows, made once, mapped onto every lag's region in turn, so that the
-    rows are generated once for the whole ladder."""
+    regions v_n in [t, t+h], as ``_pairing_sums`` takes them.  Every lag's
+    box is the unit box scaled row by row by s = t + h u, so a block's unit
+    sides are built once and scaled to each lag in turn, one lag at a time:
+    for n <= 2 each i <= j block of the unit box's tensor square, gathered
+    once, and for deeper orders each block of Sobol rows, made once, so that
+    the ladder generates the order's rows once."""
     if n <= 2:
-        for k, h in enumerate(lags):
-            yield from ((k, *b) for b in _square_blocks(*_tensor_box(n, t, float(h))))
+        inner, top, wq = _tensor_unit_box(n)
+        side, jac = _unit_box(inner)
+        w1 = jac * wq
+        for i, j, c in _square_pairs(top.size):
+            yield from _lag_blocks(t, lags, _cut(side, i), _cut(side, j),
+                                   c * w1[i] * w1[j], top[i], top[j])
         return
     for U in _sobol_blocks(n, rng_seed):
-        for k, h in enumerate(lags):
-            yield (k, *_sobol_box(n, t, float(h), U))
+        (v, jv), (w_side, jw) = (_unit_box(half[:, :n - 1]) for half in (U[:, :n], U[:, n:]))
+        w = jv * jw / (1 << _QMC_LOG2[n])
+        del jv, jw
+        yield from _lag_blocks(t, lags, v, w_side, w, U[:, n - 1], U[:, 2 * n - 1])
+        del v, w_side, w  # before the next block of rows is made
 
 
 def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int],
@@ -473,12 +536,13 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
     (dx u), and the rule is scale-equivariant, so one table per order
     serves the whole lag ladder.
 
-    For t > 0 and orders 3 and 4, each block of Sobol rows is mapped onto
-    every lag's box before the next block is made, so the ladder generates
-    the order's rows once; the gate mass at t + max(lags) is a pass of its
-    own (``field_order_masses``).
+    For t > 0 each lag's box is the unit box scaled by s = t + h u row by
+    row, so each block's unit sides are built once and scaled to every lag
+    (``_box_blocks``), and the ladder generates each order's Sobol rows
+    once; the gate mass at t + max(lags) is a pass of its own
+    (``field_order_masses``).
     """
-    lags = np.asarray(lags, dtype=float)
+    t, lags = _check_times(t, lags)
     orders = _check_orders(orders)
     top = int(np.argmax(lags))
     if 0.0 < t < lags[top] / 4.0:

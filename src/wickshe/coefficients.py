@@ -22,7 +22,8 @@ resolve a panel-spectral Taylor I + (tau/2) D2 + (tau^2/8) D2^2
 (per-coefficient integrands are regular there, the grid just cannot
 represent a near-delta kernel).  One level sweep assembles C for all mode
 tuples of the level at once, so computing every |alpha| = n coefficient
-costs barely more than one.  The time simplex has one fixed rule, one
+costs barely more than one; a sweep whose arrays would take more than
+``feynman_kac.ARRAY_BUDGET_BYTES`` is refused before it starts.  The time simplex has one fixed rule, one
 ``TIME_POINTS``-node Gauss-Legendre panel per axis under the smoothstep warp
 of ``kernels.simplex_from_unit``, shared with the chain kernels of
 ``wiener_kernels``.
@@ -38,6 +39,7 @@ import numpy as np
 
 from .basis import (MultiIndex, TruncationSpec, ZERO_INDEX, enumerate_multiindices,
                     hermite_function_table)
+from .feynman_kac import check_array_budget
 from .kernels import (NODES_PER_PANEL, InitialCondition, _panel_rule,
                       apply_heat_semigroup, apply_heat_semigroup_dx, build_line_grid,
                       heat_kernel, heat_kernel_dx, require_cover, simplex_map)
@@ -125,14 +127,21 @@ class CoefficientQuadrature:
         reach; the Taylor block below tau_res."""
         if tau < self.tau_res:
             return np.zeros(1, dtype=int), self._taylor(tau, np.eye(self.q))[None]
-        reach = math.sqrt(-2.0 * tau * math.log(KERNEL_CUTOFF))
-        D = min(self.panels - 1, math.floor(reach / self.width) + 1)
+        D = self.reach_offset(tau)
         d = np.arange(-D, D + 1)
         g = self.local_nodes
         diff = (d * self.width)[:, None, None] + (g[:, None] - g[None, :])
         K = heat_kernel(tau, diff) * self.local_weights
         keep = np.any(K != 0.0, axis=(1, 2))
         return d[keep], K[keep]
+
+    def reach_offset(self, tau: float) -> int:
+        """The largest panel offset |d| of the blocks P(tau) forms: 0 for
+        the Taylor block below tau_res, and non-decreasing in tau."""
+        if tau < self.tau_res:
+            return 0
+        reach = math.sqrt(-2.0 * tau * math.log(KERNEL_CUTOFF))
+        return min(self.panels - 1, math.floor(reach / self.width) + 1)
 
     def apply_P(self, tau: float, V: np.ndarray) -> np.ndarray:
         """P(tau) applied to rows-last arrays of grid functions, panel by panel."""
@@ -210,6 +219,15 @@ def _level_sweep(n: int, t: float, x: float, u0: InitialCondition,
     th = t if horizon is None else horizon
     if not 0 < th <= t:
         raise ValueError("horizon must lie in (0, t]")
+    m = quad.grid.nodes.size
+    # what the sweep below holds, in float64 values: V at the top two levels
+    # (J^n and J^(n-1) rows, where the last product forms) and E, J rows, of
+    # m grid values; the J^n output table; and P(tau)'s offset blocks with
+    # kernel_matrix's temporaries, 4 (2D + 1) q^2 at the widest offset D,
+    # that of tau = th, since no tau of the sweep exceeds th
+    check_array_budget((J ** n + J ** (n - 1) + J) * m + J ** n
+                       + 4 * (2 * quad.reach_offset(th) + 1) * quad.q ** 2,
+                       f"the level-{n} sweep of {J}^{n} mode tuples x {m} grid nodes")
     pts, wts = simplex_map(n, th, TIME_POINTS)
     E = hermite_function_table(J, quad.grid.nodes)      # (J, m)
     base = u0(quad.grid.nodes)

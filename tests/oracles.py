@@ -11,9 +11,11 @@ from typing import Callable, Dict, Literal, Sequence
 
 import numpy as np
 
+from wickshe import chain_moments
 from wickshe.basis import MultiIndex, TruncationSpec, enumerate_multiindices, snapshot_at
 from wickshe.chaos import ChaosCoefficients, order_norm, second_moment
 from wickshe.feynman_kac import _occupation_sums
+from wickshe.kernels import graded_panels, simplex_from_unit
 from wickshe.propagator import PropagatorSolution
 from wickshe.regularity import TAIL_SHARE_GATE, IncrementMomentCurve, TruncationTailError
 
@@ -134,3 +136,48 @@ def occupation_functional(t_grid: np.ndarray, positions: np.ndarray,
 def lattice_values(sol: PropagatorSolution, t: float, alpha: MultiIndex) -> np.ndarray:
     """One coefficient's Crank-Nicolson snapshot over the whole lattice."""
     return snapshot_at(sol.snapshots, t)[1][sol.indices.index(alpha)]
+
+
+def tensor_box(n: int, t: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, weights) of the chain engine's tensor rule on one copy of the
+    increment region v_n in [t, t+h], inner simplex below (n <= 2), mapped
+    for this lag alone: the rows the engine scales from its unit box."""
+    bx, bw = graded_panels(chain_moments._BOX_AXIS_NODES, 1.0)
+    if n == 1:
+        return (t + h * bx)[:, None], h * bw
+    ui, wi = graded_panels(chain_moments._TENSOR_AXIS_NODES[1], chain_moments._AXIS_GRADING)
+    nb, ni = bx.size, ui.size
+    V, jv = _box_times(np.tile(ui, nb)[:, None], t + h * np.repeat(bx, ni))
+    return V, jv * np.tile(wi, nb) * np.repeat(bw, ni) * h
+
+
+def _box_times(inner: np.ndarray, v_top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner simplex rows below the top times v_n = v_top: the chain times
+    with v_n as their last column, and the Jacobians."""
+    Vin, jv = simplex_from_unit(inner, v_top)
+    return np.concatenate([Vin, v_top[:, None]], axis=1), jv
+
+
+def _sobol_box(n: int, t: float, h: float, U: np.ndarray):
+    """One block U of Sobol rows mapped onto both copies of this lag's
+    increment region: (v side, w side, weights)."""
+    sides, wts = [], 1.0
+    for half in (U[:, :n], U[:, n:]):
+        V, jv = _box_times(half[:, :n - 1], t + h * half[:, n - 1])
+        sides.append(chain_moments._chain_side(V))
+        wts = wts * jv * h
+    return sides[0], sides[1], wts / (1 << chain_moments._QMC_LOG2[n])
+
+
+def box_blocks_per_lag(n: int, t: float, lags: Sequence[float], rng_seed: int):
+    """Per lag k, the generator of the blocks (v side, w side, weights) of
+    rule k of ``chain_moments._box_blocks``, each lag's region mapped from
+    the rows on its own rather than scaled from the unit box."""
+    def lag_blocks(h):
+        if n <= 2:
+            yield from chain_moments._square_blocks(*tensor_box(n, t, h))
+            return
+        for U in chain_moments._sobol_blocks(n, rng_seed):
+            yield _sobol_box(n, t, h, U)
+
+    return [lag_blocks(float(h)) for h in lags]

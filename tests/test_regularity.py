@@ -20,7 +20,7 @@ from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol
                                    space_increment_masses, time_increment_masses)
 from wickshe.chaos import ChaosCoefficients
 from wickshe.feynman_kac import chunk_binner, local_time_ensemble_stats
-from wickshe.kernels import constant_ic, increments
+from wickshe.kernels import constant_ic
 from wickshe.regularity import (IncrementMomentCurve, TruncationTailError,
                                 exact_increment_curve, fit_exponent,
                                 local_time_increment_check,
@@ -28,7 +28,7 @@ from wickshe.regularity import (IncrementMomentCurve, TruncationTailError,
 from wickshe.spectral import SpectralChaosField
 from wickshe.streams import substream
 
-from oracles import increment_moments, sample_realization_batch
+from oracles import box_blocks_per_lag, increment_moments, sample_realization_batch, tensor_box
 
 LAGS6 = [2.0 ** -k for k in range(3, 9)]
 
@@ -380,17 +380,13 @@ def _chain_numbers(orders, deriv):
     return out
 
 
-def _ordered_square_blocks(nodes, w):
-    """Reference tensor square: every ordered pair (i, j), rows repeated
-    against tiled copies in blocks of about 2^18 pairs."""
-    side = _Side.of(increments(nodes, nodes[:, 0]))
-    B = nodes.shape[0]
-    step = (1 << 18) // B + 1
-    for i0 in range(0, B, step):
-        nb = min(i0 + step, B) - i0
-        yield (_Side(*(np.repeat(x[..., i0:i0 + nb], B, axis=-1) for x in side)),
-               _Side(*(np.tile(x, nb) for x in side)),
-               np.repeat(w[i0:i0 + nb], B) * np.tile(w, nb))
+def _ordered_square_pairs(size):
+    """Reference tensor square: every ordered pair (i, j), with weight factor
+    1, in blocks of about 2^18 pairs."""
+    step = (1 << 18) // size + 1
+    for i0 in range(0, size, step):
+        rows = np.arange(i0, min(i0 + step, size))
+        yield np.repeat(rows, size), np.tile(np.arange(size), rows.size), np.ones(rows.size * size)
 
 
 def _assert_same_numbers(got, ref):
@@ -413,14 +409,15 @@ class TestPairBlocks:
 
     @pytest.mark.parametrize("deriv", [False, True])
     def test_ordered_square_agrees(self, monkeypatch, deriv):
+        # the space rule and the time ladder's unit box both take their
+        # pairs from ``_square_pairs``
         got = _chain_numbers([1, 2], deriv)
-        monkeypatch.setattr(chain_moments, "_square_blocks", _ordered_square_blocks)
+        monkeypatch.setattr(chain_moments, "_square_pairs", _ordered_square_pairs)
         _assert_same_numbers(got, _chain_numbers([1, 2], deriv))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_pair_weights_sum_to_the_squared_total(self, n):
-        rules = (chain_moments._tensor_space(n, 1.0),
-                 chain_moments._tensor_box(n, 1.0, 0.125))
+        rules = (chain_moments._tensor_space(n, 1.0), tensor_box(n, 1.0, 0.125))
         for nodes, w in rules:
             blocks = list(chain_moments._square_blocks(nodes, w))
             assert all(b[2].size <= chain_moments._PAIR_BLOCK for b in blocks)
@@ -457,20 +454,24 @@ class TestPairBlocks:
     def test_bounded_memory(self):
         # Sobol generation included: the rows are made block by block and
         # no set is kept, so nothing is left over once a pass returns.
-        # Measured 8.8 and 5.8 MiB peaks; a whole 2^16-row set per order,
-        # cached, read 17.0 and 14.0 MiB and kept 4.7 and 4.0 MiB afterwards
+        # Measured 8.8, 5.8 and 7.0 MiB peaks; a whole 2^16-row set per
+        # order, cached, read 17.0 and 14.0 MiB for the first two and kept
+        # 4.7 and 4.0 MiB afterwards.  The t = 1 ladder holds one block of
+        # rows, its unit box sides and one lag's scaled sides at a time
         space_increment_masses(1.0, [0.125], [1], deriv=True)  # warm numpy up
         peaks, held = [], []
-        for increments_of, t in ((space_increment_masses, 1.0), (time_increment_masses, 0.0)):
+        for increments_of, t, orders in ((space_increment_masses, 1.0, [2, 4]),
+                                         (time_increment_masses, 0.0, [2, 4]),
+                                         (time_increment_masses, 1.0, [3, 4])):
             tracemalloc.start()
             try:
-                increments_of(t, LAGS6, [2, 4], deriv=True)
+                increments_of(t, LAGS6, orders, deriv=True)
                 now, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             peaks.append(peak / 2 ** 20)
             held.append(now / 2 ** 20)
-        assert peaks[0] <= 10.0 and peaks[1] <= 7.0, peaks
+        assert peaks[0] <= 10.0 and peaks[1] <= 7.0 and peaks[2] <= 8.0, peaks
         assert max(held) <= 1.0, held
 
 
@@ -540,6 +541,100 @@ class TestSobolRule:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "False"
+
+
+class TestScaledLadder:
+    """A t > 0 time ladder maps each block onto the unit box once and
+    scales its sides to every lag; ``oracles.box_blocks_per_lag`` maps each
+    lag's box on its own instead."""
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_blocks_match_the_per_lag_map(self, t):
+        # Every gap within 4 ulp of its box's top time t + h (measured 2):
+        # the per-lag map forms the last gap as (t + h u) - v_{n-1} and
+        # loses up to 1e-5 of it, relatively, next to the top, where the
+        # scaled side takes s (1 - x), free of cancellation.  Each log density
+        # is that of its own gaps, and first gaps and weights match, within
+        # 4e-15 relative (measured 1.1e-15, 5.2e-16 and 1.4e-15)
+        eps = np.finfo(float).eps
+        lags = np.array(LAGS6)
+        for n in (1, 2, 3, 4):
+            for seed in ((7, 12345) if n > 2 else (7,)):
+                per_lag = box_blocks_per_lag(n, t, lags, seed)
+                for k, v, w_side, wts in chain_moments._box_blocks(n, t, lags, seed):
+                    ref_v, ref_w, ref_wts = next(per_lag[k])
+                    for got, ref in ((v, ref_v), (w_side, ref_w)):
+                        gaps = 1.0 / got.recip
+                        assert np.all(np.abs(gaps - 1.0 / ref.recip) <= 4 * eps * (t + lags[k]))
+                        own = -0.5 * np.sum(np.log(2 * math.pi * gaps), axis=0)
+                        assert np.all(np.abs(got.log_dens - own) <= 4e-15 * (1.0 + np.abs(own)))
+                        np.testing.assert_allclose(got.first, ref.first, rtol=4e-15, atol=0.0)
+                    np.testing.assert_allclose(wts, ref_wts, rtol=4e-15, atol=0.0)
+                assert all(next(blocks, None) is None for blocks in per_lag)
+
+    @pytest.mark.parametrize("t, seed, deriv", [(0.5, 7, True), (1.0, 12345, False),
+                                                (2.0, 12345, True)])
+    def test_moments_match_the_per_lag_map(self, t, seed, deriv):
+        inc, _ = time_increment_masses(t, LAGS6, [1, 2, 3, 4], deriv, seed)
+        for n in (1, 2, 3, 4):
+            per_lag = box_blocks_per_lag(n, t, LAGS6, seed)
+            blocks = ((k, *b) for k, lag_blocks in enumerate(per_lag) for b in lag_blocks)
+            ref = chain_moments._accumulate(n, blocks, np.zeros(0), deriv)
+            np.testing.assert_allclose(inc[n], [mass for _, mass in ref], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_unit_box_is_mapped_once_per_block(self, monkeypatch, n):
+        # per block of Sobol rows: both halves onto the unit box, however
+        # many lags; mapping each lag's box took two calls per lag
+        calls = []
+        real = chain_moments.simplex_from_unit
+
+        def counted(U, horizon):
+            calls.append(U.shape[0])
+            return real(U, horizon)
+
+        monkeypatch.setattr(chain_moments, "simplex_from_unit", counted)
+        for lags in ([0.125], LAGS6):
+            calls.clear()
+            rules = [k for k, *_ in chain_moments._box_blocks(n, 1.0, np.array(lags), 7)]
+            blocks = rules.count(0)
+            assert blocks == 4 and len(rules) == blocks * len(lags)
+            assert len(calls) == 2 * blocks
+            assert max(calls) <= chain_moments._PAIR_BLOCK
+
+
+def _no_blocks(*args):
+    raise AssertionError("a block was made")
+
+
+class TestTimesAndLags:
+    """Every chain entry point refuses a base time or lag that is not finite,
+    or a negative base time or a lag that is not positive, before it makes
+    a block; t = 0 keeps its own behaviour."""
+
+    @pytest.mark.parametrize("entry, t, lags", [
+        (space_increment_masses, 1.0, [np.nan, 0.1]),
+        (time_increment_masses, 0.0, [np.nan, 0.1]),
+        (time_increment_masses, 0.0, [-0.125, 0.0625]),
+        (time_increment_masses, 1.0, [-0.125, 0.0625]),
+        (time_increment_masses, 1.0, [0.0, 0.0625]),
+        (space_increment_masses, 1.0, [np.inf, 0.1]),
+        (time_increment_masses, -1.0, [0.125]),
+        (space_increment_masses, -1.0, [0.125]),
+        (field_order_masses, -1.0, None),
+        (time_increment_masses, np.nan, [0.125]),
+        (space_increment_masses, np.inf, [0.125]),
+        (field_order_masses, np.nan, None),
+    ], ids=["space-nan-lag", "time0-nan-lag", "time0-negative-lag", "time1-negative-lag",
+            "time1-zero-lag", "space-inf-lag", "time-negative-t", "space-negative-t",
+            "field-negative-t", "time-nan-t", "space-inf-t", "field-nan-t"])
+    def test_refused_before_any_block(self, monkeypatch, entry, t, lags):
+        monkeypatch.setattr(chain_moments, "_accumulate", _no_blocks)
+        args = (t, [1, 3], True) if lags is None else (t, lags, [1, 3], True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                entry(*args)
 
 
 class TestLocalTimeIncrements:
