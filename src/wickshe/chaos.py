@@ -66,7 +66,10 @@ def second_moment(coeffs: ChaosCoefficients) -> float:
 
 
 def order_norm(coeffs: ChaosCoefficients, n: int, lam: float = 0.0) -> float:
-    """Weighted order mass e^{2 lam n} sum_{|alpha| = n} coefficient^2."""
+    """Weighted order mass e^{2 lam n} sum_{|alpha| = n} coefficient^2.
+
+    Public: the weighted order norms are part of the Wick algebra's API, and
+    the order-norm decay check (acceptance criterion 9) reads them."""
     if n > coeffs.spec.max_order:
         raise ValueError(f"order {n} exceeds truncation N={coeffs.spec.max_order}")
     mass = sum(v * v for a, v in coeffs.values.items() if a.degree() == n)

@@ -70,7 +70,6 @@ __all__ = [
     "psi_law_stats",
     "path_ensemble",
     "ordered_map",
-    "occupation_profiles",
     "chunk_binner",
     "EnsembleMemoryError",
     "check_array_budget",
@@ -126,9 +125,12 @@ def local_time(t_grid: np.ndarray, positions: np.ndarray, levels: np.ndarray) ->
     """Occupation-density histogram L of one path skeleton on ``levels``.
 
     Each step contributes its dt to the bin of its right endpoint, so the
-    identity da * sum L = t holds exactly (counting identity).
+    identity da * sum L = t holds exactly (counting identity).  The one row
+    is binned by ``chunk_binner`` in a work buffer, so ``positions`` is left
+    as it is.
     """
-    return occupation_profiles(positions[None, 1:], np.diff(t_grid), levels)[0]
+    steps = np.diff(t_grid)
+    return chunk_binner(steps, levels, 1)(positions[None, 1:], np.empty(steps.size))[0]
 
 
 def _occupation_sums(left: np.ndarray, steps: np.ndarray, phi: Callable) -> np.ndarray:
@@ -215,26 +217,6 @@ def chunk_binner(steps: np.ndarray, levels: np.ndarray,
         return counts.reshape(n, K)
 
     return bin_chunk
-
-
-def occupation_profiles(pos: np.ndarray, steps: np.ndarray,
-                        levels: np.ndarray) -> np.ndarray:
-    """(n_paths, n_bins) occupation histograms; each step adds its dt to the bin
-    of its right endpoint.  Raises if a path escapes the level grid.
-
-    Rows are binned ``ROW_CHUNK`` at a time by one ``chunk_binner`` through
-    one work buffer, so the transient memory is a few chunk-sized arrays
-    beside the output, and ``pos`` is left as it is.  The result does not
-    depend on the chunking.
-    """
-    nb, m = pos.shape
-    rows = min(ROW_CHUNK, nb)
-    bin_chunk = chunk_binner(steps, levels, rows)
-    work = np.empty(rows * m)
-    out = np.empty((nb, levels.size))
-    for r0 in range(0, nb, rows):
-        out[r0:r0 + rows] = bin_chunk(pos[r0:r0 + rows], work)
-    return out
 
 
 def _increment_shifts(h_values: Sequence[float], delta_a: float) -> dict[float, int]:

@@ -66,6 +66,15 @@ class IncrementMomentCurve:
         return bool(np.all(np.diff(self.moments) >= 0))
 
 
+def _sorted_lags(lags: Sequence[float]) -> np.ndarray:
+    """The lags in increasing order, refused when one repeats, since a
+    moment curve needs strictly increasing lags."""
+    lags = np.asarray(sorted(float(h) for h in lags))
+    if np.any(np.diff(lags) == 0):
+        raise ValueError(f"lags must be distinct, got {lags.tolist()}")
+    return lags
+
+
 @dataclass(frozen=True)
 class ExponentEstimate:
     slope: float
@@ -77,8 +86,7 @@ class ExponentEstimate:
 
 def exact_increment_curve(t: float, direction: Literal["space", "time"],
                           lags: Sequence[float], deriv: bool,
-                          max_order: int = 4, rng_seed: int = 10103,
-                          tail_gate: float = TAIL_SHARE_GATE) -> IncrementMomentCurve:
+                          max_order: int = 4, rng_seed: int = 10103) -> IncrementMomentCurve:
     """Moment curve for constant initial data from the chain-pairing engine
     (exact in the mode index; quadrature only over time simplices).
 
@@ -86,20 +94,24 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
     per-order sums over |alpha| = 1..max_order are the whole increment
     moment; the truncation gate applies to the order cut alone.  It is
     evaluated at the latest probed time (t in space, t + max(lags) in time),
-    where the top-order share is largest, and a share that is not finite is
-    refused.  So is a space curve at t = 0: every chain mass vanishes there
-    and the share is 0/0.
+    where the top-order share is largest, against ``TAIL_SHARE_GATE`` as it
+    reads at the call, and a share that is not finite is refused.  So is a
+    space curve at t = 0: every chain mass vanishes there and the share is
+    0/0.  A direction other than "space" or "time", an unsupported order or
+    a repeated lag is refused before the chain pass; the chain engine
+    refuses a base time that is not finite and non-negative, and a lag that
+    is not finite and positive.
 
     Away from t = 0 both fields are smooth in time, so a time curve from
     t > 0 with lags well below t measures slope ~2.  The Hoelder exponents
     (time slopes 3/2 for u, 1/2 for dx u) are attained from t = 0.
     """
-    if t < 0:
-        raise ValueError(f"base time must be non-negative, got {t}")
+    if direction not in ("space", "time"):
+        raise ValueError(f"direction must be 'space' or 'time', got {direction!r}")
     if max_order not in CHAIN_ORDERS:
         raise ValueError(f"max_order {max_order} is not supported; the chain-pairing "
                          f"engine handles orders {CHAIN_ORDERS[0]}..{CHAIN_ORDERS[-1]}")
-    lags = np.asarray(sorted(float(h) for h in lags))
+    lags = _sorted_lags(lags)
     orders = range(1, max_order + 1)
     if direction == "space" and t == 0.0:
         raise TruncationTailError("top-order mass share is 0/0 at base time 0, "
@@ -114,9 +126,9 @@ def exact_increment_curve(t: float, direction: Literal["space", "time"],
         raise TruncationTailError(
             f"top-order mass share is {share} at base time {t}; the chain masses "
             "are undefined there")
-    if share > tail_gate:
+    if share > TAIL_SHARE_GATE:
         raise TruncationTailError(
-            f"top-order mass share {share:.3%} exceeds the {tail_gate:.0%} gate")
+            f"top-order mass share {share:.3%} exceeds the {TAIL_SHARE_GATE:.0%} gate")
     return IncrementMomentCurve(lags=lags, moments=np.asarray(sum(inc.values())),
                                 tail_share=share)
 
@@ -182,9 +194,10 @@ def local_time_temporal_increment_check(t_hi: float, lags: Sequence[float],
     solution field shows it only from t = 0 (see ``exact_increment_curve``)
     and is smooth in time away from it.  t_hi and every lag must be positive
     multiples of dt, and no lag may exceed t_hi (ValueError), so that each
-    increment is cut at exactly t_hi - h.
+    increment is cut at exactly t_hi - h.  A repeated lag is refused before
+    any path is drawn.
     """
-    lags = np.asarray(sorted(float(h) for h in lags))
+    lags = _sorted_lags(lags)
     if np.any(lags > t_hi):
         raise ValueError(f"lags {lags[lags > t_hi].tolist()} exceed t_hi = {t_hi}")
     snapshot_steps([t_hi, *lags.tolist()], dt)

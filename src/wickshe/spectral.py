@@ -44,7 +44,7 @@ from .chaos import ChaosCoefficients
 from .feynman_kac import check_array_budget
 from .kernels import InitialCondition
 
-__all__ = ["SpectralChaosField", "phi_functions"]
+__all__ = ["SpectralChaosField"]
 
 PHI_SERIES_RADIUS = 1.0  # |z| below which phi_1..phi_3 are summed as series
 _PHI_SERIES_TERMS = 20  # the first term dropped at |z| = 1 is 1/23! ~ 4e-23

@@ -252,6 +252,22 @@ class TestRunner:
         assert (tmp_path / "ob" / "localtime.csv").read_bytes() == ref
         assert (tmp_path / "oc" / "localtime.csv").read_bytes() == ref
 
+    def test_regularity_seed_redraws_only_the_local_time_paths(self, tmp_path):
+        # the chain rule keeps its library scrambling seed, so two run seeds
+        # write the same exact-curve rows and differ in the local-time rows
+        tables = []
+        for seed in (1, 2):
+            out = tmp_path / f"s{seed}"
+            cfg = write_cfg(tmp_path, f"seed = {seed}\nmc.n_paths = 200\noutput_dir = {out}\n")
+            assert main(["regularity", "--config", str(cfg)]) in (0, 1)
+            tables.append({name: (out / name).read_text().splitlines()
+                           for name in ("regularity_moments.csv", "regularity_fits.csv")})
+        for name in tables[0]:
+            exact, local = ([[r for r in t[name] if r.startswith("local_time,") == lt]
+                             for t in tables] for lt in (False, True))
+            assert exact[0] == exact[1] and len(exact[0]) > 1
+            assert local[0] != local[1]
+
     def test_fk_byte_identical_across_threads(self, tmp_path):
         # the (probe, noise) estimates run one per worker thread; each keeps its
         # own substreams, so every CSV is the same at any worker count

@@ -7,9 +7,9 @@ import pytest
 from wickshe import feynman_kac
 from wickshe.basis import hermite_function, hermite_function_dx
 from wickshe.cli import _phi_cases
-from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid,
+from wickshe.feynman_kac import (EnsembleMemoryError, build_level_grid, chunk_binner,
                                  fk_conditional_estimate, local_time,
-                                 local_time_ensemble_stats, occupation_profiles, ordered_map, path_ensemble,
+                                 local_time_ensemble_stats, ordered_map, path_ensemble,
                                  psi_law_stats, psi_sample, sample_noise, simulate_path,
                                  s_transform_dx_mc, s_transform_ensemble_mc, s_transform_mc,
                                  standard_error)
@@ -54,6 +54,13 @@ class TestLocalTime:
         L = local_time(*p, levels)
         assert float((levels[1] - levels[0]) * L.sum()) == pytest.approx(0.7, abs=1e-12)
 
+    def test_positions_left_as_they_are(self):
+        # the binner overwrites its input when given no work buffer
+        t_grid, positions = simulate_path(0.7, 1e-3, -0.4, substream(9, "lt"))
+        before = positions.copy()
+        local_time(t_grid, positions, build_level_grid(0.7, -0.4, 0.05))
+        assert np.array_equal(positions, before)
+
     def test_coverage_guard(self):
         p = simulate_path(1.0, 1e-3, 0.0, substream(9, "lt2"))
         narrow = np.arange(-0.2, 0.2, 0.05)
@@ -91,35 +98,52 @@ def _block(nb, n_steps, seed=3):
     return pos, steps, build_level_grid(t, 0.1, 0.79 * math.sqrt(1e-3))
 
 
+def _chunked_profiles(pos, steps, levels):
+    """The block binned as the reducers bin it: ``ROW_CHUNK`` rows at a time
+    by one ``chunk_binner`` through one work buffer."""
+    nb, m = pos.shape
+    rows = min(feynman_kac.ROW_CHUNK, nb)
+    bin_chunk = chunk_binner(steps, levels, rows)
+    work = np.empty(rows * m)
+    out = np.empty((nb, levels.size))
+    for r0 in range(0, nb, rows):
+        out[r0:r0 + rows] = bin_chunk(pos[r0:r0 + rows], work)
+    return out
+
+
 class TestOccupationProfiles:
     # 50 rows: one short chunk; 300 rows: two full chunks and a short one
     @pytest.mark.parametrize("nb, n_steps", [(50, 300), (300, 200), (2000, 1000)])
     def test_chunks_match_whole_block_bincount(self, nb, n_steps):
         pos, steps, levels = _block(nb, n_steps)
-        got = occupation_profiles(pos, steps, levels)
+        before = pos.copy()
+        got = _chunked_profiles(pos, steps, levels)
         assert got.shape == (nb, levels.size)
+        assert np.array_equal(pos, before)  # the work buffer took the binning
         assert np.array_equal(got, _whole_block_profiles(pos, steps, levels))
 
     def test_column_slice_matches(self):
-        # the temporal increment check bins leading columns of a block
+        # column slices are not contiguous; the temporal increment check
+        # bins the trailing columns after each cut
         pos, steps, levels = _block(300, 200)
-        got = occupation_profiles(pos[:, :150], steps[:150], levels)
-        assert np.array_equal(got, _whole_block_profiles(pos[:, :150], steps[:150], levels))
+        for cols in (slice(None, 150), slice(50, None)):
+            got = _chunked_profiles(pos[:, cols], steps[cols], levels)
+            assert np.array_equal(got, _whole_block_profiles(pos[:, cols], steps[cols], levels))
 
     def test_escape_in_last_row_of_last_chunk(self):
         pos, steps, levels = _block(300, 200)
         pos[-1, -1] = levels[-1] + levels[1] - levels[0]
         with pytest.raises(ValueError, match="cover"):
-            occupation_profiles(pos, steps, levels)
+            _chunked_profiles(pos, steps, levels)
         pos[-1, -1] = np.nan
         with pytest.raises(ValueError, match="cover"):
-            occupation_profiles(pos, steps, levels)
+            _chunked_profiles(pos, steps, levels)
 
     def test_peak_memory_is_bounded_by_the_output(self):
         pos, steps, levels = _block(2000, 1000)
         tracemalloc.start()
         try:
-            out = occupation_profiles(pos, steps, levels)
+            out = _chunked_profiles(pos, steps, levels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

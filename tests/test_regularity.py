@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import qmc
 
 import wickshe
@@ -124,34 +125,73 @@ class TestIncrementMoments:
             increment_moments(supplier, (1.0, 0.0), "space", LAGS6)
 
 
+def _order_one_kernel(deriv):
+    """G(y) = int_0^1 d^d/dy^d p_s(y) ds in closed form, d = 0 (u) or 1 (dx u):
+    the order-1 chain of constant data at t = 1 is G against each mode."""
+    if deriv:
+        return lambda y: -math.copysign(math.erfc(abs(y) / math.sqrt(2.0)), y)
+    return lambda y: (2.0 * math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+                      - abs(y) * math.erfc(abs(y) / math.sqrt(2.0)))
+
+
+def _line_integral(f, cuts):
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
 class TestExactCurves:
-    # low-order slope checks open the gate explicitly; the acceptance runs
-    # use max_order = 4 where the top-order share is ~2%
-    def test_derivative_space_slope_near_one(self):
-        curve = exact_increment_curve(1.0, "space", LAGS6, deriv=True, max_order=2,
-                                      tail_gate=1.0)
+    # low-order slope checks open the gate; the acceptance runs use
+    # max_order = 4 where the top-order share is ~2%
+    def test_derivative_space_slope_near_one(self, monkeypatch):
+        monkeypatch.setattr(regularity, "TAIL_SHARE_GATE", 1.0)
+        curve = exact_increment_curve(1.0, "space", LAGS6, deriv=True, max_order=2)
         est = fit_exponent(curve)
         assert est.slope == pytest.approx(1.0, abs=0.1)
         assert curve.monotone
 
-    def test_solution_space_slope_near_two(self):
-        curve = exact_increment_curve(1.0, "space", LAGS6, deriv=False, max_order=2,
-                                      tail_gate=1.0)
+    def test_solution_space_slope_near_two(self, monkeypatch):
+        monkeypatch.setattr(regularity, "TAIL_SHARE_GATE", 1.0)
+        curve = exact_increment_curve(1.0, "space", LAGS6, deriv=False, max_order=2)
         est = fit_exponent(curve)
         assert est.slope == pytest.approx(2.0, abs=0.1)
 
-    def test_time_direction_is_quadratic(self):
+    def test_time_direction_is_quadratic(self, monkeypatch):
         # the solution field is quadratically smooth in time at fixed
         # truncation: its t-dependence sits in the simplex upper limit only
-        curve = exact_increment_curve(1.0, "time", LAGS6, deriv=False, max_order=2,
-                                      tail_gate=1.0)
+        monkeypatch.setattr(regularity, "TAIL_SHARE_GATE", 1.0)
+        curve = exact_increment_curve(1.0, "time", LAGS6, deriv=False, max_order=2)
         est = fit_exponent(curve)
         assert est.slope == pytest.approx(2.0, abs=0.1)
 
-    def test_order_gate(self):
+    def test_order_gate(self, monkeypatch):
+        monkeypatch.setattr(regularity, "TAIL_SHARE_GATE", 0.05)
         with pytest.raises(TruncationTailError):
-            exact_increment_curve(1.0, "space", LAGS6, deriv=True, max_order=2,
-                                  tail_gate=0.05)
+            exact_increment_curve(1.0, "space", LAGS6, deriv=True, max_order=2)
+
+    @pytest.mark.parametrize("deriv, inc_rtol, mass_rtol", [
+        # measured: u increments within 2.8e-7, u mass 5.2e-12 high
+        (False, [5e-7] * 6, 1e-11),
+        # measured: dx u increments 6.7e-4, 1.3e-3, 2.5e-3, 5.0e-3, 1.0e-2,
+        # 1.8e-2 high (the graded tensor rule under-resolves S ~ h^2), mass
+        # 1.68e-4 high
+        (True, [8.5e-4, 1.6e-3, 3.2e-3, 6.3e-3, 1.26e-2, 2.3e-2], 2.1e-4),
+    ])
+    def test_space_order_one_closed_form(self, deriv, inc_rtol, mass_rtol):
+        # M_1(h) = (1/pi) int_0^inf xi^{2d} ((1 - e^{-xi^2/2}) / (xi^2/2))^2
+        # 2 (1 - cos xi h) dxi at t = 1, and the field mass the same integral
+        # without the cosine factor; by Plancherel these are
+        # int (G(y + h) - G(y))^2 dy and int G^2 dy
+        G = _order_one_kernel(deriv)
+        inc, mass = space_increment_masses(1.0, LAGS6, [1], deriv)
+        exact_inc = np.array([_line_integral(lambda y: (G(y + h) - G(y)) ** 2,
+                                             [-14.0, -h, 0.0, 14.0]) for h in LAGS6])
+        exact_mass = _line_integral(lambda y: G(y) ** 2, [-14.0, 0.0, 14.0])
+        if deriv:  # (1/pi) int 4 (1 - e^{-xi^2/2})^2 / xi^2 dxi
+            assert exact_mass == pytest.approx(4.0 * (math.sqrt(2.0) - 1.0) / math.sqrt(math.pi),
+                                               rel=1e-13)
+        np.testing.assert_array_less(np.abs(inc[1] / exact_inc - 1.0), inc_rtol)
+        assert abs(mass[1] / exact_mass - 1.0) <= mass_rtol
+        assert field_order_masses(1.0, [1], deriv)[1] == mass[1]
 
     @pytest.mark.parametrize("deriv, closed_form", [
         # (2 pi)^{-1/2} int int_{[0,h]^2} (v+w)^{-1/2} dv dw and (v+w)^{-3/2}
@@ -635,6 +675,29 @@ class TestTimesAndLags:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
                 entry(*args)
+
+
+class TestCurveRequests:
+    """A malformed curve request is refused before the chain pass or the
+    path draws."""
+
+    @pytest.mark.parametrize("t, direction, lags, match", [
+        (1.0, "spcae", LAGS6, "direction"),
+        (1.0, "space", [0.125, 0.0625, 0.125], "distinct"),
+        (1.0, "time", [0.125, 0.0625, 0.125], "distinct"),
+        (-0.5, "space", LAGS6, "non-negative"),
+        (-0.5, "time", LAGS6, "non-negative"),
+    ])
+    def test_exact_curve_refused_before_any_block(self, monkeypatch, t, direction, lags,
+                                                  match):
+        monkeypatch.setattr(chain_moments, "_accumulate", _no_blocks)
+        with pytest.raises(ValueError, match=match):
+            exact_increment_curve(t, direction, lags, deriv=True)
+
+    def test_temporal_check_refuses_a_repeated_lag_before_any_path(self, monkeypatch):
+        monkeypatch.setattr(regularity, "path_ensemble", _no_blocks)
+        with pytest.raises(ValueError, match="distinct"):
+            local_time_temporal_increment_check(1.0, [0.1, 0.05, 0.1], 20_000, 1)
 
 
 class TestLocalTimeIncrements:
