@@ -63,11 +63,11 @@ the chain times are s (V_1, 1), V_1 the inner rows mapped at horizon 1.  So
 each block is mapped onto the unit box once, its side (whose gap check
 stands for every lag) and Jacobians j_1 kept, and each lag's side follows
 by scaling: reciprocal gaps recip_1 / s, log density log_dens_1 -
-(n/2) log s, first gap s g_1 and weight j_1 s^(n-1) h per half, made one lag
-at a time.  The last gap s (1 - x) then comes from 1 - x, free of
-cancellation (exact for x >= 1/2), rather than from s - s x, so only
-rounding moves.  The truncation-gate mass at t + max(lags) is a pass of its
-own (``field_order_masses``).
+(n/2) log s, first gap s g_1 and weight j_1 s^(n-1) h per half, written
+over one set of arrays per block, lag by lag.  The last gap s (1 - x) then
+comes from 1 - x, free of cancellation (exact for x >= 1/2), rather than
+from s - s x, so only rounding moves.  The truncation-gate mass at
+t + max(lags) is the space pass there with an empty lag ladder.
 
 The tensor rules pair every node with every node, and there each unordered
 pair i <= j is taken once with weight 2 w_i w_j off the diagonal.  This is
@@ -100,7 +100,6 @@ from .kernels import graded_panels, increments, simplex_from_unit, tensor_rule
 
 __all__ = [
     "CHAIN_ORDERS",
-    "field_order_masses",
     "space_increment_masses",
     "time_increment_masses",
 ]
@@ -248,13 +247,6 @@ def _chain_side(V: np.ndarray) -> _Side:
 def _cut(side: _Side, rows: np.ndarray) -> _Side:
     """The side of the given rows."""
     return _Side(*(x[..., rows] for x in side))
-
-
-def _scaled(side: _Side, s: np.ndarray) -> _Side:
-    """The side of the chain times s V, one factor s > 0 per row, from the
-    side of the times V: every gap scales by s."""
-    n = side.recip.shape[0]
-    return _Side(side.recip / s, side.log_dens - 0.5 * n * np.log(s), s * side.first)
 
 
 def _square_pairs(size: int):
@@ -408,9 +400,11 @@ def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
     def term(A, S, w):
         # g = -expm1(-z) + 2z e^{-z} (K-field) or -expm1(-z) (u-field) at
         # z = h^2 / 2S, built as -g in reused (lags, B) buffers: every
-        # rounding is that of g itself, with the sign flipped
+        # rounding is that of g itself, with the sign flipped.  The mass is a
+        # pairwise sum, whose bits depend on the values alone; a BLAS dot
+        # product would depend on its thread count
         base = A / S if deriv else A
-        mass = float(np.dot(w, base))
+        mass = float(np.sum(w * base))
         if not lags.size:  # the masses alone: no (lags, B) work
             return mass, np.zeros(0)
         if S.size not in buffers:
@@ -429,21 +423,13 @@ def _accumulate(n: int, blocks, lags: np.ndarray, deriv: bool
     return [(inc, mass) for mass, inc in _pairing_sums(n, blocks, term)]
 
 
-def field_order_masses(t: float, orders: Iterable[int], deriv: bool,
-                       rng_seed: int = 10103) -> Dict[int, float]:
-    """sum_{|alpha| = n} F_alpha(t, x)^2 per order (x-independent here)."""
-    t, _ = _check_times(t)
-    out: Dict[int, float] = {}
-    for n in _check_orders(orders):
-        [(_, out[n])] = _accumulate(n, _space_blocks(n, t, rng_seed), np.zeros(0), deriv)
-    return out
-
-
 def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int],
                            deriv: bool, rng_seed: int = 10103
                            ) -> tuple[Dict[int, np.ndarray], Dict[int, float]]:
     """Per-order sum_{|alpha|=n} (F_alpha(t, x+h) - F_alpha(t, x))^2 across the
-    lag ladder, plus the per-order field masses (for the truncation gate)."""
+    lag ladder, plus the per-order field masses sum_{|alpha|=n} F_alpha(t, x)^2
+    (x-independent here; for the truncation gate).  An empty ladder gives the
+    masses alone."""
     t, lags = _check_times(t, lags)
     inc: Dict[int, np.ndarray] = {}
     mass: Dict[int, float] = {}
@@ -455,7 +441,7 @@ def space_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int
 def _unit_box(inner: np.ndarray) -> tuple[_Side, np.ndarray]:
     """The side of the unit box rows, chain times (V_1, 1) with V_1 the inner
     simplex rows mapped at horizon 1, and their Jacobians.  The rows at
-    v_n = s are these times scaled by s (``_scaled``), with Jacobians
+    v_n = s are these times scaled by s (``_lag_blocks``), with Jacobians
     j_1 s^(n-1)."""
     B, inner_n = inner.shape
     V, jac = simplex_from_unit(inner, 1.0) if inner_n else (inner, np.ones(B))
@@ -478,18 +464,30 @@ def _lag_blocks(t: float, lags: np.ndarray, v: _Side, w_side: _Side, w: np.ndarr
                 uv: np.ndarray, uw: np.ndarray):
     """(rule k, v side, w side, weights) of one block of node pairs on each
     lag's box in turn, scaled from its unit sides, unit weights and top
-    coordinates u: v_n = t + h u per row and half."""
+    coordinates u: at v_n = s = t + h u per row and half, reciprocal gaps
+    recip / s, log density log_dens - (n/2) log s and first gap s first,
+    weights times s^(n-1) h per half.  The scaled block is written into
+    arrays made once per block and overwritten lag by lag, so a yielded
+    block holds only until the next one is asked for."""
+    n = v.recip.shape[0]
+    units, tops = (v, w_side), (uv, uw)
+    sides = [_Side(*map(np.empty_like, unit)) for unit in units]
+    ss = [np.empty_like(u) for u in tops]
+    wk = np.empty_like(w)
     for k, h in enumerate(lags):
-        yield (k, *_at_lag(v, w_side, w, t + h * uv, t + h * uw, h))
-
-
-def _at_lag(v: _Side, w_side: _Side, w: np.ndarray, sv: np.ndarray, sw: np.ndarray,
-            h: float) -> tuple[_Side, _Side, np.ndarray]:
-    """The block at v_n = sv, w_n = sw of lag h: the sides scaled, the weights
-    times s^(n-1) h per half (a call of its own, so that no top times
-    outlive it)."""
-    n1 = v.recip.shape[0] - 1
-    return _scaled(v, sv), _scaled(w_side, sw), w * (sv * sw) ** n1 * (h * h)
+        for unit, u, side, s in zip(units, tops, sides, ss):
+            np.multiply(h, u, out=s)
+            s += t
+            np.divide(unit.recip, s, out=side.recip)
+            log_s = np.log(s, out=side.first)  # scratch until the first gap
+            log_s *= 0.5 * n
+            np.subtract(unit.log_dens, log_s, out=side.log_dens)
+            np.multiply(s, unit.first, out=side.first)
+        np.multiply(*ss, out=wk)
+        wk **= n - 1
+        wk *= w
+        wk *= h * h
+        yield k, *sides, wk
 
 
 def _box_blocks(n: int, t: float, lags: np.ndarray, rng_seed: int):
@@ -538,9 +536,9 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
 
     For t > 0 each lag's box is the unit box scaled by s = t + h u row by
     row, so each block's unit sides are built once and scaled to every lag
-    (``_box_blocks``), and the ladder generates each order's Sobol rows
-    once; the gate mass at t + max(lags) is a pass of its own
-    (``field_order_masses``).
+    in place (``_box_blocks``), and the ladder generates each order's Sobol
+    rows once; the gate mass at t + max(lags) is the space pass there with
+    an empty lag ladder.
     """
     t, lags = _check_times(t, lags)
     orders = _check_orders(orders)
@@ -550,7 +548,7 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
                          "inaccurate; the accurate range is t = 0 or t >= h/4")
     out: Dict[int, np.ndarray] = {}
     if t == 0.0:
-        unit = field_order_masses(1.0, orders, deriv, rng_seed)
+        _, unit = space_increment_masses(1.0, (), orders, deriv, rng_seed)
         for n in orders:
             out[n] = unit[n] * lags ** (1.5 * n - (1.0 if deriv else 0.0))
         return out, {n: float(m[top]) for n, m in out.items()}
@@ -558,4 +556,4 @@ def time_increment_masses(t: float, lags: Sequence[float], orders: Iterable[int]
     for n in orders:
         rules = _accumulate(n, _box_blocks(n, t, lags, rng_seed), np.zeros(0), deriv)
         out[n] = np.array([mass for _, mass in rules])
-    return out, field_order_masses(t + float(lags[top]), orders, deriv, rng_seed)
+    return out, space_increment_masses(t + float(lags[top]), (), orders, deriv, rng_seed)[1]

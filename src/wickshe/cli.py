@@ -7,7 +7,9 @@ report.csv embedding the resolved config, a sha256 of every emitted CSV, and
 one row per executed check.  Exit code 0 when all checks pass, 1 when any
 fails, 2 for configuration errors (a config whose path ensemble would exceed
 the per-array memory budget included), 3 for an engine error, reported as one
-``engine error:`` line on stderr.  WICKSHE_THREADS overrides --threads.
+``engine error:`` line on stderr.  --threads (the config key ``threads``)
+sets the worker threads; no worker or BLAS thread count changes an emitted
+byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -469,7 +470,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (WICKSHE_THREADS overrides)")
+                        help="override the config's worker threads; no thread "
+                             "count changes an emitted byte")
     args = parser.parse_args(argv)
 
     overrides: dict = {}
@@ -477,17 +479,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
-    threads = args.threads
-    env_threads = os.environ.get("WICKSHE_THREADS")
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            print(f"config error: WICKSHE_THREADS={env_threads!r} is not an integer",
-                  file=sys.stderr)
-            return 2
-    if threads is not None:
-        overrides["threads"] = threads
+    if args.threads is not None:
+        overrides["threads"] = args.threads
 
     try:
         cfg = parse_config(args.config, overrides)

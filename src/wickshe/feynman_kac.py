@@ -221,7 +221,9 @@ def chunk_binner(steps: np.ndarray, levels: np.ndarray,
 
 def _increment_shifts(h_values: Sequence[float], delta_a: float) -> dict[float, int]:
     """Level shift per nonzero lag h; every h must be a multiple of delta_a
-    with h >= 2 delta_a."""
+    with h >= 2 delta_a, and no h may repeat."""
+    if len(set(map(float, h_values))) < len(h_values):
+        raise ValueError(f"lags must be distinct, got {list(h_values)}")
     shifts = {}
     for h in h_values:
         if h == 0.0:
@@ -442,8 +444,9 @@ def local_time_ensemble_stats(t: float, dt: float, delta_a: float, n_paths: int,
     ``"increment_table"`` holds (h, E int (L_a - L_{a-h})^2 da / h) for each
     lag of ``h_values`` in increasing order, [] when none is given; the
     ratio approaches 4t as h decreases.  Every h must be a multiple of
-    delta_a with h >= 2 delta_a (checked before anything is drawn); h = 0
-    gives exactly 0.  The lags leave the statistics unchanged.
+    delta_a with h >= 2 delta_a, and none may repeat (checked before
+    anything is drawn); h = 0 gives exactly 0.  The lags leave the
+    statistics unchanged.
     """
     shifts = _increment_shifts(h_values, delta_a)
     levels = build_level_grid(t, x, delta_a)

@@ -174,7 +174,8 @@ def local_time_increment_check(t: float, h_values: Sequence[float], n_paths: int
 
     The ratio approaches 4t as h decreases (linear local-time increment law).
     Every h must be a multiple of the level resolution delta_a with
-    h >= 2 delta_a; h = 0 is allowed and returns exactly 0.  This is the
+    h >= 2 delta_a, and none may repeat; h = 0 is allowed and returns
+    exactly 0.  This is the
     ``"increment_table"`` of ``local_time_ensemble_stats`` on its own stream
     label, "lt-increments".
     """

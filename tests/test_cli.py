@@ -343,17 +343,6 @@ class TestRunner:
             k = round(h / delta_a)
             assert k >= 2 and h == pytest.approx(k * delta_a, abs=1e-12)
 
-    def test_env_thread_override(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, "seed = 5\nmc.n_paths = 1000\nprobes = 0.5,0.0\n"
-                                  f"output_dir = {tmp_path/'env'}\n")
-        monkeypatch.setenv("WICKSHE_THREADS", "3")
-        assert main(["localtime", "--config", str(cfg)]) == 0
-
-    def test_bad_env_threads(self, tmp_path, monkeypatch, capsys):
-        cfg = write_cfg(tmp_path, "seed = 5\n")
-        monkeypatch.setenv("WICKSHE_THREADS", "many")
-        assert main(["localtime", "--config", str(cfg)]) == 2
-
     def test_lf_line_endings_and_float_format(self, tmp_path):
         p = write_csv(tmp_path / "x.csv", ("a", "b"), [(1.0 / 3.0, 2)])
         raw = p.read_bytes()

@@ -61,6 +61,19 @@ class TestLocalTime:
         local_time(t_grid, positions, build_level_grid(0.7, -0.4, 0.05))
         assert np.array_equal(positions, before)
 
+    @pytest.mark.parametrize("law", [
+        lambda h: local_time_ensemble_stats(0.5, 1e-2, 0.1, 200, 1, h_values=h),
+        lambda h: local_time_increment_check(0.5, h, 200, 1, dt=1e-2, delta_a=0.1),
+    ], ids=["ensemble-stats", "increment-check"])
+    @pytest.mark.parametrize("h_values", [[0.2, 0.2, 0.4], [0.0, 0.4, 0.0]])
+    def test_repeated_lag_refused_before_any_path(self, monkeypatch, law, h_values):
+        def no_paths(*args):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(feynman_kac, "path_ensemble", no_paths)
+        with pytest.raises(ValueError, match="distinct"):
+            law(h_values)
+
     def test_coverage_guard(self):
         p = simulate_path(1.0, 1e-3, 0.0, substream(9, "lt2"))
         narrow = np.arange(-0.2, 0.2, 0.05)

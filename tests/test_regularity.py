@@ -17,8 +17,8 @@ import wickshe
 from wickshe import chain_moments, regularity
 from wickshe.basis import MultiIndex, TruncationSpec
 from wickshe.chain_moments import (_Pairing, _Side, _clip_unit, _scrambled_sobol,
-                                   _sobol_blocks, field_order_masses,
-                                   space_increment_masses, time_increment_masses)
+                                   _sobol_blocks, space_increment_masses,
+                                   time_increment_masses)
 from wickshe.chaos import ChaosCoefficients
 from wickshe.feynman_kac import chunk_binner, local_time_ensemble_stats
 from wickshe.kernels import constant_ic
@@ -191,7 +191,7 @@ class TestExactCurves:
                                                rel=1e-13)
         np.testing.assert_array_less(np.abs(inc[1] / exact_inc - 1.0), inc_rtol)
         assert abs(mass[1] / exact_mass - 1.0) <= mass_rtol
-        assert field_order_masses(1.0, [1], deriv)[1] == mass[1]
+        assert space_increment_masses(1.0, (), [1], deriv)[1][1] == mass[1]
 
     @pytest.mark.parametrize("deriv, closed_form", [
         # (2 pi)^{-1/2} int int_{[0,h]^2} (v+w)^{-1/2} dv dw and (v+w)^{-3/2}
@@ -208,7 +208,7 @@ class TestExactCurves:
         # every coefficient of order >= 1 vanishes at t = 0
         inc, mass = time_increment_masses(0.0, LAGS6, [1, 2], deriv)
         for i, h in enumerate(LAGS6):
-            ref = field_order_masses(h, [1, 2], deriv)
+            _, ref = space_increment_masses(h, (), [1, 2], deriv)
             for n in (1, 2):
                 assert inc[n][i] == pytest.approx(ref[n], rel=1e-3)
         # gate masses are taken at the latest probed time
@@ -221,7 +221,7 @@ class TestExactCurves:
         lags = [2.0 ** -3, 2.0 ** -8]
         inc, _ = time_increment_masses(0.0, lags, [1, 3], deriv)
         for i, h in enumerate(lags):
-            ref = field_order_masses(h, [1, 3], deriv)
+            _, ref = space_increment_masses(h, (), [1, 3], deriv)
             for n in (1, 3):
                 assert inc[n][i] == pytest.approx(ref[n], rel=1e-12, abs=0.0)
 
@@ -240,7 +240,7 @@ class TestExactCurves:
             with pytest.raises(ValueError, match=r"1\.\.4"):
                 time_increment_masses(0.0, LAGS6, [order], deriv=True)
             with pytest.raises(ValueError, match=r"1\.\.4"):
-                field_order_masses(1.0, [order], deriv=False)
+                space_increment_masses(1.0, (), [order], deriv=False)
 
     def test_time_curve_from_zero_is_finite_and_quiet(self):
         with warnings.catch_warnings():
@@ -391,16 +391,40 @@ class TestPairingKernel:
         # at t = 0 every simplex node collapses: the engine raises instead of
         # returning NaN masses
         with pytest.raises(np.linalg.LinAlgError):
-            field_order_masses(0.0, [2], deriv=True)
+            space_increment_masses(0.0, (), [2], deriv=True)
 
 
-def test_field_order_masses_equal_the_space_pass_masses():
+def test_an_empty_ladder_gives_the_laddered_pass_masses():
     # the mass-only accumulation (an empty lag ladder) returns the mass that
     # the space increment pass computes beside its increments, bit for bit
     for deriv in (False, True):
-        masses = field_order_masses(0.7, [1, 2, 3], deriv, rng_seed=5)
+        inc, masses = space_increment_masses(0.7, (), [1, 2, 3], deriv, rng_seed=5)
         _, ref = space_increment_masses(0.7, [1.0], [1, 2, 3], deriv, rng_seed=5)
         assert masses == ref
+        assert all(inc[n].shape == (0,) for n in (1, 2, 3))
+
+
+def _run_python(code: str, **env_vars) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this
+    wickshe, with ``env_vars`` added to the environment."""
+    src = str(Path(wickshe.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_chain_numbers_do_not_depend_on_the_blas_thread_count():
+    # the order-2 rule sums blocks of 2^14 node pairs; a BLAS dot product
+    # splits one that long across its threads, which moved the last bit of
+    # the dx u mass between one and two threads
+    code = ("from wickshe.chain_moments import space_increment_masses\n"
+            "for deriv in (False, True):\n"
+            "    inc, mass = space_increment_masses(1.0, [0.125, 0.25], [2], deriv)\n"
+            "    print(*(float(x).hex() for x in [*inc[2], mass[2]]))\n")
+    one, two = (_run_python(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2"))
+    assert len(one.split()) == 6
+    assert one == two
 
 
 LAYOUT_LAGS = [2.0 ** -3, 2.0 ** -6]
@@ -415,7 +439,7 @@ def _chain_numbers(orders, deriv):
             ("time0", time_increment_masses(0.0, LAYOUT_LAGS, orders, deriv))):
         for n in orders:
             out[name, "inc", n], out[name, "mass", n] = inc[n], mass[n]
-    for n, m in field_order_masses(0.7, orders, deriv).items():
+    for n, m in space_increment_masses(0.7, (), orders, deriv)[1].items():
         out["field", "mass", n] = m
     return out
 
@@ -570,17 +594,12 @@ class TestSobolRule:
         assert max(rows) <= chain_moments._PAIR_BLOCK
 
     def test_orders_3_and_4_do_not_load_scipy_stats(self):
-        src = str(Path(wickshe.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         code = ("import sys\n"
                 "from wickshe.chain_moments import space_increment_masses, time_increment_masses\n"
                 "space_increment_masses(1.0, [0.125], [3, 4], True)\n"
                 "time_increment_masses(1.0, [0.125], [3, 4], True)\n"
                 "print('scipy.stats' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "False"
+        assert _run_python(code).strip() == "False"
 
 
 class TestScaledLadder:
@@ -611,6 +630,19 @@ class TestScaledLadder:
                         np.testing.assert_allclose(got.first, ref.first, rtol=4e-15, atol=0.0)
                     np.testing.assert_allclose(wts, ref_wts, rtol=4e-15, atol=0.0)
                 assert all(next(blocks, None) is None for blocks in per_lag)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_lag_of_a_block_reuses_its_arrays(self, n):
+        # a block's sides and weights are scaled to each lag in place: every
+        # lag of a block yields the arrays of its first lag, overwritten
+        first, blocks = None, 0
+        for k, v, w_side, wts in chain_moments._box_blocks(n, 1.0, np.array(LAGS6), 7):
+            arrays = (*v, *w_side, wts)
+            if k == 0:
+                first, blocks = arrays, blocks + 1
+            else:
+                assert all(a is b for a, b in zip(arrays, first, strict=True))
+        assert blocks > 0
 
     @pytest.mark.parametrize("t, seed, deriv", [(0.5, 7, True), (1.0, 12345, False),
                                                 (2.0, 12345, True)])
@@ -661,20 +693,19 @@ class TestTimesAndLags:
         (space_increment_masses, 1.0, [np.inf, 0.1]),
         (time_increment_masses, -1.0, [0.125]),
         (space_increment_masses, -1.0, [0.125]),
-        (field_order_masses, -1.0, None),
+        (space_increment_masses, -1.0, ()),
         (time_increment_masses, np.nan, [0.125]),
         (space_increment_masses, np.inf, [0.125]),
-        (field_order_masses, np.nan, None),
+        (space_increment_masses, np.nan, ()),
     ], ids=["space-nan-lag", "time0-nan-lag", "time0-negative-lag", "time1-negative-lag",
             "time1-zero-lag", "space-inf-lag", "time-negative-t", "space-negative-t",
-            "field-negative-t", "time-nan-t", "space-inf-t", "field-nan-t"])
+            "space0-negative-t", "time-nan-t", "space-inf-t", "space0-nan-t"])
     def test_refused_before_any_block(self, monkeypatch, entry, t, lags):
         monkeypatch.setattr(chain_moments, "_accumulate", _no_blocks)
-        args = (t, [1, 3], True) if lags is None else (t, lags, [1, 3], True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
-                entry(*args)
+                entry(t, lags, [1, 3], True)
 
 
 class TestCurveRequests:
